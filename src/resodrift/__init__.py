@@ -10,6 +10,7 @@ the full flow.
 
 from .averaging import (
     AngleSeries,
+    AveragingStep,
     GeneratorChi,
     GenericityReport,
     NormalFormResult,
@@ -64,8 +65,6 @@ from .systems import (
     IntegrableSystem,
     ResonanceData,
     SystemBundle,
-    evaluate_hamiltonian,
-    hamiltonian_vector_field,
     load_system,
     load_system_file,
     star_window,
@@ -81,6 +80,7 @@ __all__ = [
     "ActionWindow",
     "AnglePair",
     "AngleSeries",
+    "AveragingStep",
     "CatalogEntry",
     "ChannelReport",
     "DomainError",
@@ -112,12 +112,10 @@ __all__ = [
     "choose_cutoff",
     "circle_delta",
     "estimate_cj_norm",
-    "evaluate_hamiltonian",
     "exact_moser_orbit",
     "flow_points",
     "genericity_check",
     "get_entry",
-    "hamiltonian_vector_field",
     "lie_flow",
     "load_system",
     "load_system_file",

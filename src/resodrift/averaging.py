@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
@@ -360,20 +360,11 @@ class GeneratorChi:
 
     # -- measured C^1 norm ---------------------------------------------------------
 
-    def _components(self):
-        yield lambda *z: np.abs(self.evaluate(*z))
-
-        def grad_component(which, idx):
-            def fn(*z):
-                g_theta, g_action = self.gradients(*z)
-                return np.abs(g_theta[idx] if which == "theta" else g_action[idx])
-
-            return fn
-
-        for idx in (0, 1):
-            yield grad_component("theta", idx)
-        for idx in (0, 1):
-            yield grad_component("action", idx)
+    def _c1_components(self, theta1, theta2, I1, I2):
+        """|chi|, |d chi/d theta1|, |d chi/d theta2|, |d chi/d I1|, |d chi/d I2|, stacked."""
+        g_theta, g_action = self.gradients(theta1, theta2, I1, I2)
+        stacked = np.stack([self.evaluate(theta1, theta2, I1, I2), *g_theta, *g_action])
+        return np.abs(stacked, out=stacked)
 
     def c1_norm(
         self,
@@ -400,8 +391,7 @@ class GeneratorChi:
              (window.i1_max - window.i1_min) / (n_action[0] - 1),
              (window.i2_max - window.i2_min) / max(n_action[1] - 1, 1)]
         )
-        for component in self._components():
-            vals = component(T1, T2, A1, A2)
+        for c, vals in enumerate(self._c1_components(T1, T2, A1, A2)):
             flat = int(np.argmax(vals))
             idx = np.unravel_index(flat, vals.shape)
             center = np.array([T1[idx], T2[idx], A1[idx], A2[idx]])
@@ -418,7 +408,7 @@ class GeneratorChi:
                         lo, hi = max(lo, window.i2_min), min(hi, window.i2_max)
                     axes.append(np.linspace(lo, hi, 5))
                 L1, L2, L3, L4 = np.meshgrid(*axes, indexing="ij")
-                local = component(L1, L2, L3, L4)
+                local = self._c1_components(L1, L2, L3, L4)[c]
                 lflat = int(np.argmax(local))
                 lidx = np.unravel_index(lflat, local.shape)
                 peak = max(peak, float(local[lidx]))
@@ -455,76 +445,130 @@ def solve_homological(
 # -- normal form results ------------------------------------------------------------
 
 
-@dataclass
-class NormalFormResult:
-    """Measured data of a one- or two-step resonant normal form.
+@dataclass(frozen=True)
+class AveragingStep:
+    """One averaging step: the unit-time flow Phi_n of scale * chi.
 
-    phi maps a state through the full averaging transform (step 2 composes
-    the two unit-time flows); remainder samples the first remainder f', and
-    remainder2 (step 2 only) the second remainder f''.  All sups, residuals
-    and displacements are grid measurements recorded at build time.
+    Step n averages at scale = epsilon**n.  chi (Fourier cutoff, measured
+    C^1 norm gamma) is guarded and flowed on window; f_bar is the resonant
+    correction the step adds to the normal form; budget is the displacement
+    the scalar flow may make (kappa epsilon / 2**n), and tol the flow
+    tolerance.
     """
 
-    steps: int
-    epsilon: float
-    kappa: float
+    chi: GeneratorChi
+    scale: float
+    window: ActionWindow
     gamma: float
     cutoff: int
     f_bar: FourierPerturbation
-    chi: GeneratorChi
-    window: ActionWindow
+    budget: float
+    tol: float
+
+    def phi_points(self, th1, th2, I1, I2, direction: float = 1.0):
+        """Phi_n on arrays of points; direction=-1 flows back."""
+        return flow_points(
+            self.chi, self.scale, float(direction), th1, th2, I1, I2,
+            rtol=self.tol, atol=self.tol, window=self.window,
+        )
+
+    def phi(self, state: PhaseState, direction: float = 1.0) -> PhaseState:
+        """Phi_n on one state, checked against the window and the budget."""
+        return lie_flow(
+            self.chi, self.scale, float(direction), state,
+            rtol=self.tol, atol=self.tol, window=self.window, displacement_bound=self.budget,
+        )
+
+
+@dataclass
+class NormalFormResult:
+    """Measured data of a resonant normal form, stored as its averaging steps.
+
+    The transform is Phi = Phi_1 o ... o Phi_n over averaging_steps: phi and
+    phi_points apply the last step first, and with direction=-1 undo the
+    first step first, so they invert Phi.  remainder samples the last
+    remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1), and
+    sup_remainders[j] is the sup of the remainder left after step j + 1.
+    The displacement and the last remainder are measured on sample_window.
+    All sups, residuals and displacements are grid measurements recorded at
+    build time.
+    """
+
+    epsilon: float
+    kappa: float
+    averaging_steps: tuple[AveragingStep, ...]
     sample_window: ActionWindow
     displacement: float
     displacement_bound: float
     displacement_ok: bool
     homological_residual: float
-    sup_remainder: float
+    sup_remainders: tuple[float, ...]
     remainder: Callable
     phi: Callable
     phi_points: Callable
     channel: object
     genericity: GenericityReport
-    # second step only
-    step1: Optional["NormalFormResult"] = None
-    chi2: Optional[GeneratorChi] = None
-    gamma2: Optional[float] = None
-    cutoff2: Optional[int] = None
-    f_bar2: Optional[FourierPerturbation] = None
-    f_prime_fit: Optional[FourierPerturbation] = None
-    fit_residual: Optional[float] = None
-    sup_remainder2: Optional[float] = None
-    remainder2: Optional[Callable] = None
-    quarter_window: Optional[ActionWindow] = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def steps(self) -> int:
+        """Number of averaging steps."""
+        return len(self.averaging_steps)
+
+    @property
+    def chi(self) -> GeneratorChi:
+        """Generator of the first step."""
+        return self.averaging_steps[0].chi
+
+    @property
+    def window(self) -> ActionWindow:
+        """Working window of radius kappa epsilon, on which the first step flows."""
+        return self.averaging_steps[0].window
+
+    @property
+    def sup_remainder(self) -> float:
+        """Measured sup of the last remainder, the one remainder samples."""
+        return self.sup_remainders[-1]
+
+    @property
+    def step1(self) -> AveragingStep:
+        """The first step; its phi_points is Phi_1 alone."""
+        return self.averaging_steps[0]
+
+    @property
+    def chi2(self) -> GeneratorChi:
+        """Generator of the second step; IndexError on a one-step result."""
+        return self.averaging_steps[1].chi
+
+    @property
+    def quarter_window(self) -> ActionWindow:
+        """Sample window of a two-step result, of radius kappa epsilon / 4."""
+        if self.steps != 2:
+            raise AttributeError("only a two-step normal form has a quarter window")
+        return self.sample_window
 
     def report(self) -> dict:
         out = {
             "steps": self.steps,
             "epsilon": self.epsilon,
             "kappa": self.kappa,
-            "gamma": self.gamma,
-            "cutoff": self.cutoff,
-            "n_generator_modes": self.chi.n_modes,
             "displacement": self.displacement,
             "displacement_bound": self.displacement_bound,
             "displacement_ok": self.displacement_ok,
             "homological_residual": self.homological_residual,
-            "sup_remainder": self.sup_remainder,
             "lambda": self.genericity.lam,
             "theta1_star": self.genericity.theta1_star,
             "i1_star": self.genericity.i1_star,
             "delta_star": self.genericity.delta_star,
         }
-        if self.steps == 2:
-            out.update(
-                {
-                    "gamma2": self.gamma2,
-                    "cutoff2": self.cutoff2,
-                    "n_generator_modes2": self.chi2.n_modes,
-                    "fit_residual": self.fit_residual,
-                    "sup_remainder2": self.sup_remainder2,
-                }
-            )
+        for n, (step, sup) in enumerate(zip(self.averaging_steps, self.sup_remainders), 1):
+            tag = str(n) if n > 1 else ""
+            out["gamma" + tag] = step.gamma
+            out["cutoff" + tag] = step.cutoff
+            out["n_generator_modes" + tag] = step.chi.n_modes
+            out["sup_remainder" + tag] = sup
+        if "fit_residual" in self.meta:
+            out["fit_residual"] = self.meta["fit_residual"]
         return out
 
 
@@ -536,7 +580,7 @@ def _require_window_inside(system: IntegrableSystem, window: ActionWindow):
         )
 
 
-def _displacement_samples(window: ActionWindow, n: int, seed: int = 20240817):
+def _displacement_samples(window: ActionWindow, n: int, seed: int):
     rng = np.random.default_rng(seed)
     th1 = rng.uniform(0.0, 1.0, n)
     th2 = rng.uniform(0.0, 1.0, n)
@@ -568,6 +612,69 @@ def _survey_mesh(window: ActionWindow, grid):
     th2 = np.linspace(0.0, 1.0, n2, endpoint=False)
     I1, I2 = window.grid(m1, m2)
     return np.meshgrid(th1, th2, I1, I2, indexing="ij")
+
+
+def _measured_normal_form(
+    bundle: SystemBundle,
+    steps: tuple[AveragingStep, ...],
+    sample_window: ActionWindow,
+    displacement_bound: float,
+    *,
+    displacement_points: int,
+    seed: int,
+    survey_grid: tuple,
+    sup_remainders: tuple[float, ...] = (),
+    **fields,
+) -> NormalFormResult:
+    """Compose the steps into Phi and measure it on the sample window.
+
+    The displacement is the largest coordinate move of Phi over random
+    sample points; the last remainder is surveyed on a mesh and its sup
+    appended to sup_remainders, the sups of the earlier steps.  fields are
+    the remaining NormalFormResult fields.
+    """
+    system = bundle.system
+    eps = bundle.epsilon
+
+    def ordered(direction):
+        return steps if direction < 0 else steps[::-1]
+
+    def phi_points(th1, th2, I1, I2, direction=1.0):
+        point = (th1, th2, I1, I2)
+        for step in ordered(direction):
+            point = step.phi_points(*point, direction=direction)
+        return point
+
+    def phi(state: PhaseState, direction: float = 1.0) -> PhaseState:
+        for step in ordered(direction):
+            state = step.phi(state, direction=direction)
+        return state
+
+    def remainder(th1, th2, I1, I2):
+        """Sampled remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1)."""
+        moved = bundle.hamiltonian(*phi_points(th1, th2, I1, I2))
+        base = system.h(I1, I2)
+        for step in steps:
+            base = base + step.scale * step.f_bar(th1, th2, I1, I2)
+        return (moved - base) / eps ** (len(steps) + 1)
+
+    start = _displacement_samples(sample_window, displacement_points, seed)
+    moved = phi_points(*start)
+    displacement = float(max(np.max(np.abs(p - q)) for p, q in zip(moved, start)))
+    sup = float(np.max(np.abs(remainder(*_survey_mesh(sample_window, survey_grid)))))
+    return NormalFormResult(
+        epsilon=eps,
+        averaging_steps=steps,
+        sample_window=sample_window,
+        displacement=displacement,
+        displacement_bound=displacement_bound,
+        displacement_ok=bool(displacement <= displacement_bound * (1.0 + 1e-9)),
+        sup_remainders=sup_remainders + (sup,),
+        remainder=remainder,
+        phi=phi,
+        phi_points=phi_points,
+        **fields,
+    )
 
 
 def one_step_normal_form(
@@ -628,68 +735,20 @@ def one_step_normal_form(
     _require_window_inside(system, window)
     cutoff = choose_cutoff(eps, kappa_val, varpi, f)
     chi = chi.with_window(window, cutoff)
-    half = star_window(res, kappa_val * eps / 2.0)
     bound = kappa_val * eps / 2.0
-
-    def phi_points_fn(th1, th2, I1, I2, direction=1.0):
-        return flow_points(
-            chi, eps, float(direction), th1, th2, I1, I2,
-            rtol=flow_tol, atol=flow_tol, window=window,
-        )
-
-    def phi_fn(state: PhaseState, direction: float = 1.0) -> PhaseState:
-        return lie_flow(
-            chi, eps, float(direction), state,
-            rtol=flow_tol, atol=flow_tol, window=window, displacement_bound=bound,
-        )
-
-    if chi.is_zero:
-        displacement = 0.0
-    else:
-        th1, th2, I1, I2 = _displacement_samples(half, displacement_points)
-        p1, p2, q1, q2 = phi_points_fn(th1, th2, I1, I2)
-        displacement = float(
-            max(
-                np.max(np.abs(p1 - th1)),
-                np.max(np.abs(p2 - th2)),
-                np.max(np.abs(q1 - I1)),
-                np.max(np.abs(q2 - I2)),
-            )
-        )
-    displacement_ok = displacement <= bound * (1.0 + 1e-9)
-
-    def remainder_fn(th1, th2, I1, I2):
-        """Sampled first remainder f' = (H o Phi - h - eps f_bar) / eps^2."""
-        p1, p2, q1, q2 = phi_points_fn(th1, th2, I1, I2)
-        moved = bundle.hamiltonian(p1, p2, q1, q2)
-        base = system.h(I1, I2) + eps * f_bar(th1, th2, I1, I2)
-        return (moved - base) / eps**2
-
-    T1, T2, A1, A2 = _survey_mesh(half, survey_grid)
-    sup_remainder = float(np.max(np.abs(remainder_fn(T1, T2, A1, A2))))
-    residual = _homological_residual(system, chi, g_osc, window, check_grid)
-    gen = genericity or genericity_check(f, system)
-
-    return NormalFormResult(
-        steps=1,
-        epsilon=eps,
+    step = AveragingStep(chi, eps, window, gamma, cutoff, f_bar, bound, flow_tol)
+    return _measured_normal_form(
+        bundle,
+        (step,),
+        star_window(res, kappa_val * eps / 2.0),
+        bound,
+        displacement_points=displacement_points,
+        seed=20240817,
+        survey_grid=survey_grid,
         kappa=kappa_val,
-        gamma=gamma,
-        cutoff=cutoff,
-        f_bar=f_bar,
-        chi=chi,
-        window=window,
-        sample_window=half,
-        displacement=displacement,
-        displacement_bound=bound,
-        displacement_ok=bool(displacement_ok),
-        homological_residual=residual,
-        sup_remainder=sup_remainder,
-        remainder=remainder_fn,
-        phi=phi_fn,
-        phi_points=phi_points_fn,
+        homological_residual=_homological_residual(system, chi, g_osc, window, check_grid),
         channel=channel,
-        genericity=gen,
+        genericity=genericity or genericity_check(f, system),
     )
 
 
@@ -810,7 +869,6 @@ def two_step_normal_form(
             "the window is too wide for the fitted degrees"
         )
 
-    f_bar2 = average_over_theta2(f_prime_fit)
     chi2 = solve_homological(system, f_prime_fit, k_max, half)
     gamma2 = chi2.c1_norm(window=half)
     if eps**2 * gamma2 > kappa * eps / 4.0 * (1.0 + 1e-9):
@@ -818,79 +876,26 @@ def two_step_normal_form(
             "second-step flow budget exceeded: eps^2 gamma2 = "
             f"{eps**2 * gamma2:.3e} > kappa eps / 4 = {kappa * eps / 4.0:.3e}"
         )
-    quarter = star_window(res, kappa * eps / 4.0)
-    bound = 3.0 * kappa * eps / 4.0
-
-    def phi_points_fn(th1, th2, I1, I2, direction=1.0):
-        p = flow_points(
-            chi2, eps**2, float(direction), th1, th2, I1, I2,
-            rtol=flow_tol, atol=flow_tol, window=half,
-        )
-        return s1.phi_points(*p, direction=direction)
-
-    def phi_fn(state: PhaseState, direction: float = 1.0) -> PhaseState:
-        mid = lie_flow(
-            chi2, eps**2, float(direction), state,
-            rtol=flow_tol, atol=flow_tol, window=half,
-            displacement_bound=kappa * eps / 4.0,
-        )
-        return s1.phi(mid, direction=direction)
-
-    th1, th2, I1, I2 = _displacement_samples(quarter, displacement_points, seed=20240818)
-    p1, p2, q1, q2 = phi_points_fn(th1, th2, I1, I2)
-    displacement = float(
-        max(
-            np.max(np.abs(p1 - th1)),
-            np.max(np.abs(p2 - th2)),
-            np.max(np.abs(q1 - I1)),
-            np.max(np.abs(q2 - I2)),
-        )
+    step2 = AveragingStep(
+        chi2, eps**2, half, gamma2, k_max, average_over_theta2(f_prime_fit),
+        kappa * eps / 4.0, flow_tol,
     )
-    displacement_ok = displacement <= bound * (1.0 + 1e-9)
-
-    def remainder2_fn(th1, th2, I1, I2):
-        """Sampled second remainder f'' on the quarter window."""
-        p1, p2, q1, q2 = phi_points_fn(th1, th2, I1, I2)
-        moved = bundle.hamiltonian(p1, p2, q1, q2)
-        base = (
-            system.h(I1, I2)
-            + eps * s1.f_bar(th1, th2, I1, I2)
-            + eps**2 * f_bar2(th1, th2, I1, I2)
-        )
-        return (moved - base) / eps**3
-
-    T1q, T2q, A1q, A2q = _survey_mesh(quarter, survey_grid)
-    sup_remainder2 = float(np.max(np.abs(remainder2_fn(T1q, T2q, A1q, A2q))))
-
-    return NormalFormResult(
-        steps=2,
-        epsilon=eps,
+    return _measured_normal_form(
+        bundle,
+        s1.averaging_steps + (step2,),
+        star_window(res, kappa * eps / 4.0),
+        3.0 * kappa * eps / 4.0,
+        displacement_points=displacement_points,
+        seed=20240818,
+        survey_grid=survey_grid,
+        sup_remainders=s1.sup_remainders,
         kappa=kappa,
-        gamma=s1.gamma,
-        cutoff=s1.cutoff,
-        f_bar=s1.f_bar,
-        chi=s1.chi,
-        window=s1.window,
-        sample_window=half,
-        displacement=displacement,
-        displacement_bound=bound,
-        displacement_ok=bool(displacement_ok),
         homological_residual=s1.homological_residual,
-        sup_remainder=s1.sup_remainder,
-        remainder=s1.remainder,
-        phi=phi_fn,
-        phi_points=phi_points_fn,
         channel=s1.channel,
         genericity=s1.genericity,
-        step1=s1,
-        chi2=chi2,
-        gamma2=gamma2,
-        cutoff2=k_max,
-        f_bar2=f_bar2,
-        f_prime_fit=f_prime_fit,
-        fit_residual=fit_residual,
-        sup_remainder2=sup_remainder2,
-        remainder2=remainder2_fn,
-        quarter_window=quarter,
-        meta={"sup_f_prime_grid": sup_grid, "n_kept_modes": len(kept)},
+        meta={
+            "sup_f_prime_grid": sup_grid,
+            "n_kept_modes": len(kept),
+            "fit_residual": fit_residual,
+        },
     )

@@ -289,11 +289,12 @@ def _cmd_normal_form(args) -> int:
     cfg = _config_dict(args, {"source": source})
     out, _ = _run_dir(args, cfg)
     write_json(out / "config.json", cfg)
+    first = result.averaging_steps[0]
     payload = {
-        "K": result.cutoff,
+        "K": first.cutoff,
         "kappa": result.kappa,
-        "gamma": result.gamma,
-        "sup_f1": result.sup_remainder,
+        "gamma": first.gamma,
+        "sup_f1": result.sup_remainders[0],
         "phi_displacement": result.displacement,
         "displacement_bound": result.displacement_bound,
         "residual_homological": result.homological_residual,
@@ -304,18 +305,19 @@ def _cmd_normal_form(args) -> int:
         "reduced_first": reduction is not None,
     }
     if result.steps == 2:
+        second = result.averaging_steps[1]
         payload.update(
             {
-                "K2": result.cutoff2,
-                "gamma2": result.gamma2,
-                "sup_f2": result.sup_remainder2,
-                "fit_residual": result.fit_residual,
+                "K2": second.cutoff,
+                "gamma2": second.gamma,
+                "sup_f2": result.sup_remainders[1],
+                "fit_residual": result.meta["fit_residual"],
             }
         )
     write_json(out / "normal_form.json", payload)
     status = "ok" if result.displacement_ok else "FAIL"
     print(
-        f"normal-form: steps={result.steps} K={result.cutoff} kappa={result.kappa:.6g} "
+        f"normal-form: steps={result.steps} K={first.cutoff} kappa={result.kappa:.6g} "
         f"residual={result.homological_residual:.3e} [{status}] -> {out}"
     )
     return 0 if result.displacement_ok else 1

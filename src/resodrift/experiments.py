@@ -10,14 +10,13 @@ transform error out of the measured quantities.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .averaging import GenericityReport, genericity_check
-from .integrate import IntegratorConfig, OrbitRecord, StopEvent, integrate
+from .integrate import IntegratorConfig, OrbitRecord, StopEvent, _interval_excess, integrate
 from .norms import estimate_cj_norm
 from .systems import SystemBundle, star_window
 from .torus import PhaseState
@@ -111,11 +110,6 @@ class ExperimentRecord:
         )
         out.update(self.extras)
         return out
-
-
-def _interval_excess(I1, interval):
-    lo, hi = interval
-    return np.maximum(0.0, np.maximum(lo - np.asarray(I1), np.asarray(I1) - hi))
 
 
 def _resolve_genericity(bundle: SystemBundle, genericity) -> GenericityReport:
@@ -452,10 +446,7 @@ def sweep_epsilon(
             extras={"reached": bool(reached_flag)},
         )
 
-    # one worker per epsilon; map preserves the sorted order, so the merge
-    # is deterministic regardless of completion order
-    with ThreadPoolExecutor(max_workers=len(epsilons)) as pool:
-        records = list(pool.map(sweep_one, epsilons))
+    records = [sweep_one(eps) for eps in epsilons]
 
     log_eps = np.log(np.array([r.epsilon for r in records]))
     log_tau = np.log(np.array([r.tau for r in records]))

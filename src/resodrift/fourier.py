@@ -41,11 +41,10 @@ def canonical_mode(k) -> tuple[tuple[int, int], int]:
 class FourierPerturbation:
     """Finite trigonometric polynomial on T^2 with PolyField coefficients."""
 
-    __slots__ = ("_modes", "regularity", "_partial_cache")
+    __slots__ = ("_modes", "_partial_cache")
 
-    def __init__(self, modes: dict | None = None, regularity: int = 7):
+    def __init__(self, modes: dict | None = None):
         self._modes: dict[tuple[int, int], tuple[PolyField, PolyField]] = {}
-        self.regularity = int(regularity)
         self._partial_cache: dict = {}
         if modes:
             for k, (a, b) in modes.items():
@@ -55,22 +54,22 @@ class FourierPerturbation:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_terms(cls, terms, regularity: int = 7) -> "FourierPerturbation":
+    def from_terms(cls, terms) -> "FourierPerturbation":
         """Build from an iterable of (k, cos_coeff, sin_coeff).
 
         Coefficients may be floats or PolyField instances; wave vectors may be
         any integer pairs and are canonicalized (with the sin parity flip)
         before storage.
         """
-        out = cls(regularity=regularity)
+        out = cls()
         for k, a, b in terms:
             out._accumulate(k, a, b)
         out._prune()
         return out
 
     @classmethod
-    def zero(cls, regularity: int = 7) -> "FourierPerturbation":
-        return cls(regularity=regularity)
+    def zero(cls) -> "FourierPerturbation":
+        return cls()
 
     def _accumulate(self, k, a, b):
         a = PolyField._coerce(a)
@@ -129,7 +128,7 @@ class FourierPerturbation:
     def filter(self, predicate) -> "FourierPerturbation":
         """New series keeping only modes whose canonical key satisfies predicate."""
         kept = {k: ab for k, ab in self._modes.items() if predicate(k)}
-        return FourierPerturbation(kept, regularity=self.regularity)
+        return FourierPerturbation(kept)
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -164,7 +163,7 @@ class FourierPerturbation:
             factor = TWO_PI * kk
             # d/dtheta [a cos + b sin] = factor * (b cos - a sin)
             new[(k1, k2)] = (factor * b, (-factor) * a)
-        return FourierPerturbation(new, regularity=max(self.regularity - 1, 0))
+        return FourierPerturbation(new)
 
     def _single_action_partial(self, axis: int) -> "FourierPerturbation":
         new = {}
@@ -172,7 +171,7 @@ class FourierPerturbation:
             da = a.partial(1, 0) if axis == 0 else a.partial(0, 1)
             db = b.partial(1, 0) if axis == 0 else b.partial(0, 1)
             new[k] = (da, db)
-        return FourierPerturbation(new, regularity=self.regularity)
+        return FourierPerturbation(new)
 
     def partial(self, d_theta1=0, d_theta2=0, d_I1=0, d_I2=0) -> "FourierPerturbation":
         """Exact mixed partial derivative, returned as a new series."""
@@ -217,9 +216,7 @@ class FourierPerturbation:
         for k, (a, b) in other._modes.items():
             oa, ob = merged.get(k, (PolyField.zero(), PolyField.zero()))
             merged[k] = (oa + a, ob + b)
-        return FourierPerturbation(
-            merged, regularity=min(self.regularity, other.regularity)
-        )
+        return FourierPerturbation(merged)
 
     def __sub__(self, other: "FourierPerturbation") -> "FourierPerturbation":
         return self + (-1.0) * other
@@ -227,8 +224,7 @@ class FourierPerturbation:
     def __mul__(self, scalar):
         scalar = float(scalar)
         return FourierPerturbation(
-            {k: (scalar * a, scalar * b) for k, (a, b) in self._modes.items()},
-            regularity=self.regularity,
+            {k: (scalar * a, scalar * b) for k, (a, b) in self._modes.items()}
         )
 
     __rmul__ = __mul__

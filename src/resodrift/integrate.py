@@ -100,11 +100,15 @@ class OrbitRecord:
             fh.write("\n".join(lines) + "\n")
 
 
+def _interval_excess(I1, interval):
+    """Distance of I1 to the closed interval (0 inside it)."""
+    lo, hi = interval
+    return np.maximum(0.0, np.maximum(lo - np.asarray(I1), np.asarray(I1) - hi))
+
+
 def _channel_distance(I1, I2, interval):
     """Sup-norm distance to the channel segment {I2 = 0, I1 in interval}."""
-    lo, hi = interval
-    excess = np.maximum(0.0, np.maximum(lo - np.asarray(I1), np.asarray(I1) - hi))
-    return np.maximum(excess, np.abs(np.asarray(I2)))
+    return np.maximum(_interval_excess(I1, interval), np.abs(np.asarray(I2)))
 
 
 def integrate(
@@ -150,10 +154,14 @@ def integrate(
         event_specs.append(spec)
     event_specs.extend(stop_events)
     for spec in event_specs:
-        fn = spec.fn
-        fn.terminal = True  # scipy reads these attributes off the callable
-        fn.direction = spec.direction
-        events.append(fn)
+        # scipy reads terminal and direction off the callable; a fresh closure
+        # carries them, so the caller's callable is left untouched
+        def event(t, y, _fn=spec.fn):
+            return _fn(t, y)
+
+        event.terminal = True
+        event.direction = spec.direction
+        events.append(event)
 
     sol = solve_ivp(
         rhs,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -143,6 +144,20 @@ class UnimodularMap:
         return PhaseState.make(wrap(th[0]), wrap(th[1]), ac[0], ac[1])
 
 
+def _to_reduced_chart(umap: UnimodularMap, translation, theta1, theta2, I1, I2):
+    """Original coordinates to the chart straightened by umap and translation."""
+    M_inv = umap.inverse.astype(float)
+    Mt = umap.matrix.T.astype(float)
+    t1, t2 = np.asarray(theta1, float), np.asarray(theta2, float)
+    J1 = np.asarray(I1, float) - translation[0]
+    J2 = np.asarray(I2, float) - translation[1]
+    th1 = wrap(M_inv[0, 0] * t1 + M_inv[0, 1] * t2)
+    th2 = wrap(M_inv[1, 0] * t1 + M_inv[1, 1] * t2)
+    A1 = Mt[0, 0] * J1 + Mt[0, 1] * J2
+    A2 = Mt[1, 0] * J1 + Mt[1, 1] * J2
+    return th1, th2, A1, A2
+
+
 @dataclass(frozen=True)
 class ReductionResult:
     """Straightened chart for one resonance line, with exact transport maps.
@@ -165,16 +180,7 @@ class ReductionResult:
 
     def forward_points(self, theta1, theta2, I1, I2):
         """Original coordinates to the reduced chart, arrays welcome."""
-        M_inv = self.umap.inverse.astype(float)
-        Mt = self.umap.matrix.T.astype(float)
-        t1, t2 = np.asarray(theta1, float), np.asarray(theta2, float)
-        J1 = np.asarray(I1, float) - self.translation[0]
-        J2 = np.asarray(I2, float) - self.translation[1]
-        th1 = wrap(M_inv[0, 0] * t1 + M_inv[0, 1] * t2)
-        th2 = wrap(M_inv[1, 0] * t1 + M_inv[1, 1] * t2)
-        A1 = Mt[0, 0] * J1 + Mt[0, 1] * J2
-        A2 = Mt[1, 0] * J1 + Mt[1, 1] * J2
-        return th1, th2, A1, A2
+        return _to_reduced_chart(self.umap, self.translation, theta1, theta2, I1, I2)
 
     def backward_points(self, theta1, theta2, I1, I2):
         """Reduced chart back to original coordinates, arrays welcome."""
@@ -259,18 +265,13 @@ def reduce_system(
         norm2 = k_use[0] ** 2 + k_use[1] ** 2
         T = (-a_use * k_use[0] / norm2, -a_use * k_use[1] / norm2)
 
-        # transverse frequency on the mapped segment midpoint decides the sign
-        def to_reduced(I1, I2, _umap=umap, _T=T):
-            Mt = _umap.matrix.T.astype(float)
-            J1 = np.asarray(I1, float) - _T[0]
-            J2 = np.asarray(I2, float) - _T[1]
-            return Mt[0, 0] * J1 + Mt[0, 1] * J2, Mt[1, 0] * J1 + Mt[1, 1] * J2
-
+        to_reduced = partial(_to_reduced_chart, umap, T)
         A = umap.transpose_inverse.astype(float)
         h_reduced = system.h.compose_affine(A, np.asarray(T))
         om2 = h_reduced.partial(0, 1)
+        # transverse frequency on the mapped segment midpoint decides the sign
         mids = res.segment_points(9, star=True)
-        A1_mid, _ = to_reduced(mids[:, 0], mids[:, 1])
+        _, _, A1_mid, _ = to_reduced(0.0, 0.0, mids[:, 0], mids[:, 1])
         signs = om2(A1_mid, np.zeros_like(A1_mid))
         if np.all(signs > 0):
             break
@@ -290,26 +291,14 @@ def reduce_system(
     if R_reduced <= 0:
         raise DomainError("translation leaves no room inside the action domain")
 
-    def fwd_points(th1, th2, I1, I2, _umap=umap, _T=T):
-        M_inv = _umap.inverse.astype(float)
-        Mt = _umap.matrix.T.astype(float)
-        J1 = np.asarray(I1, float) - _T[0]
-        J2 = np.asarray(I2, float) - _T[1]
-        return (
-            wrap(M_inv[0, 0] * np.asarray(th1, float) + M_inv[0, 1] * np.asarray(th2, float)),
-            wrap(M_inv[1, 0] * np.asarray(th1, float) + M_inv[1, 1] * np.asarray(th2, float)),
-            Mt[0, 0] * J1 + Mt[0, 1] * J2,
-            Mt[1, 0] * J1 + Mt[1, 1] * J2,
-        )
-
-    S_mapped, slop_S = _map_segment(fwd_points, res.S)
-    S_star_mapped, slop_star = _map_segment(fwd_points, res.S_star)
+    S_mapped, slop_S = _map_segment(to_reduced, res.S)
+    S_star_mapped, slop_star = _map_segment(to_reduced, res.S_star)
 
     # the along-line frequency must vanish on the straightened channel, or
     # the segment was never a channel of the integrable part to begin with
     om1 = h_reduced.partial(1, 0)
     S_full = res.segment_points(9)
-    P1, _ = to_reduced(S_full[:, 0], S_full[:, 1])
+    _, _, P1, _ = to_reduced(0.0, 0.0, S_full[:, 0], S_full[:, 1])
     parallel = float(np.max(np.abs(om1(P1, np.zeros_like(P1)))))
     if parallel > 1e-9:
         raise DomainError(
@@ -337,7 +326,7 @@ def reduce_system(
                 b_poly.compose_affine(A, np.asarray(T)),
             )
         )
-    f_reduced = FourierPerturbation.from_terms(terms, regularity=f.regularity)
+    f_reduced = FourierPerturbation.from_terms(terms)
 
     checks = {
         "segment_axis_residual": max(slop_S, slop_star),

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .fourier import FourierPerturbation
 from .poly import PolyField
-from .torus import PhaseState
 
 LINE_TOL = 1e-10
 
@@ -201,9 +200,6 @@ class IntegrableSystem:
             dtype=float,
         )
 
-    def hessian_polys(self):
-        return self._hess
-
     @property
     def is_reduced(self) -> bool:
         return self.resonance.is_reduced
@@ -262,25 +258,6 @@ class SystemBundle:
         """Hamiltonian evaluated on flat states (samples along an orbit)."""
         y = np.asarray(y, dtype=float)
         return self.hamiltonian(y[..., 0], y[..., 1], y[..., 2], y[..., 3])
-
-
-def evaluate_hamiltonian(bundle: SystemBundle, state: PhaseState) -> float:
-    """Total energy at a state; raises DomainError outside B_R."""
-    bundle.system.require_inside(state.actions.I1, state.actions.I2)
-    return float(
-        bundle.hamiltonian(
-            state.angles.theta1, state.angles.theta2, state.actions.I1, state.actions.I2
-        )
-    )
-
-
-def hamiltonian_vector_field(bundle: SystemBundle, state: PhaseState):
-    """(dtheta/dt, dI/dt) at a state; raises DomainError outside B_R."""
-    bundle.system.require_inside(state.actions.I1, state.actions.I2)
-    dth, dI = bundle.vector_field(
-        state.angles.theta1, state.angles.theta2, state.actions.I1, state.actions.I2
-    )
-    return np.asarray(dth, dtype=float).reshape(2), np.asarray(dI, dtype=float).reshape(2)
 
 
 @dataclass(frozen=True)

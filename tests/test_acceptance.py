@@ -77,7 +77,7 @@ def test_criterion_3_normal_form_displacement(one_step_results, two_step_results
 
 def test_criterion_4_remainder_uniformity(one_step_results, two_step_results):
     sup1 = [one_step_results[eps].sup_remainder for eps in sorted(one_step_results)]
-    sup2 = [two_step_results[eps].sup_remainder2 for eps in sorted(two_step_results)]
+    sup2 = [two_step_results[eps].sup_remainders[1] for eps in sorted(two_step_results)]
     ratio1 = max(sup1) / min(sup1)
     ratio2 = max(sup2) / min(sup2)
     print(f"\n  sup|f'| across eps trio: {sup1} ratio {ratio1:.3f} (<= 4)")

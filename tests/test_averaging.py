@@ -255,13 +255,13 @@ def test_c1_norm_refinement_dominates_dense_grid(rng):
 def test_one_step_frozen_quantities(one_step_results):
     s1 = one_step_results[1e-3]
     assert s1.steps == 1
-    assert s1.cutoff == 125
+    assert s1.averaging_steps[0].cutoff == 125
     assert s1.kappa == pytest.approx(2.0113351756469653, rel=1e-9)
     assert s1.homological_residual <= 1e-9
     assert s1.displacement <= s1.displacement_bound
     assert s1.displacement_bound == pytest.approx(s1.kappa * 1e-3 / 2, rel=1e-12)
     assert s1.displacement_ok
-    assert s1.f_bar.mode_keys == [(1, 0)]
+    assert s1.averaging_steps[0].f_bar.mode_keys == [(1, 0)]
     assert s1.genericity.passed
 
 
@@ -270,7 +270,7 @@ def test_one_step_remainder_matches_lie_series(one_step_results):
     eps = 1e-4
     s1 = one_step_results[eps]
     entry = rd.get_entry("generic3")
-    f_bar = s1.f_bar
+    f_bar = s1.averaging_steps[0].f_bar
     f_osc = entry.perturbation.filter(lambda k: k[1] != 0)
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -328,17 +328,17 @@ def test_one_step_trivial_when_f_is_resonant():
 def test_two_step_fit_and_displacement(two_step_results):
     s2 = two_step_results[1e-3]
     assert s2.steps == 2
-    assert s2.cutoff2 == 63
-    assert s2.fit_residual <= 1e-6 * s2.meta["sup_f_prime_grid"]
+    assert s2.averaging_steps[1].cutoff == 63
+    assert s2.meta["fit_residual"] <= 1e-6 * s2.meta["sup_f_prime_grid"]
     assert s2.displacement <= s2.displacement_bound
     assert s2.displacement_bound == pytest.approx(3 * s2.kappa * 1e-3 / 4, rel=1e-12)
-    assert s2.sup_remainder2 > 0.0
+    assert s2.sup_remainders[1] > 0.0
     # the second averaged correction only keeps resonant modes
-    assert all(k[1] == 0 for k in s2.f_bar2.mode_keys)
+    assert all(k[1] == 0 for k in s2.averaging_steps[1].f_bar.mode_keys)
 
 
 def test_two_step_remainder_is_epsilon_stable(two_step_results):
-    sups = [two_step_results[eps].sup_remainder2 for eps in (1e-2, 1e-3, 1e-4)]
+    sups = [two_step_results[eps].sup_remainders[1] for eps in (1e-2, 1e-3, 1e-4)]
     assert max(sups) / min(sups) <= 4.0
 
 
@@ -349,6 +349,31 @@ def test_two_step_composed_map_is_symplectic(two_step_results):
     s2 = two_step_results[1e-3]
     defect = symplecticity_defect(s2.phi, PhaseState.make(0.21, 0.43, 1.05, 0.0002))
     assert defect < 1e-6
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_inverse_transform_undoes_the_composition(one_step_results, two_step_results, steps):
+    # Phi = Phi_1 o ... o Phi_n, so direction=-1 must undo Phi_1 first; the
+    # sample window is the half window for one step, the quarter for two
+    from resodrift.torus import PhaseState, circle_delta
+
+    nf = (one_step_results if steps == 1 else two_step_results)[1e-3]
+    w = nf.sample_window
+    u = np.random.default_rng(20240818).uniform(0.0, 1.0, size=(4, 64))
+    start = (
+        u[0],
+        u[1],
+        w.i1_min + (w.i1_max - w.i1_min) * u[2],
+        w.i2_min + (w.i2_max - w.i2_min) * u[3],
+    )
+    back = nf.phi_points(*nf.phi_points(*start), direction=-1.0)
+    assert max(np.max(np.abs(b - s)) for b, s in zip(back, start)) <= 1e-12
+
+    state = PhaseState.make(0.21, 0.43, 0.5 * (w.i1_min + w.i1_max), 0.5 * w.i2_max)
+    again = nf.phi(nf.phi(state), direction=-1.0).as_array()
+    miss = np.abs(again - state.as_array())
+    miss[:2] = np.abs(circle_delta(again[:2], state.as_array()[:2]))
+    assert np.max(miss) <= 1e-12
 
 
 def test_two_step_rejects_action_dependent_perturbation():

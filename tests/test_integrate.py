@@ -150,6 +150,31 @@ def test_custom_stop_event_is_not_a_failure():
     assert rec.t_end == pytest.approx(100.0, abs=1e-6)
 
 
+def test_stop_events_leave_caller_callables_untouched():
+    b = rd.make_bundle("moser", 1e-3)
+
+    class Target:
+        def reached(self, _t, y):
+            return y[3] - 0.1
+
+    def plain(_t, y):
+        return y[3] - 0.2
+
+    # a bound method takes no attributes, so setting them on it would raise
+    bound = StopEvent("bound", Target().reached, direction=1.0)
+    rec = integrate(b.rhs(), [0.0, 0.0, 0.0, 0.0], (0.0, 800.0), stop_events=(bound,))
+    assert rec.stop_event == "bound"
+    assert rec.t_end == pytest.approx(100.0, abs=1e-6)
+
+    rec = integrate(
+        b.rhs(), [0.0, 0.0, 0.0, 0.0], (0.0, 800.0),
+        stop_events=(StopEvent("plain", plain, direction=1.0),),
+    )
+    assert rec.stop_event == "plain"
+    assert not hasattr(plain, "terminal")
+    assert not hasattr(plain, "direction")
+
+
 def test_orbit_csv_round_trip(tmp_path):
     b = rd.make_bundle("generic3", 1e-3)
     rec = integrate(
