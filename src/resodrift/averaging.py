@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import DomainError, FlowEscapeError, SmallDivisorError, WindowFitError
-from .fourier import TWO_PI, FourierPerturbation
+from .fourier import TWO_PI, FourierPerturbation, ModeTable
 from .integrate import flow_points, lie_flow
 from .poly import PolyField
 from .systems import (
@@ -219,7 +219,9 @@ class GeneratorChi:
 
     Every stored mode has k2 != 0, sup-norm |k| <= cutoff, and satisfies the
     small-divisor bound |k.omega| >= varpi/2 on the working window (verified
-    on a grid at construction).  Values and first derivatives come from the
+    on a grid at construction).  The numerators sit in one divided
+    ModeTable, whose divisors and their action derivatives come from the
+    shared omega and its Jacobian; values and first derivatives follow the
     quotient rule on polynomial data, so no differencing enters the flows.
     """
 
@@ -235,44 +237,33 @@ class GeneratorChi:
         self.cutoff = int(cutoff)
         self.window = window
         self.varpi = system.resonance.varpi
-        om1, om2 = system.omega_polys()
-        self._terms = {}
+        self._numerators = {}
         for k, (nc, ns) in sorted(numerators.items()):
             k1, k2 = int(k[0]), int(k[1])
             if k2 == 0:
                 raise SmallDivisorError("generator modes must have k2 != 0")
             if max(abs(k1), abs(k2)) > self.cutoff:
                 raise SmallDivisorError(f"mode {k} exceeds the cutoff {self.cutoff}")
-            D = TWO_PI * (k1 * om1 + k2 * om2)
-            self._terms[(k1, k2)] = {
-                "nc": nc,
-                "ns": ns,
-                "nc_d1": nc.partial(1, 0),
-                "nc_d2": nc.partial(0, 1),
-                "ns_d1": ns.partial(1, 0),
-                "ns_d2": ns.partial(0, 1),
-                "D": D,
-                "D_d1": D.partial(1, 0),
-                "D_d2": D.partial(0, 1),
-            }
+            self._numerators[(k1, k2)] = (nc, ns)
+        self._table = ModeTable(self._numerators, omega=system.omega_polys(), divided=True)
         self._verify_divisors(window, guard_grid)
 
     # -- structure ---------------------------------------------------------------
 
     @property
     def mode_keys(self):
-        return sorted(self._terms.keys())
+        return sorted(self._numerators)
 
     @property
     def n_modes(self) -> int:
-        return len(self._terms)
+        return len(self._numerators)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._numerators
 
     def numerators(self) -> dict:
-        return {k: (t["nc"], t["ns"]) for k, t in self._terms.items()}
+        return dict(self._numerators)
 
     def with_window(self, window: ActionWindow, cutoff: int | None = None) -> "GeneratorChi":
         """Same generator re-guarded on a new window (and optional new cutoff)."""
@@ -284,77 +275,37 @@ class GeneratorChi:
         )
 
     def _verify_divisors(self, window: ActionWindow, guard_grid):
-        if not self._terms:
+        if self.is_zero:
             return
         I1, I2 = window.grid(*guard_grid)
         A1, A2 = np.meshgrid(I1, I2, indexing="ij")
+        smallest = np.min(np.abs(self._table.divisors(A1, A2)), axis=(1, 2)) / TWO_PI
         floor = self.varpi / 2.0
-        for k, t in self._terms.items():
-            smallest = float(np.min(np.abs(t["D"](A1, A2)))) / TWO_PI
-            if smallest < floor:
+        for k, low in zip(self.mode_keys, smallest):
+            if low < floor:
                 raise SmallDivisorError(
-                    f"|k.omega| for mode {k} reaches {smallest:.3e} on the window, "
+                    f"|k.omega| for mode {k} reaches {low:.3e} on the window, "
                     f"below the floor {floor:.3e}"
                 )
 
     # -- evaluation ---------------------------------------------------------------
 
     def evaluate(self, theta1, theta2, I1, I2):
-        theta1 = np.asarray(theta1, dtype=float)
-        I1 = np.asarray(I1, dtype=float)
-        total = np.zeros(np.broadcast(theta1, I1).shape)
-        for (k1, k2), t in self._terms.items():
-            phase = TWO_PI * (k1 * theta1 + k2 * np.asarray(theta2, dtype=float))
-            num = t["nc"](I1, I2) * np.cos(phase) + t["ns"](I1, I2) * np.sin(phase)
-            total = total + num / t["D"](I1, I2)
-        return total if total.shape else float(total)
+        return self._table.values(theta1, theta2, I1, I2)
 
     __call__ = evaluate
 
     def gradients(self, theta1, theta2, I1, I2):
         """(d chi/d theta, d chi/d I), each stacked with leading axis 2."""
-        theta1 = np.asarray(theta1, dtype=float)
-        theta2 = np.asarray(theta2, dtype=float)
-        I1 = np.asarray(I1, dtype=float)
-        I2 = np.asarray(I2, dtype=float)
-        shape = np.broadcast(theta1, theta2, I1, I2).shape
-        g_theta = np.zeros((2,) + shape)
-        g_action = np.zeros((2,) + shape)
-        for (k1, k2), t in self._terms.items():
-            phase = TWO_PI * (k1 * theta1 + k2 * theta2)
-            c = np.cos(phase)
-            s = np.sin(phase)
-            D = t["D"](I1, I2)
-            nc = t["nc"](I1, I2)
-            ns = t["ns"](I1, I2)
-            swing = (ns * c - nc * s) / D
-            g_theta[0] += TWO_PI * k1 * swing
-            g_theta[1] += TWO_PI * k2 * swing
-            num = nc * c + ns * s
-            g_action[0] += (t["nc_d1"](I1, I2) * c + t["ns_d1"](I1, I2) * s) / D - num * t[
-                "D_d1"
-            ](I1, I2) / D**2
-            g_action[1] += (t["nc_d2"](I1, I2) * c + t["ns_d2"](I1, I2) * s) / D - num * t[
-                "D_d2"
-            ](I1, I2) / D**2
-        return g_theta, g_action
+        rows = self._table.evaluate(theta1, theta2, I1, I2)
+        return rows[1:3], rows[3:5]
 
     def flow_rhs(self, scale: float) -> Callable:
         """Hamiltonian vector field of scale * chi on flat states."""
 
         def fun(_t, y):
-            g_theta, g_action = self.gradients(y[0], y[1], y[2], y[3])
-            if y.ndim == 1:
-                return np.array(
-                    [
-                        scale * g_action[0],
-                        scale * g_action[1],
-                        -scale * g_theta[0],
-                        -scale * g_theta[1],
-                    ],
-                    dtype=float,
-                )
-            return np.vstack([scale * g_action, -scale * g_theta])
+            g_theta, g_action = self.gradients(*y)
+            return np.concatenate([scale * g_action, -scale * g_theta])
 
         return fun
 
@@ -362,8 +313,7 @@ class GeneratorChi:
 
     def _c1_components(self, theta1, theta2, I1, I2):
         """|chi|, |d chi/d theta1|, |d chi/d theta2|, |d chi/d I1|, |d chi/d I2|, stacked."""
-        g_theta, g_action = self.gradients(theta1, theta2, I1, I2)
-        stacked = np.stack([self.evaluate(theta1, theta2, I1, I2), *g_theta, *g_action])
+        stacked = self._table.evaluate(theta1, theta2, I1, I2)
         return np.abs(stacked, out=stacked)
 
     def c1_norm(

@@ -93,6 +93,7 @@ class ExperimentRecord:
         }
 
     def as_dict(self) -> dict:
+        """The row plus the run data; with an orbit, its solver counts n_rhs_evals and n_steps."""
         out = self.row()
         out.update(
             {
@@ -108,6 +109,9 @@ class ExperimentRecord:
                 "final": list(self.final.as_array()),
             }
         )
+        if self.orbit is not None:
+            out["n_rhs_evals"] = self.orbit.n_rhs_evals
+            out["n_steps"] = self.orbit.n_steps
         out.update(self.extras)
         return out
 

@@ -13,6 +13,10 @@ Angle derivatives rotate the cos/sin pair and scale by 2 pi k; action
 derivatives differentiate the coefficient polynomials.  Both are closed form,
 which is what downstream consumers (vector fields, homological solves, norm
 estimates) rely on.
+
+Every such series, the averaging generators included, is evaluated through
+one packed :class:`ModeTable`: an integer mode matrix and cos/sin coefficient
+tensors, read through one power table of the actions.
 """
 
 from __future__ import annotations
@@ -38,14 +42,200 @@ def canonical_mode(k) -> tuple[tuple[int, int], int]:
     return (k1, k2), 1
 
 
+# The array branch works on blocks of points.  A block's temporaries are
+# tables of (polynomial rows or modes) x points; a block holds about this many
+# values in its widest pair of them (8 MB), so memory stays bounded whatever
+# the number of points, modes or degrees.
+BLOCK_VALUES = 1 << 20
+
+# floats only: other scalars take the array branch, which converts to float
+_SCALAR = (float, np.floating)
+
+
+class ModeTable:
+    """Packed series sum_k a_k(I) cos(2 pi k.theta) + b_k(I) sin(2 pi k.theta).
+
+    K is the (m, 2) integer mode matrix; cos and sin are (m, n1, n2) tensors
+    whose entry [k, i, j] multiplies I1**i * I2**j.  An action derivative is
+    the same tensor shifted one index down with the factor i (or j); an angle
+    derivative rotates the cos/sin pair and scales by 2 pi k.  Values and
+    first partials are all read off one power table of (I1, I2).
+
+    omega, a pair of polynomials (the frequency map), is evaluated on the
+    same power table and returned after the series rows.  With divided=True
+    omega only enters the divisors: every mode is divided by
+    D_k = 2 pi k.omega(I), and the action derivatives follow the quotient
+    rule with dD_k/dI = 2 pi k.(d omega/dI).
+
+    Evaluation has two branches, chosen by the shape of the input.  A single
+    point of an undivided table is one contraction of a precomputed map with
+    the products of its powers and its cos/sin values.  Arrays (and divided
+    tables) are evaluated in blocks of block_points points.
+    """
+
+    __slots__ = ("K", "cos", "sin", "divided", "n_rows", "block_points", "_Kf", "_k1", "_k2",
+                 "_e1", "_e2", "_W", "_n_poly", "_point_map", "_E1", "_E2")
+
+    def __init__(self, modes: dict, omega=None, divided: bool = False):
+        if divided and omega is None:
+            raise ValueError("a divided table needs the frequency map omega")
+        keys = sorted(modes)
+        polys = [modes[k][0] for k in keys] + [modes[k][1] for k in keys] + list(omega or ())
+        n1 = max((p.coeffs.shape[0] for p in polys), default=1)
+        n2 = max((p.coeffs.shape[1] for p in polys), default=1)
+        P = np.zeros((len(polys), n1, n2))
+        for row, p in zip(P, polys):
+            row[: p.coeffs.shape[0], : p.coeffs.shape[1]] = p.coeffs
+        m = len(keys)
+        self.K = np.array(keys, dtype=int).reshape(m, 2)
+        self.cos, self.sin = P[:m], P[m : 2 * m]
+        self.divided = bool(divided)
+        # value, four first partials, then omega when the table returns it
+        self.n_rows = 5 if divided or omega is None else 7
+        dP1 = np.zeros_like(P)
+        dP1[:, :-1, :] = P[:, 1:, :] * np.arange(1, n1)[:, None]
+        dP2 = np.zeros_like(P)
+        dP2[:, :, :-1] = P[:, :, 1:] * np.arange(1, n2)
+        # one row per (block, polynomial); blocks are value, d/dI1, d/dI2
+        blocks = np.stack([P, dP1, dP2]).reshape(3, len(polys), n1 * n2)
+        self._W = blocks.reshape(3 * len(polys), n1 * n2)
+        self._n_poly = len(polys)
+        # the power table and the polynomial rows are the widest temporaries
+        self.block_points = max(1, BLOCK_VALUES // (n1 * n2 + 3 * len(polys)))
+        self._Kf = self.K.astype(float)
+        self._k1, self._k2 = self._Kf[:, 0].copy(), self._Kf[:, 1].copy()
+        self._e1, self._e2 = np.arange(n1), np.arange(n2)
+        self._E1, self._E2 = (e.ravel() for e in np.meshgrid(self._e1, self._e2, indexing="ij"))
+        self._point_map = None if divided else self._bilinear_map(blocks, m)
+
+    def _bilinear_map(self, blocks, m):
+        """Rows as one map of (power x trig) for a single point.
+
+        Every row of an undivided table is bilinear in the power table and the
+        vector (cos, sin, 1) of the modes: the entry [r, i, q] multiplies
+        power_i * trig_q.
+        """
+        a, b = blocks[:, :m], blocks[:, m : 2 * m]
+        T = np.zeros((self.n_rows, blocks.shape[2], 2 * m + 1))
+        T[0, :, :m], T[0, :, m : 2 * m] = a[0].T, b[0].T
+        for j in (0, 1):
+            w = (TWO_PI * self._Kf[:, j])[:, None]
+            T[1 + j, :, :m], T[1 + j, :, m : 2 * m] = (w * b[0]).T, (-w * a[0]).T
+            T[3 + j, :, :m], T[3 + j, :, m : 2 * m] = a[1 + j].T, b[1 + j].T
+        T[5:, :, 2 * m] = blocks[0, 2 * m :]
+        return T.reshape(self.n_rows, -1)
+
+    # -- the two branches ------------------------------------------------------------
+
+    def _point(self, t1, t2, x1, x2):
+        phase = TWO_PI * (self._k1 * t1 + self._k2 * t2)
+        trig = np.concatenate((np.cos(phase), np.sin(phase), (1.0,)))
+        power = x1**self._E1 * x2**self._E2
+        return self._point_map @ (power[:, None] * trig).ravel()
+
+    # The array branch keeps modes first and points last, so every per-mode
+    # quantity of a block is one contiguous (m, points) array.
+
+    def _trig(self, t1, t2):
+        phase = TWO_PI * (self._k1[:, None] * t1 + self._k2[:, None] * t2)
+        return np.cos(phase), np.sin(phase)
+
+    def _rows(self, x1, x2, blocks: int):
+        """Polynomial rows at 1-D actions: the value block, then the derivative blocks."""
+        power = (x1 ** self._e1[:, None])[:, None, :] * (x2 ** self._e2[:, None])[None, :, :]
+        return self._W[: blocks * self._n_poly] @ power.reshape(-1, len(x1))
+
+    def _k_dot(self, om):
+        """2 pi k.omega for every mode from rows (..., 2, points) of omega or its derivatives."""
+        return TWO_PI * (self._k1[:, None] * om[..., 0:1, :] + self._k2[:, None] * om[..., 1:2, :])
+
+    def _block(self, t1, t2, x1, x2, grad: bool):
+        """Rows at a block of points, shape (rows, points); the value alone if not grad."""
+        m, n = self.K.shape[0], self._n_poly
+        c, s = self._trig(t1, t2)
+        rows = self._rows(x1, x2, 3 if grad else 1)
+        a, b, om = rows[:m], rows[m : 2 * m], rows[2 * m : n]
+        num = a * c + b * s
+        if self.divided:
+            inv = 1.0 / self._k_dot(om)
+            num = num * inv
+        value = num.sum(axis=0)
+        if not grad:
+            return value
+        swing = b * c - a * s
+        # G[j] are the polynomial rows differentiated in I_(j+1)
+        G = rows[n:].reshape(2, n, len(x1))
+        dnum = G[:, :m] * c + G[:, m : 2 * m] * s
+        if self.divided:
+            swing = swing * inv
+            dnum = (dnum - num * self._k_dot(G[:, 2 * m :])) * inv
+        d_theta = TWO_PI * (self._Kf.T[:, :, None] * swing).sum(axis=1)
+        out = [value[None], d_theta, dnum.sum(axis=1)]
+        return np.concatenate(out if self.divided else out + [om])
+
+    def _run(self, args, grad: bool):
+        if self._point_map is not None and all(isinstance(v, _SCALAR) for v in args):
+            # one state, as an orbit RHS call passes it
+            out = self._point(*args)
+            return out if grad else out[0]
+        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
+        shape = arrays[0].shape
+        flat = [v.reshape(-1) for v in arrays]
+        n = flat[0].size
+        out = np.empty((self.n_rows, n) if grad else n)
+        for start in range(0, n, self.block_points):
+            block = slice(start, start + self.block_points)
+            out[..., block] = self._block(*(v[block] for v in flat), grad)
+        return out.reshape(out.shape[:-1] + shape)
+
+    # -- public evaluation ----------------------------------------------------------
+
+    def evaluate(self, theta1, theta2, I1, I2) -> np.ndarray:
+        """Rows (value, d/dtheta1, d/dtheta2, d/dI1, d/dI2[, omega1, omega2]).
+
+        The rows are stacked along a leading axis over the broadcast shape of
+        the inputs; a single point gives a 1-D array.
+        """
+        return self._run((theta1, theta2, I1, I2), True)
+
+    def values(self, theta1, theta2, I1, I2):
+        """The series alone; a float for a single point."""
+        out = self._run((theta1, theta2, I1, I2), False)
+        return float(out) if np.ndim(out) == 0 else out
+
+    def divisors(self, I1, I2) -> np.ndarray:
+        """2 pi k.omega(I) for every mode, stacked along a leading axis of length m."""
+        x1, x2 = np.broadcast_arrays(np.asarray(I1, dtype=float), np.asarray(I2, dtype=float))
+        m = self.K.shape[0]
+        om = self._rows(x1.reshape(-1), x2.reshape(-1), 1)[2 * m : 2 * m + 2]
+        return self._k_dot(om).reshape((m,) + x1.shape)
+
+    def outer(self, theta1, theta2, I1, I2) -> np.ndarray:
+        """The series on every pair of an angle point and an action point.
+
+        theta1 and theta2 broadcast to the angle shape, I1 and I2 to the action
+        shape; the result has the action shape followed by the angle shape.
+        The angle terms are computed once for all action points.
+        """
+        if self.divided:
+            raise ValueError("outer evaluates undivided series only")
+        t1, t2 = np.broadcast_arrays(np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float))
+        x1, x2 = np.broadcast_arrays(np.asarray(I1, dtype=float), np.asarray(I2, dtype=float))
+        m = self.K.shape[0]
+        trig = np.concatenate(self._trig(t1.reshape(-1), t2.reshape(-1)))
+        rows = self._rows(x1.reshape(-1), x2.reshape(-1), 1)
+        return (rows[: 2 * m].T @ trig).reshape(x1.shape + t1.shape)
+
+
 class FourierPerturbation:
     """Finite trigonometric polynomial on T^2 with PolyField coefficients."""
 
-    __slots__ = ("_modes", "_partial_cache")
+    __slots__ = ("_modes", "_partial_cache", "_table")
 
     def __init__(self, modes: dict | None = None):
         self._modes: dict[tuple[int, int], tuple[PolyField, PolyField]] = {}
         self._partial_cache: dict = {}
+        self._table: ModeTable | None = None
         if modes:
             for k, (a, b) in modes.items():
                 self._accumulate(k, a, b)
@@ -82,11 +272,13 @@ class FourierPerturbation:
         old_a, old_b = self._modes.get(key, (PolyField.zero(), PolyField.zero()))
         self._modes[key] = (old_a + a, old_b + b)
         self._partial_cache.clear()
+        self._table = None
 
     def _prune(self):
         dead = [k for k, (a, b) in self._modes.items() if a.is_zero and b.is_zero]
         for k in dead:
             del self._modes[k]
+        self._table = None
 
     # -- queries ----------------------------------------------------------------
 
@@ -132,23 +324,14 @@ class FourierPerturbation:
 
     # -- evaluation ----------------------------------------------------------------
 
+    def table(self) -> ModeTable:
+        """The packed table of the series, built on first use and cached."""
+        if self._table is None:
+            self._table = ModeTable(self._modes)
+        return self._table
+
     def __call__(self, theta1, theta2, I1, I2):
-        theta1 = np.asarray(theta1, dtype=float)
-        theta2 = np.asarray(theta2, dtype=float)
-        I1 = np.asarray(I1, dtype=float)
-        I2 = np.asarray(I2, dtype=float)
-        total = np.zeros(np.broadcast(theta1, theta2, I1, I2).shape)
-        for (k1, k2), (a, b) in self._modes.items():
-            phase = TWO_PI * (k1 * theta1 + k2 * theta2)
-            term = np.zeros_like(total)
-            if not a.is_zero:
-                term = term + a(I1, I2) * np.cos(phase)
-            if not b.is_zero:
-                term = term + b(I1, I2) * np.sin(phase)
-            total = total + term
-        if total.shape == ():
-            return float(total)
-        return total
+        return self.table().values(theta1, theta2, I1, I2)
 
     evaluate = __call__
 
@@ -193,21 +376,11 @@ class FourierPerturbation:
 
     def theta_gradient(self, theta1, theta2, I1, I2) -> np.ndarray:
         """(d f/d theta1, d f/d theta2) stacked along a leading axis."""
-        return np.stack(
-            [
-                np.asarray(self.partial(d_theta1=1)(theta1, theta2, I1, I2)),
-                np.asarray(self.partial(d_theta2=1)(theta1, theta2, I1, I2)),
-            ]
-        )
+        return self.table().evaluate(theta1, theta2, I1, I2)[1:3]
 
     def action_gradient(self, theta1, theta2, I1, I2) -> np.ndarray:
         """(d f/d I1, d f/d I2) stacked along a leading axis."""
-        return np.stack(
-            [
-                np.asarray(self.partial(d_I1=1)(theta1, theta2, I1, I2)),
-                np.asarray(self.partial(d_I2=1)(theta1, theta2, I1, I2)),
-            ]
-        )
+        return self.table().evaluate(theta1, theta2, I1, I2)[3:5]
 
     # -- algebra ----------------------------------------------------------------
 

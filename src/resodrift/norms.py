@@ -85,15 +85,20 @@ def estimate_cj_norm(
     th = np.linspace(0.0, 1.0, n_angle, endpoint=False)
     I1 = np.linspace(window.i1_min, window.i1_max, n_action)
     I2 = np.linspace(window.i2_min, window.i2_max, n_action)
-    T1, T2, A1, A2 = np.meshgrid(th, th, I1, I2, indexing="ij")
     shape = (n_angle, n_angle, n_action, n_action)
     per_index: dict = {}
 
     if isinstance(field_obj, FourierPerturbation):
+        # One I1 slice of the action grid at a time over the shared angle
+        # grid: memory stays at n_action x n_angle^2 values per derivative.
+        T1, T2 = np.meshgrid(th, th, indexing="ij")
         for alpha in _multi_indices(j):
             deriv = field_obj.partial(*alpha)
-            per_index[alpha] = float(np.max(np.abs(deriv(T1, T2, A1, A2))))
+            per_index[alpha] = max(
+                float(np.max(np.abs(deriv.table().outer(T1, T2, a1, I2)))) for a1 in I1
+            )
     else:
+        T1, T2, A1, A2 = np.meshgrid(th, th, I1, I2, indexing="ij")
         base = np.asarray(field_obj(T1, T2, A1, A2), dtype=float)
         h_th = 1.0 / n_angle
         h_i1 = (window.i1_max - window.i1_min) / (n_action - 1)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .fourier import FourierPerturbation
+from .fourier import FourierPerturbation, ModeTable
 from .poly import PolyField
 
 LINE_TOL = 1e-10
@@ -221,6 +221,7 @@ class SystemBundle:
         self.system = system
         self.perturbation = perturbation
         self.epsilon = epsilon
+        self._table: ModeTable | None = None
 
     def hamiltonian(self, theta1, theta2, I1, I2):
         value = self.system.h(I1, I2)
@@ -229,18 +230,15 @@ class SystemBundle:
         return value
 
     def vector_field(self, theta1, theta2, I1, I2):
-        """(dtheta/dt, dI/dt), each stacked along a leading axis of length 2."""
-        dtheta = self.system.omega(I1, I2)
-        shape = np.broadcast(np.asarray(theta1), np.asarray(I1)).shape
-        dI = np.zeros((2,) + shape)
-        if self.epsilon != 0.0:
-            dtheta = dtheta + self.epsilon * self.perturbation.action_gradient(
-                theta1, theta2, I1, I2
-            )
-            dI = dI - self.epsilon * self.perturbation.theta_gradient(theta1, theta2, I1, I2)
-        else:
-            dtheta = dtheta + dI  # broadcast omega up to the requested shape
-        return dtheta, dI
+        """(dtheta/dt, dI/dt), each stacked along a leading axis of length 2.
+
+        omega and the four first partials of f come from one pass over a
+        table holding f's modes and the frequency map, built on first use.
+        """
+        if self._table is None:
+            self._table = ModeTable(self.perturbation.modes, omega=self.system.omega_polys())
+        rows = self._table.evaluate(theta1, theta2, I1, I2)
+        return rows[5:] + self.epsilon * rows[3:5], rows[1:3] * -self.epsilon
 
     def rhs(self):
         """Right-hand side f(t, y) on flat states y = [th1, th2, I1, I2].
@@ -249,8 +247,7 @@ class SystemBundle:
         """
 
         def fun(_t, y):
-            dth, dI = self.vector_field(y[0], y[1], y[2], y[3])
-            return np.concatenate([np.atleast_1d(dth), np.atleast_1d(dI)]) if y.ndim == 1 else np.vstack([dth, dI])
+            return np.concatenate(self.vector_field(*y))
 
         return fun
 

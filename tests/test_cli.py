@@ -153,6 +153,7 @@ def test_drift_cli_with_plots(tmp_path):
     assert report["pass_upper"] == 1 and report["pass_lower"] == 1
     assert report["optimality"]["passed"] is True
     assert report["reduced_first"] is False
+    assert report["n_rhs_evals"] > 0 and report["n_steps"] > 0
     script = (out / "orbit.gp").read_text()
     assert "set datafile separator ','" in script
     # the transverse band is drawn when confinement was measured
@@ -171,6 +172,7 @@ def test_connect_cli_round_trip(tmp_path):
     assert report["reached"] is True
     assert report["terminal_distance"] <= 1e-6
     assert report["tau"] == pytest.approx(5.0, abs=1e-3)
+    assert report["n_rhs_evals"] > 0 and report["n_steps"] > 0
 
 
 def test_connect_zero_epsilon_distinct_targets_fails(tmp_path):

@@ -243,3 +243,15 @@ def test_record_validation_and_row_schema():
     assert d["kind"] == "drift"
     assert d["i1_star"] == 1.0
     assert d["initial"] == [0.0, 0.0, 1.0, 0.0]
+    # no orbit, no solver counts
+    assert "n_rhs_evals" not in d and "n_steps" not in d
+
+
+def test_report_carries_the_orbit_solver_counts():
+    b = rd.make_bundle("reduced-moser", 1e-2)
+    for rec in (run_drift_experiment(b), run_connecting_experiment(b, 1.0, 1.05)):
+        d = rec.as_dict()
+        assert d["n_rhs_evals"] == rec.orbit.n_rhs_evals > 0
+        assert d["n_steps"] == rec.orbit.n_steps > 0
+        # the sweep CSV schema is unchanged
+        assert "n_rhs_evals" not in rec.row()

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import resodrift as rd
+from resodrift.averaging import GeneratorChi
 from resodrift.fourier import FourierPerturbation, canonical_mode
 from resodrift.poly import PolyField
+from resodrift.systems import ActionWindow, SystemBundle
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,3 +125,166 @@ def test_zero_perturbation_evaluates_to_zero():
     assert z.n_modes == 0
     vals = z(np.array([0.1, 0.2]), np.array([0.3, 0.4]), 0.0, 0.0)
     np.testing.assert_array_equal(vals, np.zeros(2))
+
+
+# -- the packed table against the per-mode loop it replaced --------------------
+#
+# The loops below are the evaluators FourierPerturbation and GeneratorChi used
+# before the packed ModeTable: one pass per mode, polynomials through
+# PolyField.  They return the summed rows and, per row, the sum of the
+# absolute values of the terms, which sets the tolerance: the table sums the
+# same terms in another order and reads the polynomials off a power table.
+
+REL = 1e-12
+
+
+def reference_series(modes, th1, th2, I1, I2):
+    """(value, d/dtheta1, d/dtheta2, d/dI1, d/dI2) of sum_k a_k cos + b_k sin, and sum |terms|."""
+    th1, th2, I1, I2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (th1, th2, I1, I2)))
+    rows = np.zeros((5,) + th1.shape)
+    size = np.zeros((5,) + th1.shape)
+    for (k1, k2), (a, b) in modes.items():
+        phase = TWO_PI * (k1 * th1 + k2 * th2)
+        c, s = np.cos(phase), np.sin(phase)
+        av, bv = a(I1, I2), b(I1, I2)
+        pairs = [
+            (av * c, bv * s),
+            (TWO_PI * k1 * bv * c, -TWO_PI * k1 * av * s),
+            (TWO_PI * k2 * bv * c, -TWO_PI * k2 * av * s),
+            (a.partial(1, 0)(I1, I2) * c, b.partial(1, 0)(I1, I2) * s),
+            (a.partial(0, 1)(I1, I2) * c, b.partial(0, 1)(I1, I2) * s),
+        ]
+        for r, (x, y) in enumerate(pairs):
+            rows[r] += x + y
+            size[r] += np.abs(x) + np.abs(y)
+    return rows, size
+
+
+def reference_chi(system, numerators, th1, th2, I1, I2):
+    """(chi, d/dtheta1, d/dtheta2, d/dI1, d/dI2) by the quotient rule per mode, and sum |terms|."""
+    th1, th2, I1, I2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (th1, th2, I1, I2)))
+    om1, om2 = system.omega_polys()
+    rows = np.zeros((5,) + th1.shape)
+    size = np.zeros((5,) + th1.shape)
+    for (k1, k2), (nc, ns) in numerators.items():
+        phase = TWO_PI * (k1 * th1 + k2 * th2)
+        c, s = np.cos(phase), np.sin(phase)
+        D = TWO_PI * (k1 * om1 + k2 * om2)
+        Dv = D(I1, I2)
+        num = nc(I1, I2) * c + ns(I1, I2) * s
+        swing = (ns(I1, I2) * c - nc(I1, I2) * s) / Dv
+        terms = [(num / Dv,), (TWO_PI * k1 * swing,), (TWO_PI * k2 * swing,)]
+        for d in ((1, 0), (0, 1)):
+            dnum = nc.partial(*d)(I1, I2) * c + ns.partial(*d)(I1, I2) * s
+            terms.append((dnum / Dv, -num * D.partial(*d)(I1, I2) / Dv**2))
+        for r, parts in enumerate(terms):
+            rows[r] += sum(parts)
+            size[r] += sum(np.abs(x) for x in parts)
+    return rows, size
+
+
+def assert_rows_close(got, want, size):
+    got = np.asarray(got, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= REL * (1.0 + size))
+
+
+_coefficient = st.floats(-1.0, 1.0, allow_nan=False)
+# action-dependent coefficients of total degree <= 3
+_poly = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), _coefficient).filter(lambda t: t[0] + t[1] <= 3),
+    max_size=4,
+).map(PolyField.from_terms)
+_mode = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+_series = st.lists(st.tuples(_mode, _poly, _poly), max_size=5).map(FourierPerturbation.from_terms)
+# generator modes have k2 != 0; see _CHI_WINDOW for the divisor floor
+_chi_modes = st.dictionaries(
+    st.tuples(st.integers(-5, 5), st.integers(1, 5).flatmap(lambda k: st.sampled_from([k, -k]))),
+    st.tuples(_poly, _poly),
+    max_size=4,
+)
+_seed = st.integers(0, 2**32 - 1)
+
+# generic3: omega = (I2, I1 - I2).  On this window |k.omega| >= |k2| I1 - |k1 - k2| |I2|
+# >= 0.5 - 10 * 0.02 = 0.3, above the floor varpi / 2 = 0.25 for every |k| <= 5.
+_GENERIC3 = rd.get_entry("generic3").system
+_CHI_WINDOW = ActionWindow(0.5, 1.5, -0.02, 0.02)
+
+
+def _points(rng, n, lo=(-2.0, -2.0), hi=(2.0, 2.0)):
+    th1, th2 = rng.uniform(-1.0, 2.0, (2, n))
+    return th1, th2, rng.uniform(lo[0], hi[0], n), rng.uniform(lo[1], hi[1], n)
+
+
+def _table_rows(f, *pts):
+    return np.concatenate(
+        [np.asarray(f(*pts))[None], f.theta_gradient(*pts), f.action_gradient(*pts)]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_series, seed=_seed)
+def test_series_matches_per_mode_loop(f, seed):
+    rng = np.random.default_rng(seed)
+    th1, th2, I1, I2 = _points(rng, 7)
+    want, size = reference_series(f.modes, th1, th2, I1, I2)
+    # (n,) arrays: the array branch
+    assert_rows_close(_table_rows(f, th1, th2, I1, I2), want, size)
+    # single states: the scalar branch, which must also agree with the arrays
+    for i in range(th1.size):
+        pt = (th1[i], th2[i], I1[i], I2[i])
+        assert isinstance(f(*pt), float)
+        assert_rows_close(_table_rows(f, *pt), want[:, i], size[:, i])
+        assert_rows_close(f.table().evaluate(*pt), f.table().evaluate(th1, th2, I1, I2)[:, i], size[:, i])
+    # broadcast shapes: an angle grid against action columns
+    grid = (th1[:, None], th2[:, None], I1[None, :4], I2[None, :4])
+    want, size = reference_series(f.modes, *grid)
+    assert_rows_close(_table_rows(f, *grid), want, size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_series, seed=_seed, eps=st.floats(0.0, 0.5))
+def test_bundle_rhs_matches_per_mode_loop(f, seed, eps):
+    bundle = SystemBundle(_GENERIC3, f, eps)
+    fun = bundle.rhs()
+    rng = np.random.default_rng(seed)
+    y = np.array(_points(rng, 6))
+    rows, size = reference_series(f.modes, *y)
+    omega = _GENERIC3.omega(y[2], y[3])
+    want = np.concatenate([omega + eps * rows[3:5], -eps * rows[1:3]])
+    tol = np.concatenate([np.abs(omega) + eps * size[3:5], eps * size[1:3]])
+    assert_rows_close(fun(0.0, y), want, tol)
+    for i in range(y.shape[1]):
+        out = fun(0.0, y[:, i].copy())
+        assert out.shape == (4,)
+        assert_rows_close(out, want[:, i], tol[:, i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(numerators=_chi_modes, seed=_seed)
+def test_generator_matches_per_mode_loop(numerators, seed):
+    chi = GeneratorChi(_GENERIC3, numerators, 5, _CHI_WINDOW)
+    rng = np.random.default_rng(seed)
+    w = _CHI_WINDOW
+    pts = _points(rng, 6, (w.i1_min, w.i2_min), (w.i1_max, w.i2_max))
+    want, size = reference_chi(_GENERIC3, numerators, *pts)
+
+    def chi_rows(*p):
+        g_theta, g_action = chi.gradients(*p)
+        return np.concatenate([np.asarray(chi.evaluate(*p))[None], g_theta, g_action])
+
+    assert_rows_close(chi_rows(*pts), want, size)
+    for i in range(pts[0].size):
+        assert_rows_close(chi_rows(*(v[i] for v in pts)), want[:, i], size[:, i])
+    grid = (pts[0][:, None], pts[1][:, None], pts[2][None, :3], pts[3][None, :3])
+    want, size = reference_chi(_GENERIC3, numerators, *grid)
+    assert_rows_close(chi_rows(*grid), want, size)
+
+
+def test_array_branch_crosses_block_boundaries(rng):
+    a = PolyField.from_terms([(0, 0, 0.3), (1, 0, -0.7), (1, 1, 0.5), (0, 2, 1.2)])
+    b = PolyField.from_terms([(2, 0, 0.4), (0, 1, -0.9), (3, 0, 0.1)])
+    f = FourierPerturbation.from_terms([((1, -2), a, b), ((0, 1), b, 0.2), ((2, 1), 0.3, a)])
+    pts = _points(rng, 2 * f.table().block_points + 5)
+    want, size = reference_series(f.modes, *pts)
+    assert_rows_close(_table_rows(f, *pts), want, size)

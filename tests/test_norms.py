@@ -45,6 +45,26 @@ def test_action_dependent_coefficient_contributes_gradient():
     assert abs(rep.value - TWO_PI * 1.5) < 1e-9
 
 
+def test_action_dependent_series_matches_full_meshgrid():
+    # the series path works one action slice at a time; the full 4-D grid
+    # evaluated pointwise must give the same sups for every derivative
+    a = PolyField.from_terms([(0, 0, 0.3), (1, 0, -0.7), (1, 1, 0.5), (0, 2, 1.2)])
+    b = PolyField.from_terms([(2, 0, 0.4), (0, 1, -0.9), (3, 0, 0.1)])
+    f = FourierPerturbation.from_terms([((1, -2), a, b), ((0, 1), b, 0.2), ((2, 1), 0.3, a)])
+    n_angle, n_action = 24, 7
+    rep = estimate_cj_norm(f, 2, WINDOW, n_angle=n_angle, n_action=n_action)
+    assert rep.grid_shape == (n_angle, n_angle, n_action, n_action)
+    th = np.linspace(0.0, 1.0, n_angle, endpoint=False)
+    I1 = np.linspace(WINDOW.i1_min, WINDOW.i1_max, n_action)
+    I2 = np.linspace(WINDOW.i2_min, WINDOW.i2_max, n_action)
+    T1, T2, A1, A2 = np.meshgrid(th, th, I1, I2, indexing="ij")
+    assert len(rep.per_index) == 15
+    for alpha, got in rep.per_index.items():
+        want = float(np.max(np.abs(f.partial(*alpha)(T1, T2, A1, A2))))
+        assert abs(got - want) <= 1e-12 * (1.0 + want)
+    assert rep.value == max(rep.per_index.values())
+
+
 def test_callable_fallback_matches_fourier_path():
     f = FourierPerturbation.from_terms([((1, 1), 0.2, -0.1)])
     exact = estimate_cj_norm(f, 1, WINDOW, n_angle=64, n_action=9)
