@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
+from .blas import serial_blas
 from .errors import DomainError, FlowEscapeError, SmallDivisorError, WindowFitError
 from .fourier import TWO_PI, FourierPerturbation, ModeTable
 from .integrate import flow_points, lie_flow
@@ -627,6 +628,7 @@ def _measured_normal_form(
     )
 
 
+@serial_blas()
 def one_step_normal_form(
     bundle: SystemBundle,
     kappa: float | None = None,
@@ -735,6 +737,7 @@ def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
     return polys, fit_values
 
 
+@serial_blas()
 def two_step_normal_form(
     bundle: SystemBundle,
     step1: NormalFormResult | None = None,

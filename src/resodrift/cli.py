@@ -356,7 +356,7 @@ def _cmd_simulate(args) -> int:
         "t_end": float(record.t_end),
         "flagged": bool(record.flagged),
         "stop_event": record.stop_event,
-        "energy_drift": float(np.max(np.abs(record.energy - record.energy[0]))),
+        "energy_drift": record.max_energy_error,
         "n_steps": record.n_steps,
         "final": list(record.y_end),
     }

@@ -93,7 +93,12 @@ class ExperimentRecord:
         }
 
     def as_dict(self) -> dict:
-        """The row plus the run data; with an orbit, its solver counts n_rhs_evals and n_steps."""
+        """The row plus the run data.
+
+        With an orbit attached the solver counts n_rhs_evals and n_steps are
+        added, and, when the orbit sampled its energy, max_energy_error, the
+        largest |H - H(t0)| over the samples.
+        """
         out = self.row()
         out.update(
             {
@@ -112,6 +117,9 @@ class ExperimentRecord:
         if self.orbit is not None:
             out["n_rhs_evals"] = self.orbit.n_rhs_evals
             out["n_steps"] = self.orbit.n_steps
+            energy_error = self.orbit.max_energy_error
+            if math.isfinite(energy_error):
+                out["max_energy_error"] = energy_error
         out.update(self.extras)
         return out
 
@@ -135,6 +143,37 @@ def _run(bundle, y0, t_span, config, stop_events=()):
         channel_interval=system.resonance.s1_interval(star=True),
         epsilon=bundle.epsilon,
     )
+
+
+def _record_from_orbit(kind, bundle, gen, orbit, *, delta, tau_target, judge, extras,
+                       start=None, I_star=None):
+    """Measure a finished run into an ExperimentRecord.
+
+    The drift is measured from I_star[0] (default gen.I_star) to the orbit's
+    final I1, and the confinement and channel distance over its samples.
+    orbit=None is the zero-time run that stays at the PhaseState start.
+    judge(record) returns (pass_upper, pass_lower, flagged) from the
+    measured record.
+    """
+    eps = bundle.epsilon
+    I_star = gen.I_star if I_star is None else I_star
+    rec = ExperimentRecord(
+        kind=kind, epsilon=eps, delta=delta, tau_target=tau_target, tau=0.0, drift=0.0,
+        max_abs_I2=0.0, max_dist_channel=0.0, c_fit=0.0, C_fit=0.0, lam=gen.lam,
+        theta1_star=gen.theta1_star, I_star=I_star, initial=start, final=start,
+        pass_upper=True, pass_lower=True, flagged=False, orbit=orbit, extras=extras,
+    )
+    if orbit is not None:
+        interval = bundle.system.resonance.s1_interval(star=True)
+        rec.tau = abs(float(orbit.t_end))
+        rec.drift = abs(float(orbit.y_end[2]) - I_star[0])
+        rec.max_abs_I2 = float(np.max(orbit.abs_I2))
+        rec.max_dist_channel = float(np.max(_interval_excess(orbit.actions[:, 0], interval)))
+        rec.c_fit = rec.max_abs_I2 / eps if eps > 0 else 0.0
+        rec.C_fit = rec.drift / delta**2
+        rec.initial, rec.final = orbit.initial_state, orbit.final_state
+    rec.pass_upper, rec.pass_lower, rec.flagged = (bool(v) for v in judge(rec))
+    return rec
 
 
 def run_drift_experiment(
@@ -167,38 +206,13 @@ def run_drift_experiment(
     tau_target = delta / eps if eps > 0 else 1.0
     y0 = np.array([gen.theta1_star, theta2_0, gen.i1_star, 0.0])
     record = _run(bundle, y0, (0.0, tau_target), config)
-
-    i1_end = float(record.y_end[2])
-    drift = abs(i1_end - gen.i1_star)
-    max_abs_I2 = float(np.max(record.abs_I2))
-    interval = system.resonance.s1_interval(star=True)
-    max_dist = float(np.max(_interval_excess(record.actions[:, 0], interval)))
-    c_fit = max_abs_I2 / eps if eps > 0 else 0.0
-    C_fit = drift / delta**2
-    pass_upper = drift <= delta + 1e-6
-    pass_lower = True if eps == 0.0 else drift >= C_cfg * delta**2 - 1e-12
-    flagged = bool(record.flagged or max_dist > delta + 0.1)
-
-    return ExperimentRecord(
-        kind="drift",
-        epsilon=eps,
-        delta=delta,
-        tau_target=tau_target,
-        tau=abs(float(record.t_end)),
-        drift=drift,
-        max_abs_I2=max_abs_I2,
-        max_dist_channel=max_dist,
-        c_fit=c_fit,
-        C_fit=C_fit,
-        lam=gen.lam,
-        theta1_star=gen.theta1_star,
-        I_star=gen.I_star,
-        initial=record.initial_state,
-        final=record.final_state,
-        pass_upper=bool(pass_upper),
-        pass_lower=bool(pass_lower),
-        flagged=flagged,
-        orbit=record,
+    return _record_from_orbit(
+        "drift", bundle, gen, record, delta=delta, tau_target=tau_target,
+        judge=lambda r: (
+            r.drift <= delta + 1e-6,
+            eps == 0.0 or r.drift >= C_cfg * delta**2 - 1e-12,
+            record.flagged or r.max_dist_channel > delta + 0.1,
+        ),
         extras={"C_cfg": C_cfg, "theta2_0": theta2_0, "delta_star": gen.delta_star},
     )
 
@@ -234,26 +248,9 @@ def run_connecting_experiment(
 
     state0 = PhaseState.make(gen.theta1_star, theta2_0, float(i1_from), 0.0)
     if rho == 0.0:
-        return ExperimentRecord(
-            kind="connect",
-            epsilon=eps,
-            delta=0.0,
-            tau_target=0.0,
-            tau=0.0,
-            drift=0.0,
-            max_abs_I2=0.0,
-            max_dist_channel=0.0,
-            c_fit=0.0,
-            C_fit=0.0,
-            lam=gen.lam,
-            theta1_star=gen.theta1_star,
-            I_star=gen.I_star,
-            initial=state0,
-            final=state0,
-            pass_upper=True,
-            pass_lower=True,
-            flagged=False,
-            orbit=None,
+        return _record_from_orbit(
+            "connect", bundle, gen, None, delta=0.0, tau_target=0.0, start=state0,
+            judge=lambda r: (True, True, False),
             extras={"terminal_distance": 0.0, "rho": 0.0, "reached": True},
         )
     if eps <= 0.0:
@@ -272,38 +269,13 @@ def run_connecting_experiment(
     event = StopEvent("target", reached_target, direction=1.0)
     y0 = np.array([gen.theta1_star, theta2_0, float(i1_from), 0.0])
     record = _run(bundle, y0, (0.0, sigma * t_max), config, stop_events=(event,))
-
-    tau = abs(float(record.t_end))
-    i1_end = float(record.y_end[2])
-    drift = abs(i1_end - float(i1_from))
-    terminal_distance = abs(i1_end - float(i1_to))
     reached = record.stop_event == "target"
-    max_abs_I2 = float(np.max(record.abs_I2))
-    interval = system.resonance.s1_interval(star=True)
-    max_dist = float(np.max(_interval_excess(record.actions[:, 0], interval)))
-    c_fit = max_abs_I2 / eps
-    return ExperimentRecord(
-        kind="connect",
-        epsilon=eps,
-        delta=delta,
-        tau_target=t_max,
-        tau=tau,
-        drift=drift,
-        max_abs_I2=max_abs_I2,
-        max_dist_channel=max_dist,
-        c_fit=c_fit,
-        C_fit=drift / delta**2,
-        lam=gen.lam,
-        theta1_star=gen.theta1_star,
+    return _record_from_orbit(
+        "connect", bundle, gen, record, delta=delta, tau_target=t_max,
         I_star=(float(i1_from), 0.0),
-        initial=record.initial_state,
-        final=record.final_state,
-        pass_upper=tau <= t_max * (1.0 + 1e-9),
-        pass_lower=bool(reached),
-        flagged=bool(record.flagged),
-        orbit=record,
+        judge=lambda r: (r.tau <= t_max * (1.0 + 1e-9), reached, record.flagged),
         extras={
-            "terminal_distance": terminal_distance,
+            "terminal_distance": abs(float(record.y_end[2]) - float(i1_to)),
             "rho": rho,
             "reached": bool(reached),
             "time_sign": sigma,
@@ -421,32 +393,14 @@ def sweep_epsilon(
         event = StopEvent("target", reached, direction=1.0)
         y0 = np.array([gen.theta1_star, theta2_0, gen.i1_star, 0.0])
         record = _run(bundle, y0, (0.0, t_max), config, stop_events=(event,))
-        tau = abs(float(record.t_end))
-        drift = abs(float(record.y_end[2]) - gen.i1_star)
-        max_abs_I2 = float(np.max(record.abs_I2))
-        interval = system.resonance.s1_interval(star=True)
-        max_dist = float(np.max(_interval_excess(record.actions[:, 0], interval)))
         reached_flag = record.stop_event == "target"
-        return ExperimentRecord(
-            kind="sweep",
-            epsilon=eps,
-            delta=target_drift,
-            tau_target=t_max,
-            tau=tau,
-            drift=drift,
-            max_abs_I2=max_abs_I2,
-            max_dist_channel=max_dist,
-            c_fit=max_abs_I2 / eps,
-            C_fit=drift / target_drift**2,
-            lam=gen.lam,
-            theta1_star=gen.theta1_star,
-            I_star=gen.I_star,
-            initial=record.initial_state,
-            final=record.final_state,
-            pass_upper=drift <= target_drift + 1e-6 + max_abs_I2,
-            pass_lower=bool(reached_flag),
-            flagged=bool(record.flagged or not reached_flag),
-            orbit=record,
+        return _record_from_orbit(
+            "sweep", bundle, gen, record, delta=target_drift, tau_target=t_max,
+            judge=lambda r: (
+                r.drift <= target_drift + 1e-6 + r.max_abs_I2,
+                reached_flag,
+                record.flagged or not reached_flag,
+            ),
             extras={"reached": bool(reached_flag)},
         )
 

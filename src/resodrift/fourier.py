@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blas import serial_blas
 from .poly import PolyField
 
 TWO_PI = 2.0 * np.pi
@@ -70,7 +71,9 @@ class ModeTable:
     Evaluation has two branches, chosen by the shape of the input.  A single
     point of an undivided table is one contraction of a precomputed map with
     the products of its powers and its cos/sin values.  Arrays (and divided
-    tables) are evaluated in blocks of block_points points.
+    tables) are evaluated in blocks of block_points points, on one BLAS
+    thread (:func:`~resodrift.blas.serial_blas`); the single-point branch
+    never enters that guard, so an orbit RHS call pays nothing for it.
     """
 
     __slots__ = ("K", "cos", "sin", "divided", "n_rows", "block_points", "_Kf", "_k1", "_k2",
@@ -183,9 +186,10 @@ class ModeTable:
         flat = [v.reshape(-1) for v in arrays]
         n = flat[0].size
         out = np.empty((self.n_rows, n) if grad else n)
-        for start in range(0, n, self.block_points):
-            block = slice(start, start + self.block_points)
-            out[..., block] = self._block(*(v[block] for v in flat), grad)
+        with serial_blas():
+            for start in range(0, n, self.block_points):
+                block = slice(start, start + self.block_points)
+                out[..., block] = self._block(*(v[block] for v in flat), grad)
         return out.reshape(out.shape[:-1] + shape)
 
     # -- public evaluation ----------------------------------------------------------
@@ -203,6 +207,7 @@ class ModeTable:
         out = self._run((theta1, theta2, I1, I2), False)
         return float(out) if np.ndim(out) == 0 else out
 
+    @serial_blas()
     def divisors(self, I1, I2) -> np.ndarray:
         """2 pi k.omega(I) for every mode, stacked along a leading axis of length m."""
         x1, x2 = np.broadcast_arrays(np.asarray(I1, dtype=float), np.asarray(I2, dtype=float))
@@ -210,6 +215,7 @@ class ModeTable:
         om = self._rows(x1.reshape(-1), x2.reshape(-1), 1)[2 * m : 2 * m + 2]
         return self._k_dot(om).reshape((m,) + x1.shape)
 
+    @serial_blas()
     def outer(self, theta1, theta2, I1, I2) -> np.ndarray:
         """The series on every pair of an angle point and an action point.
 

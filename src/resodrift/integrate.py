@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .blas import serial_blas
 from .errors import FlowEscapeError
 from .torus import PhaseState, wrap
 
@@ -82,6 +83,11 @@ class OrbitRecord:
     @property
     def initial_state(self) -> PhaseState:
         return PhaseState.make(self.theta[0, 0], self.theta[0, 1], *self.actions[0])
+
+    @property
+    def max_energy_error(self) -> float:
+        """Largest |H - H(t0)| over the samples; NaN when the energy was not sampled."""
+        return float(np.max(np.abs(self.energy - self.energy[0])))
 
     @property
     def final_state(self) -> PhaseState:
@@ -281,6 +287,7 @@ def lie_flow(
     return PhaseState.make(wrap(y1[0]), wrap(y1[1]), y1[2], y1[3])
 
 
+@serial_blas()
 def flow_points(
     chi,
     scale: float,
@@ -300,6 +307,7 @@ def flow_points(
     Returns (theta1, theta2, I1, I2) arrays of the same shape with unwrapped
     angles.  Points are integrated in chunks as one stacked system; the shared
     adaptive step is controlled by the worst point, so accuracy is uniform.
+    The solver's stage products on the stacked states run on one BLAS thread.
     """
     shape = np.broadcast(np.asarray(theta1), np.asarray(I1)).shape
     flat = [

@@ -154,6 +154,7 @@ def test_drift_cli_with_plots(tmp_path):
     assert report["optimality"]["passed"] is True
     assert report["reduced_first"] is False
     assert report["n_rhs_evals"] > 0 and report["n_steps"] > 0
+    assert 0.0 <= report["max_energy_error"] <= 1e-8
     script = (out / "orbit.gp").read_text()
     assert "set datafile separator ','" in script
     # the transverse band is drawn when confinement was measured
@@ -173,6 +174,7 @@ def test_connect_cli_round_trip(tmp_path):
     assert report["terminal_distance"] <= 1e-6
     assert report["tau"] == pytest.approx(5.0, abs=1e-3)
     assert report["n_rhs_evals"] > 0 and report["n_steps"] > 0
+    assert 0.0 <= report["max_energy_error"] <= 1e-8
 
 
 def test_connect_zero_epsilon_distinct_targets_fails(tmp_path):

@@ -82,6 +82,8 @@ def test_generic3_drift_obeys_both_bounds():
     # transverse confinement: |I2| stays order epsilon
     assert 0.1 < rec.c_fit < 10.0
     assert rec.max_dist_channel <= rec.delta + 0.1
+    # the report carries the orbit's energy error, a check on the integrator
+    assert rec.as_dict()["max_energy_error"] <= 1e-8
 
 
 def test_drift_rejects_bad_inputs():
@@ -243,8 +245,9 @@ def test_record_validation_and_row_schema():
     assert d["kind"] == "drift"
     assert d["i1_star"] == 1.0
     assert d["initial"] == [0.0, 0.0, 1.0, 0.0]
-    # no orbit, no solver counts
+    # no orbit, no solver counts and no energy error
     assert "n_rhs_evals" not in d and "n_steps" not in d
+    assert "max_energy_error" not in d
 
 
 def test_report_carries_the_orbit_solver_counts():
@@ -253,5 +256,7 @@ def test_report_carries_the_orbit_solver_counts():
         d = rec.as_dict()
         assert d["n_rhs_evals"] == rec.orbit.n_rhs_evals > 0
         assert d["n_steps"] == rec.orbit.n_steps > 0
+        energy = rec.orbit.energy
+        assert d["max_energy_error"] == np.max(np.abs(energy - energy[0]))
         # the sweep CSV schema is unchanged
         assert "n_rhs_evals" not in rec.row()
