@@ -9,7 +9,6 @@ the full flow.
 """
 
 from .averaging import (
-    AngleSeries,
     AveragingStep,
     GeneratorChi,
     GenericityReport,
@@ -79,7 +78,6 @@ __all__ = [
     "ActionPair",
     "ActionWindow",
     "AnglePair",
-    "AngleSeries",
     "AveragingStep",
     "CatalogEntry",
     "ChannelReport",

@@ -48,14 +48,15 @@ def average_over_theta2(f: FourierPerturbation) -> FourierPerturbation:
     return f.filter(lambda k: k[1] == 0)
 
 
-def resonant_average_along_k(f: FourierPerturbation, k, I_star) -> "AngleSeries":
-    """Average of f along the k-flow, as a one-variable series on the leaf circle.
+def resonant_average_along_k(f: FourierPerturbation, k, I_star) -> FourierPerturbation:
+    """Average of f along the k-flow, as a series in theta1 alone.
 
     Keeps the modes m with m . k = 0; each is a multiple j of the primitive
-    transverse vector m0 = (k2, -k1)/gcd and contributes frequency j to the
-    returned series.  Coefficients are evaluated at I_star.  The leaf
-    coordinate is normalized so that after reduction it matches theta1, which
-    makes derivative magnitudes comparable across charts.
+    transverse vector m0 = (k2, -k1)/gcd and becomes the mode (j, 0) of the
+    returned series, with its coefficients evaluated at I_star.  theta1 is the
+    leaf coordinate, normalized so that after reduction it matches theta1 of
+    the reduced chart, which makes derivative magnitudes comparable across
+    charts.
     """
     k1, k2 = int(k[0]), int(k[1])
     if (k1, k2) == (0, 0):
@@ -64,55 +65,13 @@ def resonant_average_along_k(f: FourierPerturbation, k, I_star) -> "AngleSeries"
     kp = (k1 // g, k2 // g)
     m0 = (kp[1], -kp[0])
     I1, I2 = float(I_star[0]), float(I_star[1])
-    terms: dict[int, tuple[float, float]] = {}
+    terms = []
     for m, (a_poly, b_poly) in f.modes.items():
         if m[0] * kp[0] + m[1] * kp[1] != 0:
             continue
         j = m[0] // m0[0] if m0[0] != 0 else m[1] // m0[1]
-        a = float(a_poly(I1, I2))
-        b = float(b_poly(I1, I2))
-        if j < 0:
-            j, b = -j, -b
-        oa, ob = terms.get(j, (0.0, 0.0))
-        terms[j] = (oa + a, ob + b)
-    return AngleSeries(terms)
-
-
-@dataclass(frozen=True)
-class AngleSeries:
-    """Finite real Fourier series of one angle; frequencies are nonnegative."""
-
-    terms: dict
-
-    def evaluate(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        total = np.zeros(phi.shape)
-        for j, (a, b) in self.terms.items():
-            if j == 0:
-                total = total + a
-            else:
-                total = total + a * np.cos(TWO_PI * j * phi) + b * np.sin(TWO_PI * j * phi)
-        return total if total.shape else float(total)
-
-    def derivative(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        total = np.zeros(phi.shape)
-        for j, (a, b) in self.terms.items():
-            if j != 0:
-                w = TWO_PI * j
-                total = total + w * (b * np.cos(TWO_PI * j * phi) - a * np.sin(TWO_PI * j * phi))
-        return total if total.shape else float(total)
-
-    def max_abs_derivative(self, n_grid: int = 256) -> tuple[float, float]:
-        """(grid max of |d/dphi|, maximizing phi)."""
-        phi = np.linspace(0.0, 1.0, n_grid, endpoint=False)
-        vals = np.abs(self.derivative(phi))
-        idx = int(np.argmax(vals))
-        return float(vals[idx]), float(phi[idx])
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0.0 and b == 0.0 for a, b in self.terms.values())
+        terms.append(((j, 0), float(a_poly(I1, I2)), float(b_poly(I1, I2))))
+    return FourierPerturbation.from_terms(terms)
 
 
 # -- genericity -------------------------------------------------------------------
@@ -497,30 +456,6 @@ class NormalFormResult:
         if self.steps != 2:
             raise AttributeError("only a two-step normal form has a quarter window")
         return self.sample_window
-
-    def report(self) -> dict:
-        out = {
-            "steps": self.steps,
-            "epsilon": self.epsilon,
-            "kappa": self.kappa,
-            "displacement": self.displacement,
-            "displacement_bound": self.displacement_bound,
-            "displacement_ok": self.displacement_ok,
-            "homological_residual": self.homological_residual,
-            "lambda": self.genericity.lam,
-            "theta1_star": self.genericity.theta1_star,
-            "i1_star": self.genericity.i1_star,
-            "delta_star": self.genericity.delta_star,
-        }
-        for n, (step, sup) in enumerate(zip(self.averaging_steps, self.sup_remainders), 1):
-            tag = str(n) if n > 1 else ""
-            out["gamma" + tag] = step.gamma
-            out["cutoff" + tag] = step.cutoff
-            out["n_generator_modes" + tag] = step.chi.n_modes
-            out["sup_remainder" + tag] = sup
-        if "fit_residual" in self.meta:
-            out["fit_residual"] = self.meta["fit_residual"]
-        return out
 
 
 def _require_window_inside(system: IntegrableSystem, window: ActionWindow):

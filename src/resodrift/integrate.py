@@ -1,11 +1,15 @@
 """Adaptive orbit integration, generator flows and symplecticity checks.
 
-Orbits of the full Hamiltonian and unit-time flows of averaging generators are
-both driven through scipy's embedded Runge-Kutta pairs (DOP853 by default,
-RK45 as the lower-order option).  Angles are integrated on the universal cover
-and wrapped only when samples are recorded, so no artificial discontinuities
-enter the error control.  Termination conditions (domain exit, channel exit,
-target drift, stopping times) are root-found on dense output.
+Orbits of the full Hamiltonian go through scipy's solve_ivp with an embedded
+Runge-Kutta pair (DOP853 by default, RK45 as the lower-order option).  Angles
+are integrated on the universal cover and wrapped only when samples are
+recorded, so no artificial discontinuities enter the error control.
+Termination conditions (domain exit, channel exit, target drift, stopping
+times) are root-found on dense output.
+
+Unit-time flows of averaging generators have one path, flow_points: it steps
+scipy's DOP853 directly on stacked chunks of points and checks the action
+window after every accepted step.  lie_flow is its one-point case.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .blas import serial_blas
 from .errors import FlowEscapeError
@@ -28,7 +32,6 @@ class IntegratorConfig:
     order: int = 8
     rtol: float = 1e-10
     atol: float = 1e-10
-    max_step: float = np.inf
     n_samples: int = 513
 
     @property
@@ -176,7 +179,6 @@ def integrate(
         method=config.method,
         rtol=config.rtol,
         atol=config.atol,
-        max_step=config.max_step,
         t_eval=t_eval,
         dense_output=True,
         events=events or None,
@@ -251,33 +253,15 @@ def lie_flow(
 ) -> PhaseState:
     """Flow a state for time t under the Hamiltonian vector field of scale*chi.
 
-    The generator chi must expose flow_rhs(scale).  When a window is given the
-    trajectory is checked against it at dense times; when a displacement bound
-    is given (the containment budget for |t| <= 1) the total move is checked.
+    This is the one-point case of :func:`flow_points`, which checks the window
+    after every accepted step; when a displacement bound is given (the
+    containment budget for |t| <= 1) the total move is checked too.
     Violations raise FlowEscapeError.
     """
-    y0 = state.as_array()
     if t == 0.0 or chi.is_zero:
         return state
-    sol = solve_ivp(
-        chi.flow_rhs(scale),
-        (0.0, float(t)),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"generator flow failed: {sol.message}")
-    y1 = sol.y[:, -1]
-    if window is not None:
-        t_check = np.linspace(0.0, float(t), 9)
-        y_check = sol.sol(t_check)
-        pad = 1e-12 + 1e-9 * window.sup_radius
-        inside = window.contains(y_check[2], y_check[3], margin=pad)
-        if not np.all(inside):
-            raise FlowEscapeError("generator flow left its action window")
+    y0 = state.as_array()
+    y1 = np.array(flow_points(chi, scale, t, *y0, rtol=rtol, atol=atol, window=window))
     if displacement_bound is not None and abs(t) <= 1.0:
         move = float(np.max(np.abs(y1 - y0)))
         if move > displacement_bound * (1.0 + 1e-9):
@@ -285,6 +269,12 @@ def lie_flow(
                 f"generator flow moved {move:.3e}, budget {displacement_bound:.3e}"
             )
     return PhaseState.make(wrap(y1[0]), wrap(y1[1]), y1[2], y1[3])
+
+
+# flow_points stacks this many points into one system.  DOP853 keeps 16 copies
+# of the stacked state (its stage table, 150 MB at this size), so the chunk
+# caps the solver's memory whatever the number of points.
+_CHUNK = 300_000
 
 
 @serial_blas()
@@ -299,15 +289,17 @@ def flow_points(
     *,
     rtol: float = 1e-12,
     atol: float = 1e-12,
-    chunk: int = 300_000,
     window=None,
 ):
     """Vectorized generator flow over arrays of initial points.
 
     Returns (theta1, theta2, I1, I2) arrays of the same shape with unwrapped
-    angles.  Points are integrated in chunks as one stacked system; the shared
-    adaptive step is controlled by the worst point, so accuracy is uniform.
-    The solver's stage products on the stacked states run on one BLAS thread.
+    angles.  Points are integrated in chunks as one stacked system that
+    DOP853 steps directly; the shared adaptive step is controlled by the worst
+    point, so accuracy is uniform.  When a window is given every point is
+    checked against it after every accepted step, and leaving it raises
+    FlowEscapeError.  The solver's stage products on the stacked states run on
+    one BLAS thread.
     """
     shape = np.broadcast(np.asarray(theta1), np.asarray(I1)).shape
     flat = [
@@ -320,28 +312,22 @@ def flow_points(
         return tuple(v.reshape(shape) for v in flat)
 
     rhs = chi.flow_rhs(scale)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    pad = None if window is None else 1e-12 + 1e-9 * window.sup_radius
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
         block = np.stack([v[start:stop] for v in flat])
         m = block.shape[1]
 
         def stacked(_t, y, _m=m):
             return rhs(_t, y.reshape(4, _m)).ravel()
 
-        sol = solve_ivp(
-            stacked,
-            (0.0, float(t)),
-            block.ravel(),
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-        )
-        if not sol.success:
-            raise RuntimeError(f"generator flow failed: {sol.message}")
-        end = sol.y[:, -1].reshape(4, m)
-        if window is not None:
-            pad = 1e-12 + 1e-9 * window.sup_radius
-            if not np.all(window.contains(end[2], end[3], margin=pad)):
+        solver = DOP853(stacked, 0.0, block.ravel(), float(t), rtol=rtol, atol=atol)
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise RuntimeError(f"generator flow failed: {message}")
+            end = solver.y.reshape(4, m)
+            if pad is not None and not np.all(window.contains(end[2], end[3], margin=pad)):
                 raise FlowEscapeError("generator flow left its action window")
         for i in range(4):
             out[i][start:stop] = end[i]

@@ -128,21 +128,6 @@ class UnimodularMap:
             int(M[0, 1] * m[0] + M[1, 1] * m[1]),
         )
 
-    def apply(self, state: PhaseState) -> PhaseState:
-        """Symplectic lift, reduced chart to original coordinates."""
-        M = self.matrix.astype(float)
-        th = M @ np.array([state.angles.theta1, state.angles.theta2])
-        ac = self.transpose_inverse.astype(float) @ np.array(
-            [state.actions.I1, state.actions.I2]
-        )
-        return PhaseState.make(wrap(th[0]), wrap(th[1]), ac[0], ac[1])
-
-    def apply_inverse(self, state: PhaseState) -> PhaseState:
-        M_inv = self.inverse.astype(float)
-        th = M_inv @ np.array([state.angles.theta1, state.angles.theta2])
-        ac = self.matrix.T.astype(float) @ np.array([state.actions.I1, state.actions.I2])
-        return PhaseState.make(wrap(th[0]), wrap(th[1]), ac[0], ac[1])
-
 
 def _to_reduced_chart(umap: UnimodularMap, translation, theta1, theta2, I1, I2):
     """Original coordinates to the chart straightened by umap and translation."""

@@ -65,9 +65,6 @@ class ActionPair:
     def sup_norm(self) -> float:
         return max(abs(self.I1), abs(self.I2))
 
-    def within(self, radius: float) -> bool:
-        return self.sup_norm() <= radius
-
     def as_array(self) -> np.ndarray:
         return np.array([self.I1, self.I2])
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import resodrift as rd
+from resodrift import integrate as integrate_module
 from resodrift.errors import FlowEscapeError
 from resodrift.integrate import (
     IntegratorConfig,
@@ -12,7 +13,7 @@ from resodrift.integrate import (
     symplecticity_defect,
 )
 from resodrift.systems import ActionWindow, star_window
-from resodrift.torus import PhaseState
+from resodrift.torus import PhaseState, wrap
 
 
 def moser_closed_form(eps, t):
@@ -257,6 +258,10 @@ def test_flow_points_matches_single_state_flow(generic3_chi):
         assert abs(s.actions.I2 - J2[i]) < 1e-10
         d1 = abs((np.mod(T1[i] - s.angles.theta1 + 0.5, 1.0)) - 0.5)
         assert d1 < 1e-10
+    # lie_flow is the one-point case of flow_points, bit for bit
+    one = flow_points(chi, 1e-3, 1.0, th1[0], th2[0], I1[0], I2[0], window=window)
+    s = lie_flow(chi, 1e-3, 1.0, PhaseState.make(th1[0], th2[0], I1[0], I2[0]), window=window)
+    np.testing.assert_array_equal(s.as_array(), [wrap(one[0]), wrap(one[1]), one[2], one[3]])
 
 
 def test_flow_points_window_escape(generic3_chi):
@@ -264,6 +269,46 @@ def test_flow_points_window_escape(generic3_chi):
     tight = ActionWindow(1.0 - 1e-7, 1.0 + 1e-7, -1e-7, 1e-7)
     with pytest.raises(FlowEscapeError):
         flow_points(chi, 1e-2, 1.0, 0.3, 0.4, 1.0, 0.0, window=tight)
+
+
+class _ExcursionGenerator:
+    """A generator whose flow moves I1 out by 0.1 and back: I1(t) = I1(0) + 0.1 sin(pi t)."""
+
+    is_zero = False
+
+    def flow_rhs(self, scale):
+        def fun(t, y):
+            dy = np.zeros_like(y)
+            dy[2] = 0.1 * np.pi * np.cos(np.pi * t)
+            return dy
+
+        return fun
+
+
+def test_window_escape_partway_through_the_flow_raises():
+    chi = _ExcursionGenerator()
+    window = ActionWindow(1.0 - 0.05, 1.0 + 0.05, -0.05, 0.05)
+    # the flow ends where it started, so only a check along the way sees the escape
+    end = flow_points(chi, 1.0, 1.0, 0.3, 0.4, 1.0, 0.0)
+    assert abs(end[2] - 1.0) < 1e-10
+    with pytest.raises(FlowEscapeError):
+        flow_points(chi, 1.0, 1.0, 0.3, 0.4, 1.0, 0.0, window=window)
+    with pytest.raises(FlowEscapeError):
+        lie_flow(chi, 1.0, 1.0, PhaseState.make(0.3, 0.4, 1.0, 0.0), window=window)
+
+
+def test_generator_flows_step_without_solve_ivp(monkeypatch, generic3_chi):
+    _, window, chi = generic3_chi
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator flows must not call solve_ivp")
+
+    monkeypatch.setattr(integrate_module, "solve_ivp", refuse)
+    s = PhaseState.make(0.3, 0.4, 1.0, 0.001)
+    moved = lie_flow(chi, 1e-3, 1.0, s, window=window)
+    assert s.distance(moved) > 0.0
+    out = flow_points(chi, 1e-3, 1.0, [0.3, 0.5], [0.4, 0.6], [1.0, 1.0], [0.001, 0.0], window=window)
+    assert out[0].shape == (2,)
 
 
 def test_hamiltonian_time_t_map_is_symplectic():
