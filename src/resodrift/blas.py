@@ -3,7 +3,7 @@
 numpy's bundled OpenBLAS runs its matrix products on a pool of worker
 threads, and the idle workers spin between calls.  At this package's shapes
 (power tables of a few thousand points against a few dozen polynomial rows,
-flows of up to 4 x 300,000 stacked states) a second thread lowers no wall
+flow blocks of 4 x 20,164 stacked states) a second thread lowers no wall
 time, but it roughly doubles the process CPU time.  :func:`serial_blas` pins
 the library to one thread for the duration of a call and restores the
 previous count afterwards.  It also makes results independent of the host's

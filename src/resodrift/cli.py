@@ -312,6 +312,7 @@ def _cmd_normal_form(args) -> int:
                 "gamma2": second.gamma,
                 "sup_f2": result.sup_remainders[1],
                 "fit_residual": result.meta["fit_residual"],
+                "n_kept_modes": result.meta["n_kept_modes"],
             }
         )
     write_json(out / "normal_form.json", payload)

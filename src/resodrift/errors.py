@@ -10,7 +10,7 @@ class SmallDivisorError(RuntimeError):
 
 
 class FlowEscapeError(RuntimeError):
-    """A generator flow left its containment window or displacement budget."""
+    """A generator flow left its window or budget, or could not be integrated."""
 
 
 class WindowFitError(RuntimeError):

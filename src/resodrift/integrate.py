@@ -7,9 +7,11 @@ recorded, so no artificial discontinuities enter the error control.
 Termination conditions (domain exit, channel exit, target drift, stopping
 times) are root-found on dense output.
 
-Unit-time flows of averaging generators have one path, flow_points: it steps
-scipy's DOP853 directly on stacked chunks of points and checks the action
-window after every accepted step.  lie_flow is its one-point case.
+Unit-time flows of averaging generators have one path, flow_points: an
+in-repo DOP853 loop (scipy's tableau and step controller) steps bounded
+blocks of points as stacked systems, each block starting from the step the
+last one ended on, and checks the action window after every accepted step.
+lie_flow is its one-point case.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 from .blas import serial_blas
 from .errors import FlowEscapeError
+from .fourier import BLOCK_VALUES
 from .torus import PhaseState, wrap
 
 
@@ -271,10 +274,100 @@ def lie_flow(
     return PhaseState.make(wrap(y1[0]), wrap(y1[1]), y1[2], y1[3])
 
 
-# flow_points stacks this many points into one system.  DOP853 keeps 16 copies
-# of the stacked state (its stage table, 150 MB at this size), so the chunk
-# caps the solver's memory whatever the number of points.
-_CHUNK = 300_000
+# DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II), read off scipy's
+# public class: 12 stages, the 8th-order weights B, and the 5th- and 3rd-order
+# error rows E5 and E3 over the 13 rows of the stage table (the last row is f
+# at the new point).  The step controller is scipy's.
+_A, _B, _C, _E3, _E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+_ROWS = DOP853.n_stages + 1
+_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _initial_step(fun, y, f, t_end, rtol, atol):
+    """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4) from t = 0."""
+    interval = abs(t_end)
+    direction = np.sign(t_end)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(h0 * direction, y + h0 * direction * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    return min(100 * h0, h1, interval)
+
+
+def _error_norm(K, h, scale):
+    """DOP853's RMS error norm of a step: the 5th-order estimate, damped by the 3rd."""
+    err5 = np.linalg.norm((_E5 @ K) / scale) ** 2
+    err3 = np.linalg.norm((_E3 @ K) / scale) ** 2
+    if err5 == 0 and err3 == 0:
+        return 0.0
+    return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
+
+
+def _dop853(fun, y, t_end, rtol, atol, check, h_abs=None):
+    """Step dy/dt = fun(t, y) from t = 0 to t_end; return (y(t_end), next step).
+
+    Step for step this is scipy's DOP853 with an unbounded maximum step:
+    without h_abs the first step is scipy's initial-step choice, with it the
+    stepper starts from that step, and a step that is too large is rejected
+    and shrunk like any other.  check(y) runs after every accepted step.  The
+    returned step is the one the controller proposes after the last step.  A
+    step that falls below 10 ulp of t raises FlowEscapeError.
+    """
+    direction = np.sign(t_end)
+    t = 0.0
+    f = fun(t, y)
+    if h_abs is None:
+        h_abs = _initial_step(fun, y, f, t_end, rtol, atol)
+    K = np.empty((_ROWS, y.size))
+    while direction * (t - t_end) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise FlowEscapeError(
+                    f"generator flow could not be integrated: the step fell below "
+                    f"{min_step:.3e} at t = {t:.17g}"
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, _ROWS - 1):
+                K[s] = fun(t + _C[s] * h, y + (_A[s, :s] @ K[:s]) * h)
+            y_new = y + h * (_B @ K[:-1])
+            f_new = K[-1] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _error_norm(K, h, scale)
+            if error < 1:
+                factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error**_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error**_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        check(y)
+    return y, h_abs
+
+
+# flow_points steps blocks of this many points.  A block's stage table is
+# (13, 4 x points); at this size it holds about BLOCK_VALUES values (8 MB), so
+# the stepper's working set stays near the cache and its memory is bounded
+# whatever the number of points.
+_BLOCK = BLOCK_VALUES // (4 * _ROWS)
 
 
 @serial_blas()
@@ -294,43 +387,43 @@ def flow_points(
     """Vectorized generator flow over arrays of initial points.
 
     Returns (theta1, theta2, I1, I2) arrays of the same shape with unwrapped
-    angles.  Points are integrated in chunks as one stacked system that
-    DOP853 steps directly; the shared adaptive step is controlled by the worst
-    point, so accuracy is uniform.  When a window is given every point is
-    checked against it after every accepted step, and leaving it raises
-    FlowEscapeError.  The solver's stage products on the stacked states run on
-    one BLAS thread.
+    angles.  Points are integrated in blocks of _BLOCK points, each one
+    stacked system stepped by DOP853.  A block's shared adaptive step is
+    controlled by the RMS error norm over the block, not by its worst point.
+    The first block starts from scipy's initial-step choice; every later
+    block starts from the step the controller proposed at the end of the
+    block before it, which the controller rejects and shrinks if it is too
+    large.  When a window is given every point is checked against it after
+    every accepted step, and leaving it raises FlowEscapeError, as does a
+    step that collapses.  The stage products run on one BLAS thread.
     """
     shape = np.broadcast(np.asarray(theta1), np.asarray(I1)).shape
     flat = [
-        np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(-1).copy()
+        np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(-1)
         for v in (theta1, theta2, I1, I2)
     ]
-    n = flat[0].size
-    out = [np.empty(n) for _ in range(4)]
     if t == 0.0 or chi.is_zero:
-        return tuple(v.reshape(shape) for v in flat)
+        return tuple(v.reshape(shape).copy() for v in flat)
 
+    n = flat[0].size
+    out = np.empty((4, n))
     rhs = chi.flow_rhs(scale)
     pad = None if window is None else 1e-12 + 1e-9 * window.sup_radius
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        block = np.stack([v[start:stop] for v in flat])
+    h_abs = None
+    for start in range(0, n, _BLOCK):
+        block = np.stack([v[start : start + _BLOCK] for v in flat])
         m = block.shape[1]
 
         def stacked(_t, y, _m=m):
             return rhs(_t, y.reshape(4, _m)).ravel()
 
-        solver = DOP853(stacked, 0.0, block.ravel(), float(t), rtol=rtol, atol=atol)
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise RuntimeError(f"generator flow failed: {message}")
-            end = solver.y.reshape(4, m)
+        def check(y, _m=m):
+            end = y.reshape(4, _m)
             if pad is not None and not np.all(window.contains(end[2], end[3], margin=pad)):
                 raise FlowEscapeError("generator flow left its action window")
-        for i in range(4):
-            out[i][start:stop] = end[i]
+
+        y, h_abs = _dop853(stacked, block.ravel(), float(t), rtol, atol, check, h_abs)
+        out[:, start : start + m] = y.reshape(4, m)
     return tuple(v.reshape(shape) for v in out)
 
 

@@ -111,6 +111,23 @@ def test_normal_form_single_step_payload(tmp_path):
     assert "K2" not in payload
 
 
+def test_normal_form_two_step_payload_reports_kept_modes(tmp_path, monkeypatch, two_step_results):
+    # the session's two-step build stands in for the CLI's own
+    result = two_step_results[1e-3]
+    monkeypatch.setattr("resodrift.cli.two_step_normal_form", lambda bundle: result)
+    out = tmp_path / "nf2"
+    rc = run_cli(
+        "normal-form", "--system", "generic3", "--epsilon", "1e-3", "--steps", "2",
+        "--out", str(out),
+    )
+    assert rc == 0
+    payload = json.loads((out / "normal_form.json").read_text())
+    assert payload["steps"] == 2
+    assert payload["K2"] == result.averaging_steps[1].cutoff
+    assert payload["fit_residual"] == result.meta["fit_residual"]
+    assert payload["n_kept_modes"] == result.meta["n_kept_modes"] == 14
+
+
 def test_simulate_orbit_and_report(tmp_path):
     out = tmp_path / "sim"
     rc = run_cli(

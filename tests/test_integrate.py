@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 import resodrift as rd
 from resodrift import integrate as integrate_module
+from resodrift.blas import serial_blas
 from resodrift.errors import FlowEscapeError
 from resodrift.integrate import (
     IntegratorConfig,
@@ -309,6 +313,139 @@ def test_generator_flows_step_without_solve_ivp(monkeypatch, generic3_chi):
     assert s.distance(moved) > 0.0
     out = flow_points(chi, 1e-3, 1.0, [0.3, 0.5], [0.4, 0.6], [1.0, 1.0], [0.001, 0.0], window=window)
     assert out[0].shape == (2,)
+
+
+class _BlowUpGenerator:
+    """A generator whose field I1' = I1**2 blows up at t = 0.5 from I1(0) = 2."""
+
+    is_zero = False
+
+    def flow_rhs(self, scale):
+        def fun(t, y):
+            dy = np.zeros_like(y)
+            dy[2] = y[2] ** 2
+            return dy
+
+        return fun
+
+
+def test_collapsed_flow_step_raises_flow_escape():
+    chi = _BlowUpGenerator()
+    with pytest.raises(FlowEscapeError, match="could not be integrated"):
+        flow_points(chi, 1.0, 1.0, 0.3, 0.4, 2.0, 0.0)
+    with pytest.raises(FlowEscapeError):
+        lie_flow(chi, 1.0, 1.0, PhaseState.make(0.3, 0.4, 2.0, 0.0))
+
+
+class _DrumGenerator:
+    """I1' = cos(w t) with the rate w = I2 held fixed: I1(1) = I1(0) + sin(w) / w."""
+
+    is_zero = False
+
+    def __init__(self, calls=None):
+        self.calls = calls
+
+    def flow_rhs(self, scale):
+        def fun(t, y):
+            if self.calls is not None:
+                self.calls.append((t, y[3, 0]))
+            dy = np.zeros_like(y)
+            dy[2] = np.cos(y[3] * t)
+            return dy
+
+        return fun
+
+
+def test_warm_started_block_rejects_a_step_that_is_too_large(monkeypatch):
+    monkeypatch.setattr(integrate_module, "_BLOCK", 64)
+    rate = np.repeat([1.0, 50.0], 64)
+    I1 = np.linspace(0.0, 0.5, rate.size)
+    zeros = np.zeros(rate.size)
+    calls = []
+    out = flow_points(_DrumGenerator(calls), 1.0, 1.0, zeros, zeros, I1, rate)
+    first = [t for t, w in calls if w == 1.0]
+    last = [t for t, w in calls if w == 50.0]
+    # a block calls f at t = 0, then 12 times per attempted step, the last of
+    # them at the attempt's end; only a fresh start adds the initial-step probe
+    assert len(first) % 12 == 2 and len(last) % 12 == 1
+    # after an accepted first step every later call lies beyond its end, after
+    # a rejected one the retry comes back
+    first_end = last[12]
+    assert sum(t <= first_end for t in last) > 13
+    np.testing.assert_allclose(out[2], I1 + np.sin(rate) / rate, rtol=0, atol=1e-12)
+    for i in range(rate.size):
+        alone = flow_points(_DrumGenerator(), 1.0, 1.0, 0.0, 0.0, I1[i], rate[i])
+        assert abs(alone[2] - out[2][i]) <= 1e-12
+
+
+def _step_both(fun, y0, t_end, h_abs=None):
+    """Compare _dop853 with scipy's DOP853 stepped on the same system, step by
+    step and bit for bit; return the number of rejected steps."""
+    ours, theirs = [], []
+    with serial_blas():
+        y, h_next = integrate_module._dop853(fun, y0, t_end, 1e-12, 1e-12, ours.append, h_abs)
+        solver = DOP853(fun, 0.0, y0, t_end, rtol=1e-12, atol=1e-12, first_step=h_abs)
+        while solver.status == "running":
+            solver.step()
+            theirs.append(solver.y)
+    assert solver.status == "finished" and len(ours) == len(theirs) > 1
+    for a, b in zip(ours, theirs):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(y, solver.y)
+    assert h_next == solver.h_abs
+    return (solver.nfev - 1) // 12 - len(theirs)
+
+
+def test_stepper_is_scipy_dop853_bit_for_bit(generic3_chi):
+    _, _, chi = generic3_chi
+    rng = np.random.default_rng(3)
+    n = 300
+    block = np.stack([
+        rng.uniform(0, 1, n), rng.uniform(0, 1, n),
+        rng.uniform(0.995, 1.005, n), rng.uniform(-0.005, 0.005, n),
+    ])
+    rhs = chi.flow_rhs(1e-2)
+
+    def fun(t, y):
+        return rhs(t, y.reshape(4, n)).ravel()
+
+    for t_end in (1.0, -1.0):
+        _step_both(fun, block.ravel(), t_end)
+    # a given first step that is too large: rejections, then a capped growth
+    drum = _DrumGenerator().flow_rhs(1.0)
+    y0 = np.stack([np.zeros(n), np.zeros(n), np.linspace(0, 1, n), np.full(n, 50.0)])
+    assert _step_both(lambda t, y: drum(t, y.reshape(4, n)).ravel(), y0.ravel(), 1.0, 1.0) > 0
+
+
+class _ShearGenerator:
+    """theta1' = I1, the rest fixed: theta1(t) = theta1(0) + t I1."""
+
+    is_zero = False
+
+    def flow_rhs(self, scale):
+        def fun(t, y):
+            dy = np.zeros_like(y)
+            dy[0] = y[2]
+            return dy
+
+        return fun
+
+
+def test_flow_points_memory_is_bounded_by_the_block():
+    block = integrate_module._BLOCK
+    peaks = {}
+    for n in (4 * block, 8 * block):
+        points = [np.full(n, v) for v in (0.1, 0.2, 1.0, 0.0)]
+        tracemalloc.start()
+        try:
+            out = flow_points(_ShearGenerator(), 1.0, 1.0, *points)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(out[0], 1.1, rtol=0, atol=1e-12)
+    # the extra points cost their input and output arrays, nothing per block
+    extra_arrays = 2 * 4 * (4 * block) * 8
+    assert peaks[8 * block] - peaks[4 * block] <= extra_arrays
 
 
 def test_hamiltonian_time_t_map_is_symplectic():
