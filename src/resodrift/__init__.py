@@ -25,6 +25,7 @@ from .catalog import CatalogEntry, catalog_names, get_entry, make_bundle, verify
 from .errors import (
     DomainError,
     FlowEscapeError,
+    IntegrationError,
     SmallDivisorError,
     UsageError,
     WindowFitError,
@@ -88,6 +89,7 @@ __all__ = [
     "GeneratorChi",
     "GenericityReport",
     "IntegrableSystem",
+    "IntegrationError",
     "IntegratorConfig",
     "NormReport",
     "NormalFormResult",

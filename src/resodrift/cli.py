@@ -21,6 +21,7 @@ from .catalog import catalog_names, get_entry, verify_catalog
 from .errors import (
     DomainError,
     FlowEscapeError,
+    IntegrationError,
     SmallDivisorError,
     UsageError,
     WindowFitError,
@@ -548,7 +549,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, SmallDivisorError, FlowEscapeError, WindowFitError) as exc:
+    except (DomainError, SmallDivisorError, FlowEscapeError, IntegrationError, WindowFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

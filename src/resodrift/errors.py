@@ -9,6 +9,10 @@ class SmallDivisorError(RuntimeError):
     """A retained Fourier mode violates the frequency lower bound on its window."""
 
 
+class IntegrationError(RuntimeError):
+    """An orbit integration failed before reaching its end or a stop event."""
+
+
 class FlowEscapeError(RuntimeError):
     """A generator flow left its window or budget, or could not be integrated."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
 from .blas import serial_blas
-from .errors import FlowEscapeError
+from .errors import FlowEscapeError, IntegrationError
 from .fourier import BLOCK_VALUES
 from .torus import PhaseState, wrap
 
@@ -37,13 +37,14 @@ class IntegratorConfig:
     atol: float = 1e-10
     n_samples: int = 513
 
+    def __post_init__(self):
+        if self.order not in (4, 8):
+            raise ValueError("integrator order must be 4 or 8")
+
     @property
     def method(self) -> str:
-        if self.order == 8:
-            return "DOP853"
-        if self.order == 4:
-            return "RK45"  # the embedded 5(4) pair
-        raise ValueError("integrator order must be 4 or 8")
+        # order 4 is the embedded 5(4) pair
+        return "DOP853" if self.order == 8 else "RK45"
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,9 @@ def integrate(
 ) -> OrbitRecord:
     """Integrate dy/dt = rhs(t, y) over t_span with sampled diagnostics.
 
+    A solver failure (for example a step size collapsing in a blow-up)
+    raises IntegrationError.
+
     Parameters
     ----------
     rhs : callable(t, y) -> dy/dt on flat states [theta1, theta2, I1, I2].
@@ -187,7 +191,7 @@ def integrate(
         events=events or None,
     )
     if not sol.success and sol.status != 1:
-        raise RuntimeError(f"integration failed: {sol.message}")
+        raise IntegrationError(f"integration failed: {sol.message}")
 
     stop_name = None
     flagged = False

@@ -234,19 +234,29 @@ class SystemBundle:
 
         omega and the four first partials of f come from one pass over a
         table holding f's modes and the frequency map, built on first use.
+        A single state, given as real scalars, gives two lists of two floats.
         """
         if self._table is None:
             self._table = ModeTable(self.perturbation.modes, omega=self.system.omega_polys())
         rows = self._table.evaluate(theta1, theta2, I1, I2)
-        return rows[5:] + self.epsilon * rows[3:5], rows[1:3] * -self.epsilon
+        eps = self.epsilon
+        if isinstance(rows, list):
+            _, d1, d2, g1, g2, om1, om2 = rows
+            return [om1 + eps * g1, om2 + eps * g2], [d1 * -eps, d2 * -eps]
+        return rows[5:] + eps * rows[3:5], rows[1:3] * -eps
 
     def rhs(self):
         """Right-hand side f(t, y) on flat states y = [th1, th2, I1, I2].
 
-        Accepts y of shape (4,) or (4, n); the returned array matches.
+        Accepts y of shape (4,) or (4, n); the returned array matches.  A (4,)
+        state is unpacked into floats, so it takes the table's single-point
+        branch.
         """
 
         def fun(_t, y):
+            if y.ndim == 1:
+                angles, actions = self.vector_field(*y.tolist())
+                return np.array(angles + actions)
             return np.concatenate(self.vector_field(*y))
 
         return fun

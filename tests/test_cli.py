@@ -159,6 +159,20 @@ def test_simulate_argument_validation(tmp_path):
     assert run_cli(*base, "--tol", "nope") == 2
 
 
+def test_failed_orbit_exits_with_an_error_line(tmp_path, monkeypatch, capsys):
+    # theta1' = theta1**2 from theta1 = 2 blows up at t = 0.5 inside the action domain
+    def blow_up(_bundle):
+        return lambda _t, y: np.array([y[0] ** 2, 0.0, 0.0, 0.0])
+
+    monkeypatch.setattr(rd.SystemBundle, "rhs", blow_up)
+    rc = run_cli(
+        "simulate", "--system", "reduced-moser", "--epsilon", "1e-3",
+        "--state", "2,0,1,0", "--t-end", "1", "--out", str(tmp_path / "s"),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: integration failed: Required step size")
+
+
 def test_drift_cli_with_plots(tmp_path):
     out = tmp_path / "drift"
     rc = run_cli(

@@ -7,7 +7,7 @@ from scipy.integrate import DOP853
 import resodrift as rd
 from resodrift import integrate as integrate_module
 from resodrift.blas import serial_blas
-from resodrift.errors import FlowEscapeError
+from resodrift.errors import FlowEscapeError, IntegrationError
 from resodrift.integrate import (
     IntegratorConfig,
     StopEvent,
@@ -16,7 +16,9 @@ from resodrift.integrate import (
     lie_flow,
     symplecticity_defect,
 )
-from resodrift.systems import ActionWindow, star_window
+from resodrift.fourier import FourierPerturbation
+from resodrift.poly import PolyField
+from resodrift.systems import ActionWindow, SystemBundle, star_window
 from resodrift.torus import PhaseState, wrap
 
 
@@ -63,6 +65,39 @@ def test_energy_is_conserved_along_orbits():
     assert np.all(np.isnan(rec2.energy))
 
 
+def test_action_dependent_orbit_agrees_across_evaluator_branches():
+    """One orbit of generic3's h with action-dependent f, through both ModeTable branches.
+
+    bundle.rhs() passes (4,) states, which take the single-point branch; the
+    wrapper passes (4, 1) columns, which take the array branch.  The two
+    fields agree to rounding, so the orbits must agree to the integrator's
+    own tolerance (1e-10), and each must conserve H to 1e-8.
+    """
+    system = rd.get_entry("generic3").system
+    f = FourierPerturbation.from_terms([
+        ((1, 0), PolyField.from_terms([(1, 0, 0.05)]), PolyField.from_terms([(0, 0, 0.16), (0, 2, 0.3)])),
+        ((1, -1), PolyField.from_terms([(0, 0, 0.2), (1, 2, 0.4)]), PolyField.from_terms([(0, 3, 0.5)])),
+        ((0, 1), PolyField.from_terms([(2, 0, 0.1), (0, 1, -0.2)]), 0.0),
+        ((2, 1), 0.0, PolyField.from_terms([(3, 0, 0.05), (1, 1, 0.3)])),
+    ])
+    assert not f.is_action_independent
+    y0, span = [0.1, 0.2, 1.0, 0.02], (0.0, 50.0)
+    scalar, array = SystemBundle(system, f, 1e-2), SystemBundle(system, f, 1e-2)
+    by_state = scalar.rhs()
+    by_column = array.rhs()
+    runs = [
+        integrate(rhs, y0, span, domain_radius=system.R, energy_fn=b.energy_of)
+        for rhs, b in ((by_state, scalar), (lambda t, y: by_column(t, y[:, None])[:, 0], array))
+    ]
+    # only the (4,) states compiled the single-point term list
+    assert scalar._table._terms is not None and array._table._terms is None
+    for rec in runs:
+        assert not rec.flagged
+        assert rec.max_energy_error < 1e-8
+    assert np.max(np.abs(runs[0].y_end - runs[1].y_end)) < 1e-10
+    assert np.max(np.abs(runs[0].actions - runs[1].actions)) < 1e-10
+
+
 def test_low_order_integrator_is_less_accurate():
     # the saddle oracle is polynomial in t and both pairs nail it, so the
     # order comparison needs a genuinely nonlinear orbit and a reference run
@@ -85,6 +120,11 @@ def test_integrator_config_validation():
     assert IntegratorConfig(order=4).method == "RK45"
     with pytest.raises(ValueError):
         _ = IntegratorConfig(order=6).method
+
+
+def test_integrator_order_is_checked_at_construction():
+    with pytest.raises(ValueError, match="integrator order must be 4 or 8"):
+        IntegratorConfig(order=5)
 
 
 def test_time_reversal_recovers_initial_state():
@@ -335,6 +375,12 @@ def test_collapsed_flow_step_raises_flow_escape():
         flow_points(chi, 1.0, 1.0, 0.3, 0.4, 2.0, 0.0)
     with pytest.raises(FlowEscapeError):
         lie_flow(chi, 1.0, 1.0, PhaseState.make(0.3, 0.4, 2.0, 0.0))
+
+
+def test_orbit_blow_up_raises_integration_error():
+    rhs = _BlowUpGenerator().flow_rhs(1.0)
+    with pytest.raises(IntegrationError, match="integration failed: Required step size"):
+        integrate(rhs, [0.3, 0.4, 2.0, 0.0], (0.0, 1.0))
 
 
 class _DrumGenerator:
