@@ -271,11 +271,6 @@ class GeneratorChi:
 
     # -- measured C^1 norm ---------------------------------------------------------
 
-    def _c1_components(self, theta1, theta2, I1, I2):
-        """|chi|, |d chi/d theta1|, |d chi/d theta2|, |d chi/d I1|, |d chi/d I2|, stacked."""
-        stacked = self._table.evaluate(theta1, theta2, I1, I2)
-        return np.abs(stacked, out=stacked)
-
     def c1_norm(
         self,
         window: ActionWindow | None = None,
@@ -287,28 +282,26 @@ class GeneratorChi:
 
         A coarse grid locates the maximizer of each component (value and the
         four first derivatives); a shrinking local grid then polishes it so
-        the reported sup is not limited by the coarse resolution.
+        the reported sup is not limited by the coarse resolution.  Both are
+        tensor grids of angles x actions.
         """
         window = window or self.window
         if self.is_zero:
             return 0.0
         th = np.linspace(0.0, 1.0, n_theta, endpoint=False)
         I1, I2 = window.grid(*n_action)
-        T1, T2, A1, A2 = np.meshgrid(th, th, I1, I2, indexing="ij")
-        best = 0.0
+        axes = (th, th, I1, I2)
         spans = np.array(
             [1.0 / n_theta, 1.0 / n_theta,
              (window.i1_max - window.i1_min) / (n_action[0] - 1),
              (window.i2_max - window.i2_min) / max(n_action[1] - 1, 1)]
         )
-        for c, vals in enumerate(self._c1_components(T1, T2, A1, A2)):
-            flat = int(np.argmax(vals))
-            idx = np.unravel_index(flat, vals.shape)
-            center = np.array([T1[idx], T2[idx], A1[idx], A2[idx]])
+        best = 0.0
+        for c, (peak, idx) in enumerate(self._grid_argmax(axes, range(5))):
+            center = np.array([ax[i] for ax, i in zip(axes, idx)])
             radius = spans.copy()
-            peak = float(vals[idx])
             for _ in range(refine_rounds):
-                axes = []
+                local = []
                 for d in range(4):
                     lo = center[d] - radius[d]
                     hi = center[d] + radius[d]
@@ -316,16 +309,39 @@ class GeneratorChi:
                         lo, hi = max(lo, window.i1_min), min(hi, window.i1_max)
                     if d == 3:
                         lo, hi = max(lo, window.i2_min), min(hi, window.i2_max)
-                    axes.append(np.linspace(lo, hi, 5))
-                L1, L2, L3, L4 = np.meshgrid(*axes, indexing="ij")
-                local = self._c1_components(L1, L2, L3, L4)[c]
-                lflat = int(np.argmax(local))
-                lidx = np.unravel_index(lflat, local.shape)
-                peak = max(peak, float(local[lidx]))
-                center = np.array([L1[lidx], L2[lidx], L3[lidx], L4[lidx]])
+                    local.append(np.linspace(lo, hi, 5))
+                [(local_peak, lidx)] = self._grid_argmax(local, (c,))
+                peak = max(peak, local_peak)
+                center = np.array([ax[i] for ax, i in zip(local, lidx)])
                 radius *= 0.5
             best = max(best, peak)
         return best
+
+    def _grid_argmax(self, axes, components):
+        """(sup, index) of |component| on the tensor grid of the 1-D axes.
+
+        axes are (theta1, theta2, I1, I2) and components index the rows
+        (chi, d/dtheta1, d/dtheta2, d/dI1, d/dI2); the index is into the four
+        axes.  Ties go to the first point in (theta1, theta2, I1, I2) order,
+        across the action slices of ModeTable.outer_blocks too.
+        """
+        t1, t2, x1, x2 = axes
+        found = {c: (-1.0, 0, 0) for c in components}
+        grid = (t1[:, None], t2[None, :], x1[:, None], x2[None, :])
+        for actions, rows in self._table.outer_blocks(*grid, grad=True):
+            for c in components:
+                vals = np.abs(rows[c], out=rows[c])
+                peak = vals.max()
+                # hits come in (action, angle) order, so the first of the
+                # smallest angle index has the smallest action index
+                action, angle = np.nonzero(vals == peak)
+                i = int(np.argmin(angle))
+                found[c] = max(found[c], (float(peak), -int(angle[i]), -(actions.start + int(action[i]))))
+        shapes = ((len(t1), len(t2)), (len(x1), len(x2)))
+        return [
+            (peak, np.unravel_index(-angle, shapes[0]) + np.unravel_index(-action, shapes[1]))
+            for peak, angle, action in found.values()
+        ]
 
 
 def solve_homological(
@@ -480,16 +496,12 @@ def _homological_residual(system, chi, g, window, grid=(16, 8, 65, 17)) -> float
     n1, n2, m1, m2 = grid
     th1 = np.linspace(0.0, 1.0, n1, endpoint=False)
     th2 = np.linspace(0.0, 1.0, n2, endpoint=False)
-    I1, I2 = window.grid(m1, m2)
-    T1, T2, A1, A2 = np.meshgrid(th1, th2, I1, I2, indexing="ij")
-    if chi.is_zero:
-        lhs = np.zeros(T1.shape)
-    else:
-        g_theta, _ = chi.gradients(T1, T2, A1, A2)
-        om = system.omega(A1, A2)
-        lhs = om[0] * g_theta[0] + om[1] * g_theta[1]
-    rhs = g(T1, T2, A1, A2) if not g.is_zero else np.zeros(T1.shape)
-    return float(np.max(np.abs(lhs - rhs)))
+    A1, A2 = np.meshgrid(*window.grid(m1, m2), indexing="ij")
+    angles = (th1[:, None], th2[None, :])
+    rows = chi._table.outer(*angles, A1, A2, grad=True)
+    om = system.omega(A1, A2)[..., None, None]
+    lhs = om[0] * rows[1] + om[1] * rows[2]
+    return float(np.max(np.abs(lhs - g.table().outer(*angles, A1, A2))))
 
 
 def _survey_mesh(window: ActionWindow, grid):
@@ -578,9 +590,11 @@ def one_step_normal_form(
 
     When kappa is not supplied it is bootstrapped from the measured C^1 norm
     of the generator: kappa = max(2 gamma, 1), iterated so the final window
-    is consistent with the norm measured on it.  The returned result carries
-    the transform, the remainder sampler on the half window, and the measured
-    displacement against its budget kappa epsilon / 2.
+    is consistent with the norm measured on it; meta["kappa_rounds"] holds
+    each round's (kappa tried, gamma measured), one c1_norm call each.  The
+    returned result carries the transform, the remainder sampler on the half
+    window, and the measured displacement against its budget
+    kappa epsilon / 2.
     """
     system = bundle.system
     f = bundle.perturbation
@@ -601,12 +615,14 @@ def one_step_normal_form(
     kappa_val = float(kappa) if kappa_fixed else 1.0
     gamma = 0.0
     chi = None
+    rounds = []
     for _ in range(8):
         window = star_window(res, kappa_val * eps)
         _require_window_inside(system, window)
         cutoff = choose_cutoff(eps, kappa_val, varpi, f)
         chi = solve_homological(system, f, cutoff, window)
         gamma = chi.c1_norm(window=window)
+        rounds.append((kappa_val, gamma))
         if kappa_fixed:
             break
         kappa_next = max(2.0 * gamma, 1.0)
@@ -636,6 +652,7 @@ def one_step_normal_form(
         homological_residual=_homological_residual(system, chi, g_osc, window, check_grid),
         channel=channel,
         genericity=genericity or genericity_check(f, system),
+        meta={"kappa_rounds": tuple(rounds)},
     )
 
 
@@ -746,8 +763,9 @@ def two_step_normal_form(
         terms.append((k, polys[2 * i], polys[2 * i + 1]))
     f_prime_fit = FourierPerturbation.from_terms(terms)
 
-    # residual of the full reconstruction on the sampling grid
-    recon = f_prime_fit(T1, T2, A1, A2)
+    # residual of the full reconstruction on the sampling grid, a tensor grid
+    recon = f_prime_fit.table().outer(th[:, None], th[None, :], I1_nodes[:, None], I2_nodes[None, :])
+    recon = recon.transpose(2, 3, 0, 1)
     fit_residual = float(np.max(np.abs(f_prime - recon)))
     scale = max(sup_grid, 1e-300)
     if fit_residual > residual_budget * scale:
@@ -782,6 +800,7 @@ def two_step_normal_form(
         channel=s1.channel,
         genericity=s1.genericity,
         meta={
+            **s1.meta,
             "sup_f_prime_grid": sup_grid,
             "n_kept_modes": len(kept),
             "fit_residual": fit_residual,

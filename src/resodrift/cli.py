@@ -216,7 +216,11 @@ def _run_dir(args, cfg) -> tuple[Path, str]:
 
 def _integrator_config(args) -> IntegratorConfig:
     atol, rtol = args.tol if args.tol else (1e-10, 1e-10)
-    samples = getattr(args, "samples", None) or 513
+    samples = getattr(args, "samples", None)
+    if samples is None:
+        return IntegratorConfig(rtol=rtol, atol=atol)
+    if samples < 1:
+        raise UsageError(f"--samples must be a positive integer, got {samples}")
     return IntegratorConfig(rtol=rtol, atol=atol, n_samples=samples)
 
 
@@ -304,6 +308,7 @@ def _cmd_normal_form(args) -> int:
         "I_star": list(result.genericity.I_star),
         "steps": result.steps,
         "reduced_first": reduction is not None,
+        "kappa_rounds": [list(r) for r in result.meta["kappa_rounds"]],
     }
     if result.steps == 2:
         second = result.averaging_steps[1]

@@ -253,22 +253,77 @@ class ModeTable:
         om = self._rows(x1.reshape(-1), x2.reshape(-1), 1)[2 * m : 2 * m + 2]
         return self._k_dot(om).reshape((m,) + x1.shape)
 
-    @serial_blas()
-    def outer(self, theta1, theta2, I1, I2) -> np.ndarray:
-        """The series on every pair of an angle point and an action point.
+    # -- tensor grids ---------------------------------------------------------------
+    #
+    # On (action points) x (angle points) every row is bilinear: the weights of
+    # the cos and sin of each mode depend on the actions alone, so each row is
+    # one (actions x 2m) @ (2m x angles) product.
 
-        theta1 and theta2 broadcast to the angle shape, I1 and I2 to the action
-        shape; the result has the action shape followed by the angle shape.
-        The angle terms are computed once for all action points.
-        """
+    def _weights(self, x1, x2, grad: bool):
+        """Weights of [cos, sin] of every mode at 1-D actions, shape (rows, 2m, actions)."""
+        m, n = self.K.shape[0], self._n_poly
+        # the value, d/dI1 and d/dI2 blocks of the polynomial rows; ab[i] is [a, b]
+        blocks = 3 if grad else 1
+        rows = self._rows(x1, x2, blocks).reshape(blocks, n, len(x1))
+        ab = rows[:, : 2 * m]
         if self.divided:
-            raise ValueError("outer evaluates undivided series only")
+            # quotient rule: (p / D)' = (p' - (p / D) D') / D
+            inv = np.tile(1.0 / self._k_dot(rows[0, 2 * m :]), (2, 1))
+            ab[0] *= inv
+            ab[1:] = (ab[1:] - ab[0] * np.tile(self._k_dot(rows[1:, 2 * m :]), (1, 2, 1))) * inv
+        if not grad:
+            return ab
+        # d/dtheta_j [a cos + b sin] = 2 pi k_j (b cos - a sin)
+        swing = np.concatenate([ab[0, m:], -ab[0, :m]])
+        d_theta = TWO_PI * np.tile(self._Kf.T, 2)[:, :, None] * swing
+        return np.concatenate([ab[:1], d_theta, ab[1:]])
+
+    def _grid(self, theta1, theta2, I1, I2):
+        """Flat angle and action points, the angle table (2m, angles) and the grid shape."""
         t1, t2 = np.broadcast_arrays(np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float))
         x1, x2 = np.broadcast_arrays(np.asarray(I1, dtype=float), np.asarray(I2, dtype=float))
-        m = self.K.shape[0]
         trig = np.concatenate(self._trig(t1.reshape(-1), t2.reshape(-1)))
-        rows = self._rows(x1.reshape(-1), x2.reshape(-1), 1)
-        return (rows[: 2 * m].T @ trig).reshape(x1.shape + t1.shape)
+        return trig, x1.reshape(-1), x2.reshape(-1), x1.shape + t1.shape
+
+    @serial_blas()
+    def outer(self, theta1, theta2, I1, I2, grad: bool = False) -> np.ndarray:
+        """The series on every pair of an action point and an angle point.
+
+        theta1 and theta2 broadcast to the angle shape, I1 and I2 to the action
+        shape.  The result has the action shape followed by the angle shape;
+        with grad it is stacked along a leading axis as (value, d/dtheta1,
+        d/dtheta2, d/dI1, d/dI2), and divided tables follow the quotient
+        rule.  omega is not returned.  The whole grid is one product, so the
+        result holds rows x actions x angles values: bound large grids with
+        :meth:`outer_blocks`.
+        """
+        trig, x1, x2, shape = self._grid(theta1, theta2, I1, I2)
+        out = np.matmul(self._weights(x1, x2, grad).transpose(0, 2, 1), trig)
+        return out.reshape(out.shape[:1] + shape if grad else shape)
+
+    def outer_blocks(self, theta1, theta2, I1, I2, grad: bool = False):
+        """:meth:`outer` streamed over slices of the flattened action points.
+
+        Yields (actions, rows): a slice of the flat action index and the rows
+        on it, shape (rows, slice length, angle points), with rows = 5 with
+        grad and 1 without.  The angle table is computed once.  The slices
+        are sized so that the angle table and a slice's temporaries (its
+        rows, their weights, its power table and polynomial rows) hold about
+        BLOCK_VALUES values.  Every block is a view of one buffer that the
+        next block overwrites, so a consumer may reduce it in place but must
+        not keep it.
+        """
+        trig, x1, x2, _ = self._grid(theta1, theta2, I1, I2)
+        rows, n_angle = 5 if grad else 1, trig.shape[1]
+        per_action = rows * (n_angle + trig.shape[0]) + sum(self._W.shape)
+        step = max(1, (BLOCK_VALUES - trig.size) // per_action)
+        buffer = np.empty(rows * min(step, len(x1)) * n_angle)
+        for start in range(0, len(x1), step):
+            actions = slice(start, min(start + step, len(x1)))
+            out = buffer[: rows * (actions.stop - start) * n_angle].reshape(rows, -1, n_angle)
+            with serial_blas():
+                np.matmul(self._weights(x1[actions], x2[actions], grad).transpose(0, 2, 1), trig, out=out)
+            yield actions, out
 
 
 class FourierPerturbation:

@@ -40,6 +40,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.order not in (4, 8):
             raise ValueError("integrator order must be 4 or 8")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
 
     @property
     def method(self) -> str:
@@ -153,11 +155,14 @@ def integrate(
     energy_fn : callable on sampled flat states, recorded per sample.
     channel_interval : (lo, hi) of the working subsegment in I1 for the
         dist_channel diagnostic.
+    n_samples : number of sample times, at least 1; None takes the config's.
     """
     config = config or IntegratorConfig()
     y0 = np.asarray(y0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    n = n_samples or config.n_samples
+    n = config.n_samples if n_samples is None else n_samples
+    if n < 1:
+        raise ValueError("n_samples must be at least 1")
     t_eval = np.linspace(t0, t1, n)
 
     events = []

@@ -5,6 +5,15 @@ of the sup norm on a sampling grid.  For finite Fourier series the derivatives
 are exact (term-wise rotation/differentiation); for plain callables they fall
 back to central differences with the step tied to the grid spacing.  These are
 estimates from below by construction: refine the grid to tighten them.
+
+The grid is a tensor grid: the angle grid x the action grid.  A series is
+evaluated on it through ModeTable.outer_blocks, which computes the cos and
+sin of every mode once per angle point and the polynomial weights once per
+action point, and forms each row as one matrix product over a slice of the
+actions.  The value and the four first partials come from the field's own
+table in one pass; higher derivatives come from their partial series.  A
+slice holds about fourier.BLOCK_VALUES values, so memory stays bounded
+whatever the grid size.
 """
 
 from __future__ import annotations
@@ -53,6 +62,18 @@ def _bounded_derivative(values: np.ndarray, axis: int, spacing: float) -> np.nda
     return np.gradient(values, spacing, axis=axis)
 
 
+# multi-indices of the rows ModeTable returns: the value, then the first partials
+_FIRST_ROWS = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _grid_sups(table, grid, grad: bool) -> list[float]:
+    """Sup of |row| over the tensor grid for each row of table.outer."""
+    sups = np.zeros(5 if grad else 1)
+    for _, rows in table.outer_blocks(*grid, grad=grad):
+        np.maximum(sups, np.abs(rows, out=rows).max(axis=(1, 2)), out=sups)
+    return sups.tolist()
+
+
 def estimate_cj_norm(
     field_obj,
     j: int,
@@ -89,14 +110,17 @@ def estimate_cj_norm(
     per_index: dict = {}
 
     if isinstance(field_obj, FourierPerturbation):
-        # One I1 slice of the action grid at a time over the shared angle
-        # grid: memory stays at n_action x n_angle^2 values per derivative.
-        T1, T2 = np.meshgrid(th, th, indexing="ij")
+        # The value and the first partials come from the field's own table,
+        # higher derivatives from their partial series.  Each table is
+        # evaluated on the tensor grid in action slices, with its angle
+        # table computed once.
+        grid = (th[:, None], th[None, :], I1[:, None], I2[None, :])
+        first = dict(zip(_FIRST_ROWS, _grid_sups(field_obj.table(), grid, j >= 1)))
         for alpha in _multi_indices(j):
-            deriv = field_obj.partial(*alpha)
-            per_index[alpha] = max(
-                float(np.max(np.abs(deriv.table().outer(T1, T2, a1, I2)))) for a1 in I1
-            )
+            if alpha in first:
+                per_index[alpha] = first[alpha]
+            else:
+                per_index[alpha] = _grid_sups(field_obj.partial(*alpha).table(), grid, False)[0]
     else:
         T1, T2, A1, A2 = np.meshgrid(th, th, I1, I2, indexing="ij")
         base = np.asarray(field_obj(T1, T2, A1, A2), dtype=float)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import resodrift as rd
+from resodrift import fourier
 from resodrift.averaging import (
     GeneratorChi,
     average_over_theta2,
@@ -236,6 +239,109 @@ def test_c1_norm_refinement_dominates_dense_grid(rng):
     assert gamma <= sup_sample * 1.05  # the refinement should not overshoot
 
 
+def reference_c1_norm(chi, window, n_theta=64, n_action=(17, 5), refine_rounds=25):
+    """c1_norm as it ran before tensor grids: 4-D meshgrids evaluated point by point.
+
+    Ties go to the first point in (theta1, theta2, I1, I2) order, through
+    argmax on the meshgrid.
+    """
+
+    def components(*points):
+        return np.abs(np.asarray(chi._table.evaluate(*points)))
+
+    th = np.linspace(0.0, 1.0, n_theta, endpoint=False)
+    I1, I2 = window.grid(*n_action)
+    T1, T2, A1, A2 = np.meshgrid(th, th, I1, I2, indexing="ij")
+    best = 0.0
+    spans = np.array(
+        [1.0 / n_theta, 1.0 / n_theta,
+         (window.i1_max - window.i1_min) / (n_action[0] - 1),
+         (window.i2_max - window.i2_min) / max(n_action[1] - 1, 1)]
+    )
+    for c, vals in enumerate(components(T1, T2, A1, A2)):
+        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        center = np.array([T1[idx], T2[idx], A1[idx], A2[idx]])
+        radius = spans.copy()
+        peak = float(vals[idx])
+        for _ in range(refine_rounds):
+            axes = []
+            for d in range(4):
+                lo, hi = center[d] - radius[d], center[d] + radius[d]
+                if d == 2:
+                    lo, hi = max(lo, window.i1_min), min(hi, window.i1_max)
+                if d == 3:
+                    lo, hi = max(lo, window.i2_min), min(hi, window.i2_max)
+                axes.append(np.linspace(lo, hi, 5))
+            L = np.meshgrid(*axes, indexing="ij")
+            local = components(*L)[c]
+            lidx = np.unravel_index(int(np.argmax(local)), local.shape)
+            peak = max(peak, float(local[lidx]))
+            center = np.array([grid[lidx] for grid in L])
+            radius *= 0.5
+        best = max(best, peak)
+    return best
+
+
+def test_c1_norm_matches_the_meshgrid_reference(one_step_results, two_step_results):
+    entry = rd.get_entry("generic3")
+    window = star_window(entry.system.resonance, 0.005)
+    generators = [(solve_homological(entry.system, entry.perturbation, 8, window), window)]
+    for step in one_step_results[1e-3].averaging_steps + two_step_results[1e-3].averaging_steps[1:]:
+        generators.append((step.chi, step.window))
+    for chi, window in generators:
+        got, want = chi.c1_norm(window=window), reference_c1_norm(chi, window)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_c1_norm_ties_go_to_the_first_point_in_grid_order(monkeypatch):
+    # chi = cos(2 pi theta2) / (2 pi I1) on reduced-moser's chart: every
+    # component peaks on whole lines of the grid, so the coarse maximizers
+    # are ties, and they must be the ones argmax picks on the 4-D meshgrid
+    entry = rd.get_entry("reduced-moser")
+    window = star_window(entry.system.resonance, 0.01)
+    chi = GeneratorChi(entry.system, {(0, 1): (PolyField.from_terms([(0, 0, 1.0)]), PolyField.zero())}, 1, window)
+    starts = []
+    original = GeneratorChi._grid_argmax
+
+    def spy(self, axes, components):
+        out = original(self, axes, components)
+        if len(components) == 5:
+            starts.extend(tuple(ax[i] for ax, i in zip(axes, idx)) for _, idx in out)
+        return out
+
+    monkeypatch.setattr(GeneratorChi, "_grid_argmax", spy)
+    # one action point per slice, so ties also fall across slices
+    monkeypatch.setattr(fourier, "BLOCK_VALUES", 1)
+    n_theta, n_action = 8, (5, 3)
+    chi.c1_norm(n_theta=n_theta, n_action=n_action, refine_rounds=1)
+    th = np.linspace(0.0, 1.0, n_theta, endpoint=False)
+    I1, I2 = window.grid(*n_action)
+    grids = np.meshgrid(th, th, I1, I2, indexing="ij")
+    vals = np.abs(np.asarray(chi._table.evaluate(*grids)))
+    want = []
+    for c in range(5):
+        idx = np.unravel_index(int(np.argmax(vals[c])), vals[c].shape)
+        want.append(tuple(g[idx] for g in grids))
+    assert starts == want
+
+
+def test_c1_norm_memory_is_bounded_by_one_action_slice():
+    # the coarse grid's five component rows hold 5 x 64^2 x 17 x 5 values
+    # (13.9 MB); the slices of ModeTable.outer_blocks hold about
+    # BLOCK_VALUES values, under the bound of the C^j norm's memory test
+    entry = rd.get_entry("generic3")
+    window = star_window(entry.system.resonance, 2.0113351756469653e-3)
+    chi = solve_homological(entry.system, entry.perturbation, 125, window)
+    chi.c1_norm()
+    tracemalloc.start()
+    try:
+        chi.c1_norm()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 33 * 128**2 * 8
+
+
 # -- one-step normal form ----------------------------------------------------
 
 
@@ -250,6 +356,19 @@ def test_one_step_frozen_quantities(one_step_results):
     assert s1.displacement_ok
     assert s1.averaging_steps[0].f_bar.mode_keys == [(1, 0)]
     assert s1.genericity.passed
+
+
+def test_kappa_bootstrap_rounds_are_recorded(one_step_results, two_step_results):
+    s1 = one_step_results[1e-3]
+    rounds = s1.meta["kappa_rounds"]
+    # kappa starts at 1 and each round tries twice the gamma measured before
+    assert len(rounds) == 4
+    assert rounds[0][0] == 1.0
+    for (_, gamma), (kappa, _) in zip(rounds, rounds[1:]):
+        assert kappa == max(2.0 * gamma, 1.0)
+    assert s1.kappa == max(rounds[-1][0], 2.0 * rounds[-1][1])
+    assert s1.averaging_steps[0].gamma == rounds[-1][1]
+    assert two_step_results[1e-3].meta["kappa_rounds"] == rounds
 
 
 def test_one_step_remainder_matches_lie_series(one_step_results):

@@ -126,6 +126,8 @@ def test_normal_form_two_step_payload_reports_kept_modes(tmp_path, monkeypatch, 
     assert payload["K2"] == result.averaging_steps[1].cutoff
     assert payload["fit_residual"] == result.meta["fit_residual"]
     assert payload["n_kept_modes"] == result.meta["n_kept_modes"] == 14
+    assert payload["kappa_rounds"] == [list(r) for r in result.meta["kappa_rounds"]]
+    assert payload["kappa_rounds"][-1][1] == payload["gamma"]
 
 
 def test_simulate_orbit_and_report(tmp_path):
@@ -157,6 +159,9 @@ def test_simulate_argument_validation(tmp_path):
     assert run_cli(*base, "--state", "a,b,c,d") == 2
     assert run_cli(*base, "--tol", "0,1e-8") == 2
     assert run_cli(*base, "--tol", "nope") == 2
+    assert run_cli(*base, "--samples", "0") == 2
+    assert run_cli(*base, "--samples", "-3") == 2
+    assert not (tmp_path / "v").exists()
 
 
 def test_failed_orbit_exits_with_an_error_line(tmp_path, monkeypatch, capsys):

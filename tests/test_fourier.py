@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import resodrift as rd
 from resodrift.averaging import GeneratorChi
+from resodrift import fourier
 from resodrift.fourier import FourierPerturbation, canonical_mode
 from resodrift.poly import PolyField
 from resodrift.systems import ActionWindow, SystemBundle
@@ -288,3 +289,69 @@ def test_array_branch_crosses_block_boundaries(rng):
     pts = _points(rng, 2 * f.table().block_points + 5)
     want, size = reference_series(f.modes, *pts)
     assert_rows_close(_table_rows(f, *pts), want, size)
+
+
+# -- tensor grids: ModeTable.outer against the pointwise evaluator -------------
+
+
+def _action_dependent_series():
+    a = PolyField.from_terms([(0, 0, 0.3), (1, 0, -0.7), (1, 1, 0.5), (0, 2, 1.2)])
+    b = PolyField.from_terms([(2, 0, 0.4), (0, 1, -0.9), (3, 0, 0.1)])
+    return FourierPerturbation.from_terms([((1, -2), a, b), ((0, 1), b, 0.2), ((2, 1), 0.3, a)])
+
+
+def _generic3_chi():
+    """The divided generator of generic3 at eps 1e-3, on its kappa window."""
+    entry = rd.get_entry("generic3")
+    window = rd.star_window(entry.system.resonance, 2.0113351756469653e-3)
+    return rd.solve_homological(entry.system, entry.perturbation, 125, window), window
+
+
+def _grid(rng, window):
+    """Angles of shape (3, 4) and actions of shape (2, 5), drawn at random."""
+    angles = (rng.uniform(0, 1, (3, 1)), rng.uniform(0, 1, (1, 4)))
+    actions = (
+        rng.uniform(window.i1_min, window.i1_max, (2, 1)),
+        rng.uniform(window.i2_min, window.i2_max, (1, 5)),
+    )
+    return angles, actions
+
+
+@pytest.mark.parametrize("case", ["undivided", "divided"])
+def test_outer_matches_pointwise_evaluate_on_the_meshgrid(case, rng):
+    if case == "undivided":
+        table, window = _action_dependent_series().table(), ActionWindow(0.5, 1.5, -0.3, 0.3)
+    else:
+        chi, window = _generic3_chi()
+        table = chi._table
+    angles, actions = _grid(rng, window)
+    got = table.outer(*angles, *actions, grad=True)
+    # the layout: rows, then the action shape, then the angle shape
+    assert got.shape == (5, 2, 5, 3, 4)
+    t1, t2 = np.broadcast_arrays(*angles)
+    x1, x2 = np.broadcast_arrays(*actions)
+    want = np.asarray(table.evaluate(t1, t2, x1[..., None, None], x2[..., None, None]))[:5]
+    assert want.shape == got.shape
+    for r in range(5):
+        sup = np.max(np.abs(want[r]))
+        assert sup > 0.0
+        assert np.max(np.abs(got[r] - want[r])) <= 1e-12 * sup
+    value = table.outer(*angles, *actions)
+    assert value.shape == (2, 5, 3, 4)
+    assert np.max(np.abs(value - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
+
+
+@pytest.mark.parametrize("grad", [False, True])
+def test_outer_blocks_slice_the_actions_of_outer(grad, rng, monkeypatch):
+    table = _action_dependent_series().table()
+    angles, actions = _grid(rng, ActionWindow(0.5, 1.5, -0.3, 0.3))
+    whole = table.outer(*angles, *actions, grad=grad).reshape(5 if grad else 1, 10, 12)
+    # room for the angle table and two action points per block
+    per_action = (5 if grad else 1) * (12 + 2 * table.K.shape[0]) + sum(table._W.shape)
+    monkeypatch.setattr(fourier, "BLOCK_VALUES", table.K.shape[0] * 2 * 12 + 2 * per_action)
+    seen = []
+    for block, rows in table.outer_blocks(*angles, *actions, grad=grad):
+        assert rows.shape == (whole.shape[0], block.stop - block.start, 12)
+        np.testing.assert_allclose(rows, whole[:, block], rtol=0, atol=1e-12 * np.max(np.abs(whole)))
+        seen.append((block.start, block.stop))
+    assert seen == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]

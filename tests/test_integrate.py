@@ -127,6 +127,18 @@ def test_integrator_order_is_checked_at_construction():
         IntegratorConfig(order=5)
 
 
+def test_sample_count_is_checked():
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        IntegratorConfig(n_samples=0)
+    fun = rd.make_bundle("generic3", 1e-2).rhs()
+    y0 = np.array([0.05, 0.9, 1.2, 0.01])
+    # an explicit 0 is rejected, not read as "use the config's count"
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        integrate(fun, y0, (0.0, 1.0), n_samples=0)
+    assert integrate(fun, y0, (0.0, 1.0), IntegratorConfig(n_samples=7)).t.size == 7
+    assert integrate(fun, y0, (0.0, 1.0), IntegratorConfig(n_samples=7), n_samples=5).t.size == 5
+
+
 def test_time_reversal_recovers_initial_state():
     b = rd.make_bundle("generic3", 1e-2)
     y0 = np.array([0.05, 0.9, 1.2, 0.01])

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import resodrift as rd
-from resodrift.fourier import FourierPerturbation
-from resodrift.norms import estimate_cj_norm
+from resodrift.fourier import BLOCK_VALUES, FourierPerturbation
+from resodrift.norms import _multi_indices, estimate_cj_norm
 from resodrift.poly import PolyField
 from resodrift.systems import ActionWindow
 
@@ -87,3 +89,62 @@ def test_norm_is_monotone_in_order():
     entry = rd.get_entry("generic3")
     reps = [estimate_cj_norm(entry.perturbation, j, WINDOW, n_angle=32, n_action=5) for j in range(3)]
     assert reps[0].value <= reps[1].value <= reps[2].value
+
+
+# -- the tensor-grid reduction against the per-partial loop it replaced --------
+
+
+def reference_per_index(f, j, window, n_angle=128, n_action=33):
+    """per_index as estimate_cj_norm computed it before tensor-grid evaluation.
+
+    Every multi-index goes through its own partial series, one I1 slice of
+    the action grid at a time, with the angle table rebuilt for each slice.
+    """
+    th = np.linspace(0.0, 1.0, n_angle, endpoint=False)
+    I1 = np.linspace(window.i1_min, window.i1_max, n_action)
+    I2 = np.linspace(window.i2_min, window.i2_max, n_action)
+    T1, T2 = np.meshgrid(th, th, indexing="ij")
+    return {
+        alpha: max(float(np.max(np.abs(f.partial(*alpha).table().outer(T1, T2, a1, I2)))) for a1 in I1)
+        for alpha in _multi_indices(j)
+    }
+
+
+@pytest.mark.parametrize("name", rd.catalog_names())
+def test_per_index_is_exact_for_catalog_entries(name):
+    f = rd.get_entry(name).perturbation
+    assert f.is_action_independent
+    rep = estimate_cj_norm(f, 1, WINDOW)
+    assert rep.per_index == reference_per_index(f, 1, WINDOW)
+    assert list(rep.per_index) == _multi_indices(1)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_per_index_matches_the_partial_loop_for_action_dependent_series(j):
+    a = PolyField.from_terms([(0, 0, 0.3), (1, 0, -0.7), (1, 1, 0.5), (0, 2, 1.2)])
+    b = PolyField.from_terms([(2, 0, 0.4), (0, 1, -0.9), (3, 0, 0.1)])
+    f = FourierPerturbation.from_terms([((1, -2), a, b), ((0, 1), b, 0.2), ((2, 1), 0.3, a)])
+    rep = estimate_cj_norm(f, j, WINDOW, n_angle=64, n_action=17)
+    want = reference_per_index(f, j, WINDOW, n_angle=64, n_action=17)
+    assert list(rep.per_index) == list(want)
+    for alpha, got in rep.per_index.items():
+        assert abs(got - want[alpha]) <= 1e-13 * want[alpha]
+
+
+# Twice one I1 slice of one derivative on the default grid (33 x 128^2 values
+# of 8 bytes): about one block of BLOCK_VALUES values, far below the
+# 33^2 x 128^2 values of the whole grid.
+ONE_SLICE_BOUND = 2 * 33 * 128**2 * 8
+
+
+def test_cj_norm_memory_is_bounded_by_one_action_slice():
+    assert BLOCK_VALUES * 8 <= ONE_SLICE_BOUND
+    f = rd.get_entry("generic3").perturbation
+    estimate_cj_norm(f, 1, WINDOW)  # builds and caches the table
+    tracemalloc.start()
+    try:
+        estimate_cj_norm(f, 1, WINDOW, n_angle=128, n_action=33)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ONE_SLICE_BOUND
