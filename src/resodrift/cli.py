@@ -331,6 +331,8 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if not np.isfinite(args.t_end) or args.t_end == 0.0:
+        raise UsageError(f"--t-end must be finite and nonzero, got {args.t_end!r}")
     system, f, source = _load_pair(args)
     bundle = SystemBundle(system, f, _check_epsilon(args.epsilon))
     if args.state:

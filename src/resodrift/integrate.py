@@ -1,29 +1,27 @@
 """Adaptive orbit integration, generator flows and symplecticity checks.
 
-Orbits of the full Hamiltonian go through scipy's solve_ivp with an embedded
-Runge-Kutta pair (DOP853 by default, RK45 as the lower-order option).  Angles
-are integrated on the universal cover and wrapped only when samples are
-recorded, so no artificial discontinuities enter the error control.
-Termination conditions (domain exit, channel exit, target drift, stopping
-times) are root-found on dense output.
-
-Unit-time flows of averaging generators have one path, flow_points: an
-in-repo DOP853 loop (scipy's tableau and step controller) steps bounded
-blocks of points as stacked systems, each block starting from the step the
-last one ended on, and checks the action window after every accepted step.
-lie_flow is its one-point case.
+One in-repo DOP853 stepper (scipy's tableau, step controller and
+interpolant) has two drivers.  integrate steps an orbit of the full
+Hamiltonian, angles on the universal cover and wrapped only when sampled.
+It builds the interpolant only on steps that hold sample times or a sign
+change of a termination condition (domain exit, channel exit, target drift,
+stopping times), which is root-found on it.  flow_points steps blocks of
+points of a generator flow as stacked systems, each block starting from the
+step the last one ended on, and checks the action window after every
+accepted step; lie_flow is its one-point case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from .blas import serial_blas
-from .errors import FlowEscapeError, IntegrationError
+from .errors import DomainError, FlowEscapeError, IntegrationError
 from .fourier import BLOCK_VALUES
 from .torus import PhaseState, wrap
 
@@ -32,21 +30,13 @@ from .torus import PhaseState, wrap
 class IntegratorConfig:
     """Error control and sampling knobs for orbit integration."""
 
-    order: int = 8
     rtol: float = 1e-10
     atol: float = 1e-10
     n_samples: int = 513
 
     def __post_init__(self):
-        if self.order not in (4, 8):
-            raise ValueError("integrator order must be 4 or 8")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-
-    @property
-    def method(self) -> str:
-        # order 4 is the embedded 5(4) pair
-        return "DOP853" if self.order == 8 else "RK45"
 
 
 @dataclass(frozen=True)
@@ -87,7 +77,6 @@ class OrbitRecord:
     n_steps: int
     n_rhs_evals: int
     epsilon: Optional[float] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def initial_state(self) -> PhaseState:
@@ -126,6 +115,134 @@ def _channel_distance(I1, I2, interval):
     return np.maximum(_interval_excess(I1, interval), np.abs(np.asarray(I2)))
 
 
+# DOP853 read off scipy's public class: 12 stages, the 8th-order weights B,
+# the 5th- and 3rd-order error rows E5 and E3 over the 13 rows a step fills
+# (the last is f at the new point), and the interpolant's 3 stages and rows D.
+_A, _B, _C, _E3, _E5, _D = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5, DOP853.D
+_STAGES = DOP853.n_stages + 1
+_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_EPS = np.finfo(float).eps
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _error_norm(K, h, scale):
+    """DOP853's RMS error norm of a step: the 5th-order estimate, damped by the 3rd."""
+    err5 = np.linalg.norm((_E5 @ K) / scale) ** 2
+    err3 = np.linalg.norm((_E3 @ K) / scale) ** 2
+    if err5 == 0 and err3 == 0:
+        return 0.0
+    return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
+
+
+class _Dop853:
+    """scipy's DOP853, step for step, for dy/dt = fun(t, y) from t0 toward t_bound.
+
+    As in scipy, rtol is at least 100 eps and the step size is unbounded.
+    Without h_abs the first step is scipy's initial-step choice; a given h_abs
+    that is too large is rejected and shrunk like any step.  step() returns
+    False and leaves the state as it was when the step falls below 10 ulp of
+    t.  dense() is scipy's interpolant on the last step (Hairer, Norsett and
+    Wanner, Sec. II.6) at 3 more evaluations; nfev counts calls of fun.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, h_abs=None):
+        self.fun, self.t_bound, self.rtol, self.atol = fun, t_bound, max(rtol, 100 * _EPS), atol
+        self.direction = np.sign(t_bound - t0)
+        self.t, self.y = t0, y0
+        self.f = fun(t0, y0)
+        self.nfev = 1
+        self.h_abs = self._initial_step() if h_abs is None else h_abs
+        self.K = np.empty((_STAGES, y0.size))
+
+    @property
+    def running(self) -> bool:
+        return self.direction * (self.t - self.t_bound) < 0
+
+    def _initial_step(self):
+        """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4)."""
+        t, y, f, direction = self.t, self.y, self.f, self.direction
+        interval = abs(self.t_bound - t)
+        scale = self.atol + np.abs(y) * self.rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = self.fun(t + h0 * direction, y + h0 * direction * f)
+        self.nfev += 1
+        d2 = _rms((f1 - f) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+        return min(100 * h0, h1, interval)
+
+    def step(self) -> bool:
+        t, y, fun, K, direction = self.t, self.y, self.fun, self.K, self.direction
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                return False
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = self.f
+            for s in range(1, _STAGES - 1):
+                K[s] = fun(t + _C[s] * h, y + (_A[s, :s] @ K[:s]) * h)
+            y_new = y + h * (_B @ K[:-1])
+            f_new = K[-1] = fun(t + h, y_new)
+            self.nfev += _STAGES - 1
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error = _error_norm(K, h, scale)
+            if error < 1:
+                factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error**_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error**_EXPONENT)
+            rejected = True
+        self.t_old, self.y_old, self.h = t, y, h
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        return True
+
+    def dense(self):
+        """y(t) on the last step as a callable of a time or a 1-D array of times."""
+        h, t_old, y_old = self.h, self.t_old, self.y_old
+        # the 3 extra rows go on a copy: flow blocks never call dense() and keep 13
+        K = np.concatenate([self.K, np.empty((len(DOP853.C_EXTRA), y_old.size))])
+        for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_STAGES):
+            K[s] = self.fun(t_old + c * h, y_old + np.dot(K[:s].T, a[:s]) * h)
+            self.nfev += 1
+        delta = self.y - y_old
+        F = np.empty((3 + len(_D), delta.size))
+        F[0] = delta
+        F[1] = h * K[0] - delta
+        F[2] = 2 * delta - h * (self.f + K[0])
+        F[3:] = h * np.dot(_D, K)
+
+        def sol(t):
+            t = np.asarray(t)
+            x = (t[..., None] - t_old) / h
+            y = np.zeros(t.shape + y_old.shape)
+            for i, row in enumerate(F[::-1]):
+                y += row
+                y *= x if i % 2 == 0 else 1 - x
+            return (y + y_old).T
+
+        return sol
+
+
+def _crosses(g, g_new, direction):
+    """scipy's event rule: g reaches or passes 0 during the step, in the event's direction."""
+    up, down = g <= 0 <= g_new, g >= 0 >= g_new
+    return up if direction > 0 else down if direction < 0 else up or down
+
+
 def integrate(
     rhs: Callable,
     y0,
@@ -141,15 +258,17 @@ def integrate(
 ) -> OrbitRecord:
     """Integrate dy/dt = rhs(t, y) over t_span with sampled diagnostics.
 
-    A solver failure (for example a step size collapsing in a blow-up)
-    raises IntegrationError.
+    The record ends at the first stop event (the earliest root in the
+    direction of time) or at t1.  A span that is not finite and nonzero
+    raises ValueError, a start outside domain_radius DomainError, and a step
+    size collapsing (for example in a blow-up) IntegrationError.
 
     Parameters
     ----------
-    rhs : callable(t, y) -> dy/dt on flat states [theta1, theta2, I1, I2].
+    rhs : callable(t, y) -> dy/dt as an array, on flat states [theta1, theta2, I1, I2].
     y0 : initial flat state; angles are taken as given (canonical lift).
-    t_span : (t0, t1); t1 < t0 integrates backward.
-    config : IntegratorConfig, defaults to order 8 at 1e-10 tolerances.
+    t_span : finite (t0, t1) with t1 != t0; t1 < t0 integrates backward.
+    config : IntegratorConfig, defaults to 1e-10 tolerances.
     domain_radius : sup-norm action bound; exiting it terminates and flags.
     stop_events : additional StopEvent terminations.
     energy_fn : callable on sampled flat states, recorded per sample.
@@ -160,64 +279,66 @@ def integrate(
     config = config or IntegratorConfig()
     y0 = np.asarray(y0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not np.isfinite(t1 - t0) or t1 == t0:
+        raise ValueError(f"integration span must be finite and nonzero, got ({t0!r}, {t1!r})")
     n = config.n_samples if n_samples is None else n_samples
     if n < 1:
         raise ValueError("n_samples must be at least 1")
-    t_eval = np.linspace(t0, t1, n)
 
-    events = []
-    event_specs: list[StopEvent] = []
+    events = list(stop_events)
     if domain_radius is not None:
-        def domain_exit(_t, y, _r=float(domain_radius)):
-            return _r - max(abs(y[2]), abs(y[3]))
+        radius = float(domain_radius)
+        if max(abs(y0[2]), abs(y0[3])) > radius:
+            raise DomainError(
+                f"initial actions ({y0[2]:.6g}, {y0[3]:.6g}) lie outside the domain radius {radius:.6g}"
+            )
 
-        spec = StopEvent("domain_exit", domain_exit, direction=-1.0, flags=True)
-        event_specs.append(spec)
-    event_specs.extend(stop_events)
-    for spec in event_specs:
-        # scipy reads terminal and direction off the callable; a fresh closure
-        # carries them, so the caller's callable is left untouched
-        def event(t, y, _fn=spec.fn):
-            return _fn(t, y)
+        def domain_exit(_t, y):
+            return radius - max(abs(y[2]), abs(y[3]))
 
-        event.terminal = True
-        event.direction = spec.direction
-        events.append(event)
+        events.insert(0, StopEvent("domain_exit", domain_exit, direction=-1.0, flags=True))
 
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        y0,
-        method=config.method,
-        rtol=config.rtol,
-        atol=config.atol,
-        t_eval=t_eval,
-        dense_output=True,
-        events=events or None,
-    )
-    if not sol.success and sol.status != 1:
-        raise IntegrationError(f"integration failed: {sol.message}")
+    stepper = _Dop853(rhs, t0, y0, t1, config.rtol, config.atol)
+    t_eval = np.linspace(t0, t1, n)
+    # sample times ascending in the direction of time; the first i are taken
+    keys = stepper.direction * t_eval
+    ts, ys, i, n_steps, stop = [], [], 0, 0, None
+    g = [event.fn(t0, y0) for event in events]
+    while stepper.running and stop is None:
+        if not stepper.step():
+            raise IntegrationError(
+                "integration failed: Required step size is less than spacing between numbers."
+            )
+        n_steps += 1
+        t, y, sol = stepper.t, stepper.y, None
+        g_new = [event.fn(t, y) for event in events]
+        fired = [ev for ev, a, b in zip(events, g, g_new) if _crosses(a, b, ev.direction)]
+        if fired:
+            sol = stepper.dense()
+            hits = [
+                (brentq(lambda s, fn=ev.fn: fn(s, sol(s)), stepper.t_old, t,
+                        xtol=4 * _EPS, rtol=4 * _EPS), ev)
+                for ev in fired
+            ]
+            t, stop = min(hits, key=lambda hit: stepper.direction * hit[0])
+            y = sol(t)
+        g = g_new
+        i_new = np.searchsorted(keys, stepper.direction * t, side="right")
+        times = t_eval[i:i_new]
+        if times.size:
+            sol = sol or stepper.dense()
+            ts.append(times)
+            ys.append(sol(times))
+            i = i_new
 
-    stop_name = None
-    flagged = False
-    if sol.status == 1:
-        for spec, t_ev, y_ev in zip(event_specs, sol.t_events, sol.y_events):
-            if t_ev.size:
-                stop_name = spec.name
-                flagged = spec.flags
-                t_end = float(t_ev[-1])
-                y_end = np.asarray(y_ev[-1], dtype=float)
-                break
-        else:  # pragma: no cover - scipy guarantees a populated event row
-            t_end, y_end = float(sol.t[-1]), sol.y[:, -1]
+    if stop is None:
+        t_end, y_end = t1, (sol or stepper.dense())(t1)
     else:
-        t_end, y_end = t1, sol.sol(t1)
-
-    ts = sol.t
-    ys = sol.y
-    if ts.size == 0 or abs(ts[-1] - t_end) > 0:
+        t_end, y_end = float(t), y
+    ts, ys = np.hstack(ts), np.hstack(ys)
+    if ts[-1] != t_end:
         ts = np.append(ts, t_end)
-        ys = np.column_stack([ys, y_end]) if ys.size else y_end[:, None]
+        ys = np.column_stack([ys, y_end])
 
     theta = wrap(ys[:2].T)
     actions = ys[2:].T
@@ -231,9 +352,7 @@ def integrate(
         if channel_interval is not None
         else np.full(ts.shape, np.nan)
     )
-
-    interp = getattr(sol, "sol", None)
-    n_steps = max(len(interp.ts) - 1, 0) if interp is not None else len(ts) - 1
+    flagged = stop is not None and stop.flags
     return OrbitRecord(
         t=ts,
         theta=theta,
@@ -242,12 +361,12 @@ def integrate(
         abs_I2=np.abs(actions[:, 1]),
         dist_channel=np.asarray(dist, dtype=float),
         flagged=flagged,
-        flag=stop_name if flagged else None,
-        stop_event=stop_name,
+        flag=stop.name if flagged else None,
+        stop_event=stop.name if stop is not None else None,
         t_end=t_end,
         y_end=np.asarray(y_end, dtype=float),
         n_steps=n_steps,
-        n_rhs_evals=int(sol.nfev),
+        n_rhs_evals=stepper.nfev,
         epsilon=epsilon,
     )
 
@@ -283,100 +402,11 @@ def lie_flow(
     return PhaseState.make(wrap(y1[0]), wrap(y1[1]), y1[2], y1[3])
 
 
-# DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II), read off scipy's
-# public class: 12 stages, the 8th-order weights B, and the 5th- and 3rd-order
-# error rows E5 and E3 over the 13 rows of the stage table (the last row is f
-# at the new point).  The step controller is scipy's.
-_A, _B, _C, _E3, _E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
-_ROWS = DOP853.n_stages + 1
-_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-
-
-def _rms(x):
-    return np.linalg.norm(x) / x.size**0.5
-
-
-def _initial_step(fun, y, f, t_end, rtol, atol):
-    """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4) from t = 0."""
-    interval = abs(t_end)
-    direction = np.sign(t_end)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    f1 = fun(h0 * direction, y + h0 * direction * f)
-    d2 = _rms((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-    return min(100 * h0, h1, interval)
-
-
-def _error_norm(K, h, scale):
-    """DOP853's RMS error norm of a step: the 5th-order estimate, damped by the 3rd."""
-    err5 = np.linalg.norm((_E5 @ K) / scale) ** 2
-    err3 = np.linalg.norm((_E3 @ K) / scale) ** 2
-    if err5 == 0 and err3 == 0:
-        return 0.0
-    return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
-
-
-def _dop853(fun, y, t_end, rtol, atol, check, h_abs=None):
-    """Step dy/dt = fun(t, y) from t = 0 to t_end; return (y(t_end), next step).
-
-    Step for step this is scipy's DOP853 with an unbounded maximum step:
-    without h_abs the first step is scipy's initial-step choice, with it the
-    stepper starts from that step, and a step that is too large is rejected
-    and shrunk like any other.  check(y) runs after every accepted step.  The
-    returned step is the one the controller proposes after the last step.  A
-    step that falls below 10 ulp of t raises FlowEscapeError.
-    """
-    direction = np.sign(t_end)
-    t = 0.0
-    f = fun(t, y)
-    if h_abs is None:
-        h_abs = _initial_step(fun, y, f, t_end, rtol, atol)
-    K = np.empty((_ROWS, y.size))
-    while direction * (t - t_end) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise FlowEscapeError(
-                    f"generator flow could not be integrated: the step fell below "
-                    f"{min_step:.3e} at t = {t:.17g}"
-                )
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, _ROWS - 1):
-                K[s] = fun(t + _C[s] * h, y + (_A[s, :s] @ K[:s]) * h)
-            y_new = y + h * (_B @ K[:-1])
-            f_new = K[-1] = fun(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _error_norm(K, h, scale)
-            if error < 1:
-                factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error**_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error**_EXPONENT)
-            rejected = True
-        t, y, f = t_new, y_new, f_new
-        check(y)
-    return y, h_abs
-
-
-# flow_points steps blocks of this many points.  A block's stage table is
-# (13, 4 x points); at this size it holds about BLOCK_VALUES values (8 MB), so
-# the stepper's working set stays near the cache and its memory is bounded
-# whatever the number of points.
-_BLOCK = BLOCK_VALUES // (4 * _ROWS)
+# flow_points steps blocks of this many points.  A block's step fills a
+# (13, 4 x points) stage table; at this size it holds about BLOCK_VALUES
+# values (8 MB), so the stepper's working set stays near the cache and its
+# memory is bounded whatever the number of points.
+_BLOCK = BLOCK_VALUES // (4 * _STAGES)
 
 
 @serial_blas()
@@ -426,13 +456,19 @@ def flow_points(
         def stacked(_t, y, _m=m):
             return rhs(_t, y.reshape(4, _m)).ravel()
 
-        def check(y, _m=m):
-            end = y.reshape(4, _m)
+        stepper = _Dop853(stacked, 0.0, block.ravel(), float(t), rtol, atol, h_abs)
+        while stepper.running:
+            if not stepper.step():
+                raise FlowEscapeError(
+                    f"generator flow could not be integrated: the step collapsed at t = {stepper.t:.17g}"
+                )
+            end = stepper.y.reshape(4, m)
             if pad is not None and not np.all(window.contains(end[2], end[3], margin=pad)):
                 raise FlowEscapeError("generator flow left its action window")
-
-        y, h_abs = _dop853(stacked, block.ravel(), float(t), rtol, atol, check, h_abs)
-        out[:, start : start + m] = y.reshape(4, m)
+        out[:, start : start + m] = stepper.y.reshape(4, m)
+        h_abs = stepper.h_abs
+        # free this block's stage table before the next block allocates its own
+        del stepper
     return tuple(v.reshape(shape) for v in out)
 
 

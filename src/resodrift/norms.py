@@ -1,9 +1,8 @@
 """Grid-based C^j norm estimates for fields on T^2 x (action window).
 
 The C^j norm here is the maximum over all partial derivatives of order <= j
-of the sup norm on a sampling grid.  For finite Fourier series the derivatives
-are exact (term-wise rotation/differentiation); for plain callables they fall
-back to central differences with the step tied to the grid spacing.  These are
+of the sup norm on a sampling grid.  The fields are finite Fourier series, so
+the derivatives are exact (term-wise rotation/differentiation).  These are
 estimates from below by construction: refine the grid to tighten them.
 
 The grid is a tensor grid: the angle grid x the action grid.  A series is
@@ -51,17 +50,6 @@ def _multi_indices(j: int):
     return out
 
 
-def _periodic_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Second-order central difference on a periodic axis."""
-    fwd = np.roll(values, -1, axis=axis)
-    bwd = np.roll(values, 1, axis=axis)
-    return (fwd - bwd) / (2.0 * spacing)
-
-
-def _bounded_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    return np.gradient(values, spacing, axis=axis)
-
-
 # multi-indices of the rows ModeTable returns: the value, then the first partials
 _FIRST_ROWS = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -85,9 +73,8 @@ def estimate_cj_norm(
 
     Parameters
     ----------
-    field_obj : FourierPerturbation or callable(theta1, theta2, I1, I2)
-        The field to measure.  Fourier series use exact derivatives; callables
-        are differenced on the grid.
+    field_obj : FourierPerturbation
+        The field to measure; any other type raises TypeError.
     j : int
         Derivative order, 0 <= j <= 4.
     window : ActionWindow
@@ -95,6 +82,8 @@ def estimate_cj_norm(
     n_angle, n_action : int
         Grid points per angle axis / per action axis.
     """
+    if not isinstance(field_obj, FourierPerturbation):
+        raise TypeError(f"estimate_cj_norm takes a FourierPerturbation, got {type(field_obj).__name__}")
     if not 0 <= j <= 4:
         raise ValueError("derivative order j must be between 0 and 4")
     needed = max(2 * j + 1, 2)
@@ -107,45 +96,18 @@ def estimate_cj_norm(
     I1 = np.linspace(window.i1_min, window.i1_max, n_action)
     I2 = np.linspace(window.i2_min, window.i2_max, n_action)
     shape = (n_angle, n_angle, n_action, n_action)
+
+    # The value and the first partials come from the field's own table,
+    # higher derivatives from their partial series.  Each table is evaluated
+    # on the tensor grid in action slices, with its angle table computed once.
+    grid = (th[:, None], th[None, :], I1[:, None], I2[None, :])
+    first = dict(zip(_FIRST_ROWS, _grid_sups(field_obj.table(), grid, j >= 1)))
     per_index: dict = {}
-
-    if isinstance(field_obj, FourierPerturbation):
-        # The value and the first partials come from the field's own table,
-        # higher derivatives from their partial series.  Each table is
-        # evaluated on the tensor grid in action slices, with its angle
-        # table computed once.
-        grid = (th[:, None], th[None, :], I1[:, None], I2[None, :])
-        first = dict(zip(_FIRST_ROWS, _grid_sups(field_obj.table(), grid, j >= 1)))
-        for alpha in _multi_indices(j):
-            if alpha in first:
-                per_index[alpha] = first[alpha]
-            else:
-                per_index[alpha] = _grid_sups(field_obj.partial(*alpha).table(), grid, False)[0]
-    else:
-        T1, T2, A1, A2 = np.meshgrid(th, th, I1, I2, indexing="ij")
-        base = np.asarray(field_obj(T1, T2, A1, A2), dtype=float)
-        h_th = 1.0 / n_angle
-        h_i1 = (window.i1_max - window.i1_min) / (n_action - 1)
-        h_i2 = (window.i2_max - window.i2_min) / (n_action - 1)
-        spacings = (h_th, h_th, h_i1, h_i2)
-        cache: dict[tuple, np.ndarray] = {(0, 0, 0, 0): base}
-
-        def grid_derivative(alpha):
-            if alpha in cache:
-                return cache[alpha]
-            # peel one derivative off the first active axis
-            axis = next(i for i, a in enumerate(alpha) if a > 0)
-            lower = tuple(a - (1 if i == axis else 0) for i, a in enumerate(alpha))
-            arr = grid_derivative(lower)
-            if axis < 2:
-                out = _periodic_derivative(arr, axis, spacings[axis])
-            else:
-                out = _bounded_derivative(arr, axis, spacings[axis])
-            cache[alpha] = out
-            return out
-
-        for alpha in _multi_indices(j):
-            per_index[alpha] = float(np.max(np.abs(grid_derivative(alpha))))
+    for alpha in _multi_indices(j):
+        if alpha in first:
+            per_index[alpha] = first[alpha]
+        else:
+            per_index[alpha] = _grid_sups(field_obj.partial(*alpha).table(), grid, False)[0]
 
     value = max(per_index.values())
     return NormReport(order=j, value=value, grid_shape=shape, per_index=per_index)

@@ -164,6 +164,28 @@ def test_simulate_argument_validation(tmp_path):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("t_end", ["0", "nan", "inf"])
+def test_simulate_rejects_a_zero_or_infinite_time_span(tmp_path, capsys, t_end):
+    rc = run_cli(
+        "simulate", "--system", "moser", "--epsilon", "1e-3", "--t-end", t_end,
+        "--out", str(tmp_path / "z"),
+    )
+    assert rc == 2
+    assert "--t-end must be finite and nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
+
+
+def test_simulate_from_outside_the_domain_is_an_error(tmp_path, capsys):
+    # moser has R = 4, so I1 = 5 starts outside B_R
+    rc = run_cli(
+        "simulate", "--system", "moser", "--epsilon", "1e-3", "--t-end", "10",
+        "--state", "0,0,5,0", "--out", str(tmp_path / "d"),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: initial actions (5, 0) lie outside the domain radius 4")
+    assert not (tmp_path / "d").exists()
+
+
 def test_failed_orbit_exits_with_an_error_line(tmp_path, monkeypatch, capsys):
     # theta1' = theta1**2 from theta1 = 2 blows up at t = 0.5 inside the action domain
     def blow_up(_bundle):

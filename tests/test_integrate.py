@@ -2,12 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, solve_ivp
 
 import resodrift as rd
 from resodrift import integrate as integrate_module
 from resodrift.blas import serial_blas
-from resodrift.errors import FlowEscapeError, IntegrationError
+from resodrift.errors import DomainError, FlowEscapeError, IntegrationError
 from resodrift.integrate import (
     IntegratorConfig,
     StopEvent,
@@ -96,35 +96,6 @@ def test_action_dependent_orbit_agrees_across_evaluator_branches():
         assert rec.max_energy_error < 1e-8
     assert np.max(np.abs(runs[0].y_end - runs[1].y_end)) < 1e-10
     assert np.max(np.abs(runs[0].actions - runs[1].actions)) < 1e-10
-
-
-def test_low_order_integrator_is_less_accurate():
-    # the saddle oracle is polynomial in t and both pairs nail it, so the
-    # order comparison needs a genuinely nonlinear orbit and a reference run
-    b = rd.make_bundle("generic3", 1e-2)
-    y0 = [0.1, 0.3, 1.0, 0.01]
-    t1 = 40.0
-    ref_cfg = IntegratorConfig(order=8, rtol=1e-13, atol=1e-13)
-    ref = integrate(b.rhs(), y0, (0.0, t1), config=ref_cfg).y_end
-    err = {}
-    for order, rtol in ((4, 1e-6), (8, 1e-11)):
-        cfg = IntegratorConfig(order=order, rtol=rtol, atol=rtol)
-        rec = integrate(b.rhs(), y0, (0.0, t1), config=cfg)
-        err[order] = np.max(np.abs(rec.y_end - ref))
-    assert err[8] < 1e-8
-    assert err[8] < err[4] < 1e-3
-
-
-def test_integrator_config_validation():
-    assert IntegratorConfig(order=8).method == "DOP853"
-    assert IntegratorConfig(order=4).method == "RK45"
-    with pytest.raises(ValueError):
-        _ = IntegratorConfig(order=6).method
-
-
-def test_integrator_order_is_checked_at_construction():
-    with pytest.raises(ValueError, match="integrator order must be 4 or 8"):
-        IntegratorConfig(order=5)
 
 
 def test_sample_count_is_checked():
@@ -230,6 +201,122 @@ def test_stop_events_leave_caller_callables_untouched():
     assert rec.stop_event == "plain"
     assert not hasattr(plain, "terminal")
     assert not hasattr(plain, "direction")
+
+
+@pytest.mark.parametrize("span", [(0.0, 0.0), (3.0, 3.0), (0.0, np.inf), (0.0, np.nan), (np.inf, np.inf)])
+def test_zero_length_or_infinite_span_is_rejected(span):
+    rhs = rd.make_bundle("generic3", 1e-3).rhs()
+    with pytest.raises(ValueError, match="span must be finite and nonzero"):
+        integrate(rhs, [0.0, 0.0, 1.0, 0.0], span)
+
+
+def test_start_outside_the_domain_is_rejected():
+    b = rd.make_bundle("moser", 1e-3)
+    R = b.system.R
+    # domain_exit only sees the orbit leave B_R, so a start outside it is checked up front
+    for y0 in ([0.0, 0.0, R + 1.0, 0.0], [0.0, 0.0, 0.0, -R - 1e-9]):
+        with pytest.raises(DomainError, match="outside the domain radius"):
+            integrate(b.rhs(), y0, (0.0, 10.0), domain_radius=R)
+    # the boundary itself is inside, and without a radius nothing is checked
+    assert not integrate(b.rhs(), [0.0, 0.0, 0.5, 0.0], (0.0, 1.0), domain_radius=0.5).flagged
+    assert not integrate(b.rhs(), [0.0, 0.0, R + 1.0, 0.0], (0.0, 1.0)).flagged
+
+
+# -- the orbit loop against scipy's solve_ivp ---------------------------------
+
+
+def _solve_ivp_reference(rhs, y0, t_span, n_samples, stop_events=()):
+    """The orbit run as solve_ivp with an interpolant on every step gives it:
+    (samples t, samples y, t_end, y_end, accepted steps, stop event, evaluations)."""
+    events = []
+    for spec in stop_events:
+        def event(t, y, _fn=spec.fn):
+            return _fn(t, y)
+
+        event.terminal, event.direction = True, spec.direction
+        events.append(event)
+    sol = solve_ivp(
+        rhs, t_span, y0, method="DOP853", rtol=1e-10, atol=1e-10,
+        t_eval=np.linspace(*t_span, n_samples), dense_output=True, events=events or None,
+    )
+    assert sol.status in (0, 1)
+    stop, t_end, y_end = None, t_span[1], sol.sol(t_span[1])
+    for spec, t_ev, y_ev in zip(stop_events, sol.t_events or (), sol.y_events or ()):
+        if t_ev.size:
+            stop, t_end, y_end = spec.name, float(t_ev[-1]), y_ev[-1]
+            break
+    return sol.t, sol.y, t_end, y_end, len(sol.sol.ts) - 1, stop, sol.nfev
+
+
+@pytest.fixture(scope="module")
+def generic3_orbit():
+    return rd.make_bundle("generic3", 1e-2).rhs(), np.array([0.1, 0.2, 1.0, 0.0])
+
+
+def _domain_exit(radius):
+    return StopEvent("domain_exit", lambda _t, y: radius - max(abs(y[2]), abs(y[3])), -1.0, True)
+
+
+@pytest.mark.parametrize(
+    "t1, targets, radius, stop",
+    [
+        (50.0, (), None, None),                            # forward
+        (-50.0, (), None, None),                           # backward
+        (200.0, (("target", 0.05),), None, "target"),      # I1 falls through 0.95
+        (-200.0, (("target", 0.05),), None, "target"),     # I1 rises through 1.05
+        (-200.0, (), 2.0, "domain_exit"),                  # I1 leaves B_R at R = 2
+        # both fire in the same step; the earlier root wins, not the first listed
+        (-200.0, (("later", 0.05 + 1e-9), ("earlier", 0.05)), None, "earlier"),
+    ],
+)
+def test_orbit_loop_is_solve_ivp_bit_for_bit(generic3_orbit, t1, targets, radius, stop):
+    rhs, y0 = generic3_orbit
+    events = tuple(
+        StopEvent(name, lambda _t, y, _d=d: abs(y[2] - 1.0) - _d, direction=1.0) for name, d in targets
+    )
+    rec = integrate(rhs, y0, (0.0, t1), n_samples=41, domain_radius=radius, stop_events=events)
+    ref_events = events if radius is None else (_domain_exit(radius),) + events
+    t, y, t_end, y_end, n_steps, ref_stop, nfev = _solve_ivp_reference(rhs, y0, (0.0, t1), 41, ref_events)
+    assert rec.stop_event == ref_stop == stop
+    assert rec.flagged == (stop == "domain_exit")
+    k = t.size
+    np.testing.assert_array_equal(rec.t[:k], t)
+    np.testing.assert_array_equal(rec.actions[:k], y[2:].T)
+    np.testing.assert_array_equal(rec.theta[:k], wrap(y[:2].T))
+    assert rec.t_end == t_end and rec.t[-1] == t_end
+    np.testing.assert_array_equal(rec.y_end, y_end)
+    assert rec.n_steps == n_steps
+    # the interpolant is built only on steps that hold a sample or an event
+    assert rec.n_rhs_evals <= nfev
+    if stop is not None:
+        assert k < 41 and rec.t.size == k + 1
+
+
+def test_tiny_rtol_is_floored_as_in_scipy(generic3_orbit):
+    rhs, y0 = generic3_orbit
+    rec = integrate(rhs, y0, (0.0, 5.0), IntegratorConfig(rtol=1e-16, atol=1e-16), n_samples=5)
+    with pytest.warns(UserWarning, match="rtol"):
+        ref = solve_ivp(rhs, (0.0, 5.0), y0, method="DOP853", rtol=1e-16, atol=1e-16, dense_output=True)
+    np.testing.assert_array_equal(rec.y_end, ref.sol(5.0))
+    assert rec.n_steps == len(ref.sol.ts) - 1
+
+
+def test_orbit_memory_does_not_grow_with_its_step_count():
+    rhs = rd.make_bundle("generic3", 1e-3).rhs()
+    y0 = [0.1, 0.2, 1.0, 0.0]
+    peaks, steps = {}, {}
+    # 483 and 3,102 steps; keeping every step's interpolant grew the peak by 1.8 MB
+    for t1 in (1e2, 1e3):
+        tracemalloc.start()
+        try:
+            rec = integrate(rhs, y0, (0.0, t1))
+            peaks[t1] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps[t1] = rec.n_steps
+    assert steps[1e3] > 6 * steps[1e2]
+    # no per-step state is kept: the samples are the same size
+    assert peaks[1e3] - peaks[1e2] <= 256 * 1024
 
 
 def test_orbit_csv_round_trip(tmp_path):
@@ -353,13 +440,10 @@ def test_window_escape_partway_through_the_flow_raises():
         lie_flow(chi, 1.0, 1.0, PhaseState.make(0.3, 0.4, 1.0, 0.0), window=window)
 
 
-def test_generator_flows_step_without_solve_ivp(monkeypatch, generic3_chi):
+def test_generator_flows_step_without_solve_ivp(generic3_chi):
+    # orbits and flows both step _Dop853; scipy's solve_ivp is not used
+    assert not hasattr(integrate_module, "solve_ivp")
     _, window, chi = generic3_chi
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("generator flows must not call solve_ivp")
-
-    monkeypatch.setattr(integrate_module, "solve_ivp", refuse)
     s = PhaseState.make(0.3, 0.4, 1.0, 0.001)
     moved = lie_flow(chi, 1e-3, 1.0, s, window=window)
     assert s.distance(moved) > 0.0
@@ -437,21 +521,29 @@ def test_warm_started_block_rejects_a_step_that_is_too_large(monkeypatch):
 
 
 def _step_both(fun, y0, t_end, h_abs=None):
-    """Compare _dop853 with scipy's DOP853 stepped on the same system, step by
-    step and bit for bit; return the number of rejected steps."""
+    """Compare _Dop853 with scipy's DOP853 stepped on the same system, step by
+    step and bit for bit, then the interpolants on the last step; return the
+    number of rejected steps."""
     ours, theirs = [], []
     with serial_blas():
-        y, h_next = integrate_module._dop853(fun, y0, t_end, 1e-12, 1e-12, ours.append, h_abs)
+        stepper = integrate_module._Dop853(fun, 0.0, y0, t_end, 1e-12, 1e-12, h_abs)
+        while stepper.running:
+            assert stepper.step()
+            ours.append(stepper.y)
         solver = DOP853(fun, 0.0, y0, t_end, rtol=1e-12, atol=1e-12, first_step=h_abs)
         while solver.status == "running":
             solver.step()
             theirs.append(solver.y)
+        assert stepper.nfev == solver.nfev
+        times = np.linspace(solver.t_old, solver.t, 5)
+        np.testing.assert_array_equal(stepper.dense()(times), solver.dense_output()(times))
+        assert stepper.nfev == solver.nfev
     assert solver.status == "finished" and len(ours) == len(theirs) > 1
     for a, b in zip(ours, theirs):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(y, solver.y)
-    assert h_next == solver.h_abs
-    return (solver.nfev - 1) // 12 - len(theirs)
+    np.testing.assert_array_equal(stepper.y, solver.y)
+    assert stepper.h_abs == solver.h_abs
+    return (solver.nfev - 4) // 12 - len(theirs)
 
 
 def test_stepper_is_scipy_dop853_bit_for_bit(generic3_chi):

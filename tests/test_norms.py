@@ -67,14 +67,10 @@ def test_action_dependent_series_matches_full_meshgrid():
     assert rep.value == max(rep.per_index.values())
 
 
-def test_callable_fallback_matches_fourier_path():
+def test_non_fourier_field_is_rejected():
     f = FourierPerturbation.from_terms([((1, 1), 0.2, -0.1)])
-    exact = estimate_cj_norm(f, 1, WINDOW, n_angle=64, n_action=9)
-    diffed = estimate_cj_norm(
-        lambda t1, t2, i1, i2: f(t1, t2, i1, i2), 1, WINDOW, n_angle=64, n_action=9
-    )
-    # finite differences on a 64-point angle grid carry an O(h^2) error
-    assert abs(exact.value - diffed.value) < 5e-3
+    with pytest.raises(TypeError, match="FourierPerturbation"):
+        estimate_cj_norm(lambda t1, t2, i1, i2: f(t1, t2, i1, i2), 1, WINDOW, n_angle=64, n_action=9)
 
 
 def test_rejects_bad_order_and_coarse_grids():
