@@ -3,12 +3,14 @@
 The averaging step splits a perturbation into its resonant part (modes
 constant along the channel flow) and an oscillating part, solves the
 homological equation omega . d_theta chi = oscillating part mode by mode, and
-conjugates the system by the unit-time flow of epsilon * chi.  Remainders are
-never estimated symbolically: they are sampled operationally by composing the
-numerical flow with the Hamiltonian and dividing out the expected power of
-epsilon.  The second step repeats the construction on the sampled first
-remainder after projecting it back onto a finite Fourier/polynomial
-representation by least squares.
+conjugates the system by the unit-time flow of epsilon * chi.  A normal form
+is a NormalFormResult: its bundle and its AveragingSteps, whose composition
+Phi = Phi_1 o ... o Phi_n the result applies (phi, phi_points) and whose
+remainder it samples.  Remainders are never estimated symbolically: they are
+sampled operationally by composing the numerical flow with the Hamiltonian
+and dividing out the expected power of epsilon.  The second step repeats the
+construction on the sampled first remainder after projecting it back onto a
+finite Fourier/polynomial representation by least squares.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ class GenericityReport:
     max_derivative: float
     derivative_at_star: float
     safety: float
-    n_theta: int
     n_interior: int
 
     @property
@@ -114,21 +115,22 @@ class GenericityReport:
         }
 
 
+# lambda is GENERICITY_SAFETY times the scanned maximum of |d f_bar/d theta1|,
+# and a maximum below GENERICITY_THRESHOLD fails the scan
+GENERICITY_SAFETY = 0.9
+GENERICITY_THRESHOLD = 1e-12
+
+
 def genericity_check(
-    f: FourierPerturbation,
-    system: IntegrableSystem,
-    n_theta: int = 256,
-    n_interior: int = 31,
-    safety: float = 0.9,
-    threshold: float = 1e-12,
+    f: FourierPerturbation, system: IntegrableSystem, n_theta: int = 256, n_interior: int = 31
 ) -> GenericityReport:
     """Scan |d_theta1 f_bar| over theta1 and interior points of S1*.
 
     Action-independent perturbations are scanned at the single midpoint of
     S1* (their resonant average does not vary along the channel); otherwise
     an interior grid of S1* is swept.  The report fails when the maximum
-    falls below the degeneracy threshold, in which case no drift direction
-    can be certified.
+    falls below GENERICITY_THRESHOLD, in which case no drift direction can
+    be certified.
     """
     if not system.is_reduced:
         raise ValueError("genericity check expects a system in the reduced chart")
@@ -146,19 +148,17 @@ def genericity_check(
     it, ia = np.unravel_index(flat, vals.shape)
     max_derivative = float(np.abs(vals[it, ia]))
     i1_star = float(candidates[ia])
-    report = GenericityReport(
-        lam=safety * max_derivative,
+    return GenericityReport(
+        lam=GENERICITY_SAFETY * max_derivative,
         theta1_star=float(theta[it]),
         i1_star=i1_star,
         delta_star=float(min(i1_star - lo, hi - i1_star)),
-        passed=bool(max_derivative >= threshold),
+        passed=bool(max_derivative >= GENERICITY_THRESHOLD),
         max_derivative=max_derivative,
         derivative_at_star=float(vals[it, ia]),
-        safety=safety,
-        n_theta=n_theta,
+        safety=GENERICITY_SAFETY,
         n_interior=len(candidates),
     )
-    return report
 
 
 # -- cutoff and homological equation ----------------------------------------------
@@ -185,15 +185,7 @@ class GeneratorChi:
     quotient rule on polynomial data, so no differencing enters the flows.
     """
 
-    def __init__(
-        self,
-        system: IntegrableSystem,
-        numerators: dict,
-        cutoff: int,
-        window: ActionWindow,
-        guard_grid: tuple[int, int] = (65, 17),
-    ):
-        self.system = system
+    def __init__(self, system: IntegrableSystem, numerators: dict, cutoff: int, window: ActionWindow):
         self.cutoff = int(cutoff)
         self.window = window
         self.varpi = system.resonance.varpi
@@ -206,7 +198,7 @@ class GeneratorChi:
                 raise SmallDivisorError(f"mode {k} exceeds the cutoff {self.cutoff}")
             self._numerators[(k1, k2)] = (nc, ns)
         self._table = ModeTable(self._numerators, omega=system.omega_polys(), divided=True)
-        self._verify_divisors(window, guard_grid)
+        self._verify_divisors()
 
     # -- structure ---------------------------------------------------------------
 
@@ -215,29 +207,13 @@ class GeneratorChi:
         return sorted(self._numerators)
 
     @property
-    def n_modes(self) -> int:
-        return len(self._numerators)
-
-    @property
     def is_zero(self) -> bool:
         return not self._numerators
 
-    def numerators(self) -> dict:
-        return dict(self._numerators)
-
-    def with_window(self, window: ActionWindow, cutoff: int | None = None) -> "GeneratorChi":
-        """Same generator re-guarded on a new window (and optional new cutoff)."""
-        return GeneratorChi(
-            self.system,
-            self.numerators(),
-            self.cutoff if cutoff is None else cutoff,
-            window,
-        )
-
-    def _verify_divisors(self, window: ActionWindow, guard_grid):
+    def _verify_divisors(self):
         if self.is_zero:
             return
-        I1, I2 = window.grid(*guard_grid)
+        I1, I2 = self.window.grid(65, 17)
         A1, A2 = np.meshgrid(I1, I2, indexing="ij")
         smallest = np.min(np.abs(self._table.divisors(A1, A2)), axis=(1, 2)) / TWO_PI
         floor = self.varpi / 2.0
@@ -272,22 +248,18 @@ class GeneratorChi:
     # -- measured C^1 norm ---------------------------------------------------------
 
     def c1_norm(
-        self,
-        window: ActionWindow | None = None,
-        n_theta: int = 64,
-        n_action: tuple[int, int] = (17, 5),
-        refine_rounds: int = 25,
+        self, n_theta: int = 64, n_action: tuple[int, int] = (17, 5), refine_rounds: int = 25
     ) -> float:
-        """Measured C^1 sup over T^2 x window, sharpened by local refinement.
+        """Measured C^1 sup over T^2 x the generator's window, sharpened by local refinement.
 
         A coarse grid locates the maximizer of each component (value and the
         four first derivatives); a shrinking local grid then polishes it so
         the reported sup is not limited by the coarse resolution.  Both are
         tensor grids of angles x actions.
         """
-        window = window or self.window
         if self.is_zero:
             return 0.0
+        window = self.window
         th = np.linspace(0.0, 1.0, n_theta, endpoint=False)
         I1, I2 = window.grid(*n_action)
         axes = (th, th, I1, I2)
@@ -349,7 +321,6 @@ def solve_homological(
     f: FourierPerturbation,
     cutoff: int,
     window: ActionWindow,
-    guard_grid: tuple[int, int] = (65, 17),
 ) -> GeneratorChi:
     """Solve omega . d_theta chi = oscillating part of f, mode by mode.
 
@@ -365,7 +336,7 @@ def solve_homological(
         if max(abs(k[0]), abs(k[1])) > cutoff:
             continue
         numerators[k] = (-1.0 * b, a)
-    return GeneratorChi(system, numerators, cutoff, window, guard_grid)
+    return GeneratorChi(system, numerators, cutoff, window)
 
 
 # -- normal form results ------------------------------------------------------------
@@ -377,9 +348,8 @@ class AveragingStep:
 
     Step n averages at scale = epsilon**n.  chi (Fourier cutoff, measured
     C^1 norm gamma) is guarded and flowed on window; f_bar is the resonant
-    correction the step adds to the normal form; budget is the displacement
-    the scalar flow may make (kappa epsilon / 2**n), and tol the flow
-    tolerance.
+    correction the step adds to the normal form, and budget is the
+    displacement the scalar flow may make (kappa epsilon / 2**n).
     """
 
     chi: GeneratorChi
@@ -389,52 +359,52 @@ class AveragingStep:
     cutoff: int
     f_bar: FourierPerturbation
     budget: float
-    tol: float
 
     def phi_points(self, th1, th2, I1, I2, direction: float = 1.0):
         """Phi_n on arrays of points; direction=-1 flows back."""
-        return flow_points(
-            self.chi, self.scale, float(direction), th1, th2, I1, I2,
-            rtol=self.tol, atol=self.tol, window=self.window,
-        )
+        return flow_points(self.chi, self.scale, float(direction), th1, th2, I1, I2, window=self.window)
 
     def phi(self, state: PhaseState, direction: float = 1.0) -> PhaseState:
         """Phi_n on one state, checked against the window and the budget."""
         return lie_flow(
             self.chi, self.scale, float(direction), state,
-            rtol=self.tol, atol=self.tol, window=self.window, displacement_bound=self.budget,
+            window=self.window, displacement_bound=self.budget,
         )
 
 
 @dataclass
 class NormalFormResult:
-    """Measured data of a resonant normal form, stored as its averaging steps.
+    """A resonant normal form of bundle, held as its averaging steps.
 
     The transform is Phi = Phi_1 o ... o Phi_n over averaging_steps: phi and
     phi_points apply the last step first, and with direction=-1 undo the
     first step first, so they invert Phi.  remainder samples the last
     remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1), and
     sup_remainders[j] is the sup of the remainder left after step j + 1.
-    The displacement and the last remainder are measured on sample_window.
-    All sups, residuals and displacements are grid measurements recorded at
-    build time.
+    The displacement of Phi and the last remainder's sup are measured on
+    sample_window when the builder finishes (_measure); every sup, residual
+    and displacement is a grid measurement.
     """
 
-    epsilon: float
+    bundle: SystemBundle
     kappa: float
     averaging_steps: tuple[AveragingStep, ...]
     sample_window: ActionWindow
-    displacement: float
     displacement_bound: float
-    displacement_ok: bool
     homological_residual: float
-    sup_remainders: tuple[float, ...]
-    remainder: Callable
-    phi: Callable
-    phi_points: Callable
     channel: object
     genericity: GenericityReport
     meta: dict = field(default_factory=dict)
+    displacement: float = field(init=False)
+    sup_remainders: tuple[float, ...] = field(init=False)
+
+    @property
+    def epsilon(self) -> float:
+        return self.bundle.epsilon
+
+    @property
+    def displacement_ok(self) -> bool:
+        return bool(self.displacement <= self.displacement_bound * (1.0 + 1e-9))
 
     @property
     def steps(self) -> int:
@@ -473,6 +443,30 @@ class NormalFormResult:
             raise AttributeError("only a two-step normal form has a quarter window")
         return self.sample_window
 
+    def _ordered(self, direction: float):
+        return self.averaging_steps if direction < 0 else self.averaging_steps[::-1]
+
+    def phi_points(self, th1, th2, I1, I2, direction: float = 1.0):
+        """Phi on arrays of points; direction=-1 applies Phi^-1."""
+        point = (th1, th2, I1, I2)
+        for step in self._ordered(direction):
+            point = step.phi_points(*point, direction=direction)
+        return point
+
+    def phi(self, state: PhaseState, direction: float = 1.0) -> PhaseState:
+        """Phi on one state, each step checked against its window and budget."""
+        for step in self._ordered(direction):
+            state = step.phi(state, direction=direction)
+        return state
+
+    def remainder(self, th1, th2, I1, I2):
+        """Sampled remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1)."""
+        moved = self.bundle.hamiltonian(*self.phi_points(th1, th2, I1, I2))
+        base = self.bundle.system.h(I1, I2)
+        for step in self.averaging_steps:
+            base = base + step.scale * step.f_bar(th1, th2, I1, I2)
+        return (moved - base) / self.epsilon ** (self.steps + 1)
+
 
 def _require_window_inside(system: IntegrableSystem, window: ActionWindow):
     if window.sup_radius > system.R + 1e-12:
@@ -480,15 +474,6 @@ def _require_window_inside(system: IntegrableSystem, window: ActionWindow):
             "averaging window leaves the action domain; epsilon is too large "
             f"(window radius {window.sup_radius:.3g}, R = {system.R:.3g})"
         )
-
-
-def _displacement_samples(window: ActionWindow, n: int, seed: int):
-    rng = np.random.default_rng(seed)
-    th1 = rng.uniform(0.0, 1.0, n)
-    th2 = rng.uniform(0.0, 1.0, n)
-    I1 = rng.uniform(window.i1_min, window.i1_max, n)
-    I2 = rng.uniform(window.i2_min, window.i2_max, n)
-    return th1, th2, I1, I2
 
 
 def _homological_residual(system, chi, g, window, grid=(16, 8, 65, 17)) -> float:
@@ -504,97 +489,44 @@ def _homological_residual(system, chi, g, window, grid=(16, 8, 65, 17)) -> float
     return float(np.max(np.abs(lhs - g.table().outer(*angles, A1, A2))))
 
 
-def _survey_mesh(window: ActionWindow, grid):
-    n1, n2, m1, m2 = grid
-    th1 = np.linspace(0.0, 1.0, n1, endpoint=False)
-    th2 = np.linspace(0.0, 1.0, n2, endpoint=False)
-    I1, I2 = window.grid(m1, m2)
-    return np.meshgrid(th1, th2, I1, I2, indexing="ij")
-
-
-def _measured_normal_form(
-    bundle: SystemBundle,
-    steps: tuple[AveragingStep, ...],
-    sample_window: ActionWindow,
-    displacement_bound: float,
-    *,
-    displacement_points: int,
-    seed: int,
-    survey_grid: tuple,
-    sup_remainders: tuple[float, ...] = (),
-    **fields,
+def _measure(
+    nf: NormalFormResult, sups_before: tuple, n_points: int, seed: int, survey_grid: tuple
 ) -> NormalFormResult:
-    """Compose the steps into Phi and measure it on the sample window.
+    """Measure Phi on nf's sample window and return nf.
 
-    The displacement is the largest coordinate move of Phi over random
-    sample points; the last remainder is surveyed on a mesh and its sup
-    appended to sup_remainders, the sups of the earlier steps.  fields are
-    the remaining NormalFormResult fields.
+    The displacement is the largest coordinate move of Phi over n_points
+    random points; the last remainder is surveyed on a survey_grid mesh of
+    (theta1, theta2, I1, I2) and its sup appended to sups_before, the sups
+    of the earlier steps.
     """
-    system = bundle.system
-    eps = bundle.epsilon
-
-    def ordered(direction):
-        return steps if direction < 0 else steps[::-1]
-
-    def phi_points(th1, th2, I1, I2, direction=1.0):
-        point = (th1, th2, I1, I2)
-        for step in ordered(direction):
-            point = step.phi_points(*point, direction=direction)
-        return point
-
-    def phi(state: PhaseState, direction: float = 1.0) -> PhaseState:
-        for step in ordered(direction):
-            state = step.phi(state, direction=direction)
-        return state
-
-    def remainder(th1, th2, I1, I2):
-        """Sampled remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1)."""
-        moved = bundle.hamiltonian(*phi_points(th1, th2, I1, I2))
-        base = system.h(I1, I2)
-        for step in steps:
-            base = base + step.scale * step.f_bar(th1, th2, I1, I2)
-        return (moved - base) / eps ** (len(steps) + 1)
-
-    start = _displacement_samples(sample_window, displacement_points, seed)
-    moved = phi_points(*start)
-    displacement = float(max(np.max(np.abs(p - q)) for p, q in zip(moved, start)))
-    sup = float(np.max(np.abs(remainder(*_survey_mesh(sample_window, survey_grid)))))
-    return NormalFormResult(
-        epsilon=eps,
-        averaging_steps=steps,
-        sample_window=sample_window,
-        displacement=displacement,
-        displacement_bound=displacement_bound,
-        displacement_ok=bool(displacement <= displacement_bound * (1.0 + 1e-9)),
-        sup_remainders=sup_remainders + (sup,),
-        remainder=remainder,
-        phi=phi,
-        phi_points=phi_points,
-        **fields,
+    w = nf.sample_window
+    rng = np.random.default_rng(seed)
+    start = tuple(rng.uniform(lo, hi, n_points) for lo, hi in
+                  ((0.0, 1.0), (0.0, 1.0), (w.i1_min, w.i1_max), (w.i2_min, w.i2_max)))
+    moved = nf.phi_points(*start)
+    nf.displacement = float(max(np.max(np.abs(p - q)) for p, q in zip(moved, start)))
+    n1, n2, m1, m2 = survey_grid
+    mesh = np.meshgrid(
+        np.linspace(0.0, 1.0, n1, endpoint=False),
+        np.linspace(0.0, 1.0, n2, endpoint=False),
+        *w.grid(m1, m2),
+        indexing="ij",
     )
+    nf.sup_remainders = sups_before + (float(np.max(np.abs(nf.remainder(*mesh)))),)
+    return nf
 
 
 @serial_blas()
-def one_step_normal_form(
-    bundle: SystemBundle,
-    kappa: float | None = None,
-    *,
-    displacement_points: int = 200,
-    survey_grid: tuple = (32, 32, 9, 5),
-    check_grid: tuple = (16, 8, 65, 17),
-    flow_tol: float = 1e-12,
-    genericity: GenericityReport | None = None,
-) -> NormalFormResult:
+def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200) -> NormalFormResult:
     """One resonant averaging step with operationally sampled remainder.
 
-    When kappa is not supplied it is bootstrapped from the measured C^1 norm
-    of the generator: kappa = max(2 gamma, 1), iterated so the final window
-    is consistent with the norm measured on it; meta["kappa_rounds"] holds
-    each round's (kappa tried, gamma measured), one c1_norm call each.  The
-    returned result carries the transform, the remainder sampler on the half
-    window, and the measured displacement against its budget
-    kappa epsilon / 2.
+    kappa is bootstrapped from the measured C^1 norm of the generator:
+    kappa = max(2 gamma, 1), iterated so the final window is consistent with
+    the norm measured on it; meta["kappa_rounds"] holds each round's
+    (kappa tried, gamma measured), one c1_norm call each.  The result's
+    displacement is measured on displacement_points random points of the
+    half window against the budget kappa epsilon / 2, and its remainder's
+    sup on a 32 x 32 x 9 x 5 mesh of it.
     """
     system = bundle.system
     f = bundle.perturbation
@@ -609,59 +541,48 @@ def one_step_normal_form(
     res = system.resonance
     varpi = res.varpi
     f_bar = average_over_theta2(f)
-    g_osc = f - f_bar
 
-    kappa_fixed = kappa is not None
-    kappa_val = float(kappa) if kappa_fixed else 1.0
-    gamma = 0.0
-    chi = None
+    kappa = 1.0
     rounds = []
     for _ in range(8):
-        window = star_window(res, kappa_val * eps)
+        window = star_window(res, kappa * eps)
         _require_window_inside(system, window)
-        cutoff = choose_cutoff(eps, kappa_val, varpi, f)
-        chi = solve_homological(system, f, cutoff, window)
-        gamma = chi.c1_norm(window=window)
-        rounds.append((kappa_val, gamma))
-        if kappa_fixed:
-            break
+        chi = solve_homological(system, f, choose_cutoff(eps, kappa, varpi, f), window)
+        gamma = chi.c1_norm()
+        rounds.append((kappa, gamma))
         kappa_next = max(2.0 * gamma, 1.0)
-        if kappa_next <= kappa_val * (1.0 + 1e-6):
-            kappa_val = max(kappa_val, kappa_next)
+        if kappa_next <= kappa * (1.0 + 1e-6):
+            kappa = max(kappa, kappa_next)
             break
-        kappa_val = kappa_next
+        kappa = kappa_next
     else:
         raise FlowEscapeError("kappa bootstrap did not settle in 8 rounds")
-    # On exit kappa_val >= 2 * gamma measured on window(kappa_val), so the
+    # On exit kappa >= 2 * gamma measured on window(kappa), so the
     # displacement budget below is covered by the measured norm.
-    window = star_window(res, kappa_val * eps)
+    window = star_window(res, kappa * eps)
     _require_window_inside(system, window)
-    cutoff = choose_cutoff(eps, kappa_val, varpi, f)
-    chi = chi.with_window(window, cutoff)
-    bound = kappa_val * eps / 2.0
-    step = AveragingStep(chi, eps, window, gamma, cutoff, f_bar, bound, flow_tol)
-    return _measured_normal_form(
+    cutoff = choose_cutoff(eps, kappa, varpi, f)
+    chi = solve_homological(system, f, cutoff, window)
+    bound = kappa * eps / 2.0
+    nf = NormalFormResult(
         bundle,
-        (step,),
-        star_window(res, kappa_val * eps / 2.0),
+        kappa,
+        (AveragingStep(chi, eps, window, gamma, cutoff, f_bar, bound),),
+        star_window(res, kappa * eps / 2.0),
         bound,
-        displacement_points=displacement_points,
-        seed=20240817,
-        survey_grid=survey_grid,
-        kappa=kappa_val,
-        homological_residual=_homological_residual(system, chi, g_osc, window, check_grid),
+        homological_residual=_homological_residual(system, chi, f - f_bar, window),
         channel=channel,
-        genericity=genericity or genericity_check(f, system),
+        genericity=genericity_check(f, system),
         meta={"kappa_rounds": tuple(rounds)},
     )
+    return _measure(nf, (), displacement_points, 20240817, (32, 32, 9, 5))
 
 
 def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
     """Least-squares tensor Chebyshev fit of sampled coefficient tables.
 
     targets is a (n_targets, n1, n2) stack; the return is a list of PolyField
-    objects in the raw action variables, one per target, plus the fit values
-    on the nodes for residual accounting.
+    objects in the raw action variables, one per target.
     """
     d1, d2 = degrees
     c1 = 0.5 * (window.i1_min + window.i1_max)
@@ -674,7 +595,6 @@ def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
     B = ncheb.chebvander2d(U.ravel(), V.ravel(), [d1, d2])
     Y = targets.reshape(targets.shape[0], -1).T
     coef, *_ = np.linalg.lstsq(B, Y, rcond=None)
-    fit_values = (B @ coef).T.reshape(targets.shape)
     # shared affine map from raw actions to the scaled fit variables
     A = np.array([[1.0 / h1, 0.0], [0.0, 1.0 / h2]])
     b = np.array([-c1 / h1, -c2 / h2])
@@ -686,7 +606,19 @@ def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
         tmp = np.apply_along_axis(lambda col_: ncheb.cheb2poly(col_), 0, cheb_table)
         tmp = np.apply_along_axis(lambda row_: ncheb.cheb2poly(row_), 1, tmp)
         polys.append(PolyField(tmp).compose_affine(A, b))
-    return polys, fit_values
+    return polys
+
+
+# Settings of the second step's fit: f' is sampled on FIT_I_GRID action
+# nodes (Chebyshev in I1) of the half window, modes up to CUTOFF2 whose
+# amplitude reaches MODE_THRESHOLD of the largest are kept, their
+# coefficients are fitted with Chebyshev degrees FIT_DEGREES in (I1, I2),
+# and the fit may miss f' on the sampling grid by RESIDUAL_BUDGET x sup|f'|.
+FIT_I_GRID = (17, 9)
+FIT_DEGREES = (12, 4)
+CUTOFF2 = 64
+MODE_THRESHOLD = 1e-10
+RESIDUAL_BUDGET = 1e-6
 
 
 @serial_blas()
@@ -695,28 +627,27 @@ def two_step_normal_form(
     step1: NormalFormResult | None = None,
     *,
     theta_grid: int = 128,
-    i_grid: tuple[int, int] = (17, 9),
-    fit_degrees: tuple[int, int] = (12, 4),
-    cutoff2: int = 64,
-    mode_threshold: float = 1e-10,
-    residual_budget: float = 1e-6,
-    survey_grid: tuple = (32, 32, 7, 3),
     displacement_points: int = 200,
-    flow_tol: float = 1e-12,
 ) -> NormalFormResult:
     """Second averaging step on the sampled first remainder.
 
-    The first remainder is sampled on a theta x action grid over the half
-    window, analyzed by FFT in the angles, and each retained coefficient's
-    action dependence is fitted by least-squares polynomials (Chebyshev basis,
+    step1 is the one-step normal form of this same bundle, built when not
+    given; any other result raises ValueError.  The first remainder is
+    sampled on a theta_grid^2 x FIT_I_GRID grid over the half window,
+    analyzed by FFT in the angles, and each retained coefficient's action
+    dependence is fitted by least-squares polynomials (Chebyshev basis,
     higher degree along the wide I1 direction, low degree across the thin I2
-    direction).  The fitted series drives a second homological solve at scale
-    epsilon^2; the final remainder is sampled on the quarter window.
+    direction).  The fitted series drives a second homological solve at
+    scale epsilon^2; the displacement is measured on displacement_points
+    points of the quarter window and the final remainder's sup on a
+    32 x 32 x 7 x 3 mesh of it.
     """
     if not bundle.perturbation.is_action_independent:
         raise ValueError("the second averaging step is implemented for "
                          "action-independent perturbations")
-    s1 = step1 or one_step_normal_form(bundle, flow_tol=flow_tol)
+    if step1 is not None and (step1.steps != 1 or step1.bundle is not bundle):
+        raise ValueError("step1 must be a one-step normal form of the same bundle")
+    s1 = step1 or one_step_normal_form(bundle)
     system = bundle.system
     eps = bundle.epsilon
     res = system.resonance
@@ -724,7 +655,7 @@ def two_step_normal_form(
     half = s1.sample_window
 
     n_th = int(theta_grid)
-    n1, n2 = i_grid
+    n1, n2 = FIT_I_GRID
     th = np.linspace(0.0, 1.0, n_th, endpoint=False)
     I1_nodes, I2_nodes = half.grid(n1, n2, chebyshev_i1=True)
     T1, T2, A1, A2 = np.meshgrid(th, th, I1_nodes, I2_nodes, indexing="ij")
@@ -733,8 +664,8 @@ def two_step_normal_form(
 
     spectrum = np.fft.fft2(f_prime, axes=(0, 1)) / (n_th * n_th)
     amplitude = np.max(np.abs(spectrum), axis=(2, 3))
-    k_max = min(int(cutoff2), n_th // 2 - 1)
-    floor = mode_threshold * float(np.max(amplitude))
+    k_max = min(CUTOFF2, n_th // 2 - 1)
+    floor = MODE_THRESHOLD * float(np.max(amplitude))
 
     kept: list[tuple[int, int]] = [(0, 0)]
     for k1 in range(0, k_max + 1):
@@ -755,8 +686,8 @@ def two_step_normal_form(
             targets[2 * i] = 2.0 * c.real
             targets[2 * i + 1] = -2.0 * c.imag
 
-    polys, fit_values = _chebyshev_fit_polyfields(
-        half, I1_nodes, I2_nodes, targets, fit_degrees
+    polys = _chebyshev_fit_polyfields(
+        half, I1_nodes, I2_nodes, targets, FIT_DEGREES
     )
     terms = []
     for i, k in enumerate(kept):
@@ -768,34 +699,29 @@ def two_step_normal_form(
     recon = recon.transpose(2, 3, 0, 1)
     fit_residual = float(np.max(np.abs(f_prime - recon)))
     scale = max(sup_grid, 1e-300)
-    if fit_residual > residual_budget * scale:
+    if fit_residual > RESIDUAL_BUDGET * scale:
         raise WindowFitError(
             f"coefficient fit residual {fit_residual:.3e} exceeds "
-            f"{residual_budget:.1e} x sup|f'| = {residual_budget * scale:.3e}; "
+            f"{RESIDUAL_BUDGET:.1e} x sup|f'| = {RESIDUAL_BUDGET * scale:.3e}; "
             "the window is too wide for the fitted degrees"
         )
 
     chi2 = solve_homological(system, f_prime_fit, k_max, half)
-    gamma2 = chi2.c1_norm(window=half)
+    gamma2 = chi2.c1_norm()
     if eps**2 * gamma2 > kappa * eps / 4.0 * (1.0 + 1e-9):
         raise FlowEscapeError(
             "second-step flow budget exceeded: eps^2 gamma2 = "
             f"{eps**2 * gamma2:.3e} > kappa eps / 4 = {kappa * eps / 4.0:.3e}"
         )
     step2 = AveragingStep(
-        chi2, eps**2, half, gamma2, k_max, average_over_theta2(f_prime_fit),
-        kappa * eps / 4.0, flow_tol,
+        chi2, eps**2, half, gamma2, k_max, average_over_theta2(f_prime_fit), kappa * eps / 4.0
     )
-    return _measured_normal_form(
+    nf = NormalFormResult(
         bundle,
+        kappa,
         s1.averaging_steps + (step2,),
         star_window(res, kappa * eps / 4.0),
         3.0 * kappa * eps / 4.0,
-        displacement_points=displacement_points,
-        seed=20240818,
-        survey_grid=survey_grid,
-        sup_remainders=s1.sup_remainders,
-        kappa=kappa,
         homological_residual=s1.homological_residual,
         channel=s1.channel,
         genericity=s1.genericity,
@@ -806,3 +732,4 @@ def two_step_normal_form(
             "fit_residual": fit_residual,
         },
     )
+    return _measure(nf, s1.sup_remainders, displacement_points, 20240818, (32, 32, 7, 3))

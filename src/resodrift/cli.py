@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -168,6 +169,16 @@ def _parse_tol(text: str) -> tuple[float, float]:
     if a <= 0 or b <= 0:
         raise UsageError("--tol values must be positive")
     return a, b
+
+
+def _finite_positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _load_pair(args):
@@ -528,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("drift", parents=[src, tol], help="drift experiment")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, help="drift budget (default from the delta rule)")
-    p.add_argument("--c-cfg", type=float, default=1.0, help="configured lower-bound constant")
+    p.add_argument("--c-cfg", type=_finite_positive, default=1.0, help="configured lower-bound constant")
     p.set_defaults(func=_cmd_drift)
 
     p = sub.add_parser("connect", parents=[src, tol], help="steer between channel actions")
@@ -539,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[src, tol], help="time-scaling sweep over epsilon")
     p.add_argument("--epsilons", required=True, help="comma list, e.g. 1e-2,3e-3,1e-3")
-    p.add_argument("--target-drift", type=float, default=0.1)
+    p.add_argument("--target-drift", type=_finite_positive, default=0.1)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

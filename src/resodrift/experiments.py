@@ -124,6 +124,11 @@ class ExperimentRecord:
         return out
 
 
+def _require_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _resolve_genericity(bundle: SystemBundle, genericity) -> GenericityReport:
     if genericity is not None:
         return genericity
@@ -186,7 +191,8 @@ def run_drift_experiment(
 ) -> ExperimentRecord:
     """Drift run from (theta1*, theta2_0, I*) over the time tau = delta/epsilon.
 
-    delta defaults to min(lambda / (4 C_cfg), delta*); the full Hamiltonian is
+    delta defaults to min(lambda / (4 C_cfg), delta*), and C_cfg must be
+    finite and positive (ValueError otherwise); the full Hamiltonian is
     integrated and the run records the drift |I1(tau) - I1(0)| together with
     the confinement max|I2| and the distance to the working subsegment.  With
     epsilon = 0 the run lasts unit time and the drift is zero.
@@ -194,6 +200,7 @@ def run_drift_experiment(
     system = bundle.system
     if not system.is_reduced:
         raise ValueError("drift experiments run in the reduced chart")
+    _require_positive("C_cfg", C_cfg)
     gen = _resolve_genericity(bundle, genericity)
     if not gen.passed:
         raise ValueError("genericity scan found no usable angular dependence")
@@ -307,12 +314,8 @@ class OptimalityReport:
         }
 
 
-def optimality_check(
-    record: ExperimentRecord,
-    bundle: SystemBundle,
-    tol: float = 1e-6,
-) -> OptimalityReport:
-    """Check drift <= delta * |f|_C1 + tol on a finished run.
+def optimality_check(record: ExperimentRecord, bundle: SystemBundle) -> OptimalityReport:
+    """Check drift <= delta * |f|_C1 + 1e-6 on a finished run.
 
     The C^1 norm of the perturbation is measured on the working window, so
     the bound is the one the run could actually feel.  This inequality is a
@@ -320,7 +323,7 @@ def optimality_check(
     """
     window = star_window(bundle.system.resonance, record.delta + 1e-6)
     norm = estimate_cj_norm(bundle.perturbation, 1, window)
-    bound = record.delta * norm.value + tol
+    bound = record.delta * norm.value + 1e-6
     return OptimalityReport(
         drift=record.drift,
         delta=record.delta,
@@ -362,15 +365,15 @@ def sweep_epsilon(
     genericity: GenericityReport | None = None,
     theta2_0: float = 0.0,
     config: IntegratorConfig | None = None,
-    time_budget_factor: float = 4.0,
 ) -> SweepResult:
     """Measure the time to reach a fixed drift for each epsilon and fit the law.
 
     Each run starts at (theta1*, theta2_0, I*) and stops when
-    |I1(t) - I1(0)| reaches the target, with a time cap
-    time_budget_factor * target / (lambda epsilon).  The fitted exponent p
+    |I1(t) - I1(0)| reaches the target, which must be finite and positive,
+    with a time cap 4 target / (lambda epsilon).  The fitted exponent p
     comes from least squares on log tau against log epsilon.
     """
+    _require_positive("target_drift", target_drift)
     epsilons = sorted(float(e) for e in epsilons)
     if len(epsilons) < 3:
         raise ValueError("a sweep needs at least three epsilon values")
@@ -385,7 +388,7 @@ def sweep_epsilon(
 
     def sweep_one(eps: float) -> ExperimentRecord:
         bundle = SystemBundle(system, perturbation, eps)
-        t_max = time_budget_factor * target_drift / (gen.lam * eps)
+        t_max = 4.0 * target_drift / (gen.lam * eps)
 
         def reached(_t, y, _c=gen.i1_star, _d=target_drift):
             return abs(y[2] - _c) - _d

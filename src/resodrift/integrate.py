@@ -253,7 +253,6 @@ def integrate(
     stop_events: tuple = (),
     energy_fn: Callable | None = None,
     channel_interval: tuple | None = None,
-    n_samples: int | None = None,
     epsilon: float | None = None,
 ) -> OrbitRecord:
     """Integrate dy/dt = rhs(t, y) over t_span with sampled diagnostics.
@@ -268,22 +267,18 @@ def integrate(
     rhs : callable(t, y) -> dy/dt as an array, on flat states [theta1, theta2, I1, I2].
     y0 : initial flat state; angles are taken as given (canonical lift).
     t_span : finite (t0, t1) with t1 != t0; t1 < t0 integrates backward.
-    config : IntegratorConfig, defaults to 1e-10 tolerances.
+    config : IntegratorConfig, defaults to 1e-10 tolerances and 513 samples.
     domain_radius : sup-norm action bound; exiting it terminates and flags.
     stop_events : additional StopEvent terminations.
     energy_fn : callable on sampled flat states, recorded per sample.
     channel_interval : (lo, hi) of the working subsegment in I1 for the
         dist_channel diagnostic.
-    n_samples : number of sample times, at least 1; None takes the config's.
     """
     config = config or IntegratorConfig()
     y0 = np.asarray(y0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not np.isfinite(t1 - t0) or t1 == t0:
         raise ValueError(f"integration span must be finite and nonzero, got ({t0!r}, {t1!r})")
-    n = config.n_samples if n_samples is None else n_samples
-    if n < 1:
-        raise ValueError("n_samples must be at least 1")
 
     events = list(stop_events)
     if domain_radius is not None:
@@ -299,7 +294,7 @@ def integrate(
         events.insert(0, StopEvent("domain_exit", domain_exit, direction=-1.0, flags=True))
 
     stepper = _Dop853(rhs, t0, y0, t1, config.rtol, config.atol)
-    t_eval = np.linspace(t0, t1, n)
+    t_eval = np.linspace(t0, t1, config.n_samples)
     # sample times ascending in the direction of time; the first i are taken
     keys = stepper.direction * t_eval
     ts, ys, i, n_steps, stop = [], [], 0, 0, None
@@ -377,22 +372,20 @@ def lie_flow(
     t: float,
     state: PhaseState,
     *,
-    rtol: float = 1e-12,
-    atol: float = 1e-12,
     window=None,
     displacement_bound: float | None = None,
 ) -> PhaseState:
     """Flow a state for time t under the Hamiltonian vector field of scale*chi.
 
-    This is the one-point case of :func:`flow_points`, which checks the window
-    after every accepted step; when a displacement bound is given (the
-    containment budget for |t| <= 1) the total move is checked too.
-    Violations raise FlowEscapeError.
+    This is the one-point case of :func:`flow_points` at its default
+    tolerances, which checks the window after every accepted step; when a
+    displacement bound is given (the containment budget for |t| <= 1) the
+    total move is checked too.  Violations raise FlowEscapeError.
     """
     if t == 0.0 or chi.is_zero:
         return state
     y0 = state.as_array()
-    y1 = np.array(flow_points(chi, scale, t, *y0, rtol=rtol, atol=atol, window=window))
+    y1 = np.array(flow_points(chi, scale, t, *y0, window=window))
     if displacement_bound is not None and abs(t) <= 1.0:
         move = float(np.max(np.abs(y1 - y0)))
         if move > displacement_bound * (1.0 + 1e-9):
@@ -482,7 +475,11 @@ _OMEGA = np.array(
 )
 
 
-def symplecticity_defect(map_fn, state: PhaseState, step: float = 2.0 ** -13) -> float:
+# the central-difference step of symplecticity_defect
+_JACOBIAN_STEP = 2.0 ** -13
+
+
+def symplecticity_defect(map_fn, state: PhaseState) -> float:
     """Sup-norm of J^T Omega J - Omega for the map's central-difference Jacobian.
 
     map_fn takes and returns a PhaseState.  Angle differences in the output
@@ -493,13 +490,13 @@ def symplecticity_defect(map_fn, state: PhaseState, step: float = 2.0 ** -13) ->
     for col in range(4):
         yp = y0.copy()
         ym = y0.copy()
-        yp[col] += step
-        ym[col] -= step
+        yp[col] += _JACOBIAN_STEP
+        ym[col] -= _JACOBIAN_STEP
         zp = map_fn(PhaseState.from_array(yp)).as_array()
         zm = map_fn(PhaseState.from_array(ym)).as_array()
         diff = zp - zm
         # shortest representative for the angle rows
         diff[:2] = (np.mod(diff[:2] + 0.5, 1.0)) - 0.5
-        J[:, col] = diff / (2.0 * step)
+        J[:, col] = diff / (2.0 * _JACOBIAN_STEP)
     defect = J.T @ _OMEGA @ J - _OMEGA
     return float(np.max(np.abs(defect)))

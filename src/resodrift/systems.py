@@ -24,10 +24,6 @@ from .poly import PolyField
 LINE_TOL = 1e-10
 
 
-def _gcd2(k1: int, k2: int) -> int:
-    return math.gcd(abs(k1), abs(k2))
-
-
 @dataclass(frozen=True)
 class ResonanceData:
     """Resonance line {k.I + a = 0} with its channel segment and floor.
@@ -76,7 +72,7 @@ class ResonanceData:
     def line_direction(self) -> tuple[int, int]:
         """Primitive integer direction of the resonance line."""
         u1, u2 = self.k[1], -self.k[0]
-        g = _gcd2(u1, u2)
+        g = math.gcd(u1, u2)
         return (u1 // g, u2 // g)
 
     @property
@@ -292,7 +288,11 @@ class ChannelReport:
         }
 
 
-def verify_channel_assumptions(system: IntegrableSystem, n_samples: int = 201) -> ChannelReport:
+# points of S and of S_star at which verify_channel_assumptions samples omega
+CHANNEL_SAMPLES = 201
+
+
+def verify_channel_assumptions(system: IntegrableSystem) -> ChannelReport:
     """Check the two channel conditions for h along its resonance segment.
 
     Along-line: the frequency component along the line direction vanishes on
@@ -303,12 +303,12 @@ def verify_channel_assumptions(system: IntegrableSystem, n_samples: int = 201) -
     """
     res = system.resonance
     u = np.array(res.line_direction, dtype=float)
-    pts = res.segment_points(n_samples, star=False)
+    pts = res.segment_points(CHANNEL_SAMPLES, star=False)
     om = system.omega(pts[:, 0], pts[:, 1])
     along = om[0] * u[0] + om[1] * u[1]
     max_abs_omega1 = float(np.max(np.abs(along)))
 
-    pts_star = res.segment_points(n_samples, star=True)
+    pts_star = res.segment_points(CHANNEL_SAMPLES, star=True)
     om_star = system.omega(pts_star[:, 0], pts_star[:, 1])
     k = np.array(res.k, dtype=float)
     # On the channel omega is parallel to k, so the transverse frequency is
@@ -318,7 +318,7 @@ def verify_channel_assumptions(system: IntegrableSystem, n_samples: int = 201) -
     min_omega2 = float(np.min(transverse))
 
     passed = max_abs_omega1 <= LINE_TOL and min_omega2 >= res.varpi - LINE_TOL
-    return ChannelReport(max_abs_omega1, min_omega2, res.varpi, bool(passed), n_samples)
+    return ChannelReport(max_abs_omega1, min_omega2, res.varpi, bool(passed), CHANNEL_SAMPLES)
 
 
 # -- system definition files ----------------------------------------------------

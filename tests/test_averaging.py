@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import resodrift as rd
-from resodrift import fourier
+from resodrift import averaging, fourier
 from resodrift.averaging import (
     GeneratorChi,
     average_over_theta2,
@@ -289,7 +289,7 @@ def test_c1_norm_matches_the_meshgrid_reference(one_step_results, two_step_resul
     for step in one_step_results[1e-3].averaging_steps + two_step_results[1e-3].averaging_steps[1:]:
         generators.append((step.chi, step.window))
     for chi, window in generators:
-        got, want = chi.c1_norm(window=window), reference_c1_norm(chi, window)
+        got, want = chi.c1_norm(), reference_c1_norm(chi, window)
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -428,6 +428,29 @@ def test_one_step_trivial_when_f_is_resonant():
     assert s1.homological_residual == 0.0
 
 
+def test_one_step_and_drift_on_an_action_dependent_perturbation():
+    # generic3's h with I-dependent coefficients on both oscillating modes
+    system = rd.get_entry("generic3").system
+    f = FourierPerturbation.from_terms([
+        ((1, 0), 0.0, 1.0 / TWO_PI),
+        ((0, 1), PolyField.from_terms([(0, 0, 0.2), (1, 0, 0.1)]), 0.0),
+        ((1, 1), 0.0, PolyField.from_terms([(0, 1, 0.5), (1, 0, 0.05)])),
+    ])
+    assert not f.is_action_independent
+    b = rd.SystemBundle(system, f, 1e-3)
+    nf = rd.one_step_normal_form(b)
+    assert nf.homological_residual <= 1e-9
+    assert nf.displacement <= nf.displacement_bound
+    assert nf.displacement_ok
+    w = nf.sample_window
+    u = np.random.default_rng(20240819).uniform(0.0, 1.0, size=(4, 64))
+    start = (u[0], u[1], w.i1_min + (w.i1_max - w.i1_min) * u[2], w.i2_min + (w.i2_max - w.i2_min) * u[3])
+    back = nf.phi_points(*nf.phi_points(*start), direction=-1.0)
+    assert max(np.max(np.abs(p - q)) for p, q in zip(back, start)) <= 1e-12
+    rec = rd.run_drift_experiment(b)
+    assert rec.pass_upper and rec.pass_lower
+
+
 # -- two-step normal form ----------------------------------------------------
 
 
@@ -493,10 +516,16 @@ def test_two_step_rejects_action_dependent_perturbation():
         rd.two_step_normal_form(b)
 
 
-def test_two_step_tiny_budget_raises_fit_error(generic3_bundles, one_step_results):
+def test_two_step_tiny_budget_raises_fit_error(generic3_bundles, one_step_results, monkeypatch):
+    monkeypatch.setattr(averaging, "RESIDUAL_BUDGET", 1e-16)
     with pytest.raises(WindowFitError):
-        rd.two_step_normal_form(
-            generic3_bundles[1e-3],
-            step1=one_step_results[1e-3],
-            residual_budget=1e-16,
-        )
+        rd.two_step_normal_form(generic3_bundles[1e-3], step1=one_step_results[1e-3], theta_grid=48)
+
+
+def test_two_step_rejects_a_foreign_step1(generic3_bundles, one_step_results, two_step_results):
+    # a first step of another bundle, or a two-step result, is not this
+    # bundle's first step
+    bundle = generic3_bundles[1e-3]
+    for step1 in (one_step_results[1e-2], two_step_results[1e-3]):
+        with pytest.raises(ValueError, match="step1"):
+            rd.two_step_normal_form(bundle, step1=step1, theta_grid=48)

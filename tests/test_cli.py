@@ -275,6 +275,17 @@ def test_epsilon_range_checks(tmp_path):
     ) == 2
 
 
+def test_experiment_constants_must_be_finite_and_positive(tmp_path):
+    drift = ["drift", "--system", "reduced-moser", "--epsilon", "1e-3", "--c-cfg"]
+    sweep = ["sweep", "--system", "reduced-moser", "--epsilons", "1e-2,3e-3,1e-3", "--target-drift"]
+    for i, argv in enumerate(
+        [drift + ["0"], drift + ["-1"], drift + ["nan"], sweep + ["-0.1"], sweep + ["0"], sweep + ["inf"]]
+    ):
+        out = tmp_path / f"run{i}"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert not out.exists()
+
+
 def test_source_resolution_errors(tmp_path):
     assert run_cli("drift", "--system", "nope", "--epsilon", "1e-3") == 2
     assert run_cli("drift", "--epsilon", "1e-3") == 2

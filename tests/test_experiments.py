@@ -100,6 +100,13 @@ def test_drift_rejects_bad_inputs():
         run_drift_experiment(degenerate)
 
 
+@pytest.mark.parametrize("C_cfg", [0.0, -1.0, float("nan"), float("inf")])
+def test_drift_rejects_a_lower_bound_constant_that_is_not_finite_and_positive(C_cfg):
+    b = rd.make_bundle("reduced-moser", 1e-3)
+    with pytest.raises(ValueError, match="C_cfg"):
+        run_drift_experiment(b, C_cfg=C_cfg)
+
+
 def test_drift_accepts_precomputed_genericity():
     b = rd.make_bundle("reduced-moser", 1e-3)
     gen = rd.genericity_check(b.perturbation, b.system)
@@ -179,6 +186,9 @@ def test_sweep_guards():
         sweep_epsilon(e.system, e.perturbation, (1e-2, 1e-3, 0.0))
     with pytest.raises(ValueError, match="decade"):
         sweep_epsilon(e.system, e.perturbation, (1e-2, 8e-3, 5e-3))
+    for target in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="target_drift"):
+            sweep_epsilon(e.system, e.perturbation, (1e-2, 3e-3, 1e-3), target_drift=target)
 
 
 def test_sweep_recovers_inverse_epsilon_scaling():
