@@ -38,6 +38,7 @@ from .experiments import (
     optimality_check,
     run_connecting_experiment,
     run_drift_experiment,
+    run_orbit,
     sweep_epsilon,
 )
 from .fourier import FourierPerturbation, canonical_mode
@@ -128,6 +129,7 @@ __all__ = [
     "resonant_average_along_k",
     "run_connecting_experiment",
     "run_drift_experiment",
+    "run_orbit",
     "solve_homological",
     "star_window",
     "sweep_epsilon",

@@ -1,9 +1,13 @@
 """Command-line front end: catalog, dispatch, and artifact emission.
 
-Every subcommand resolves its inputs into a flat config dict, derives a run
-identifier from its canonical JSON (no timestamps, no randomness), and writes
-CSV/JSON artifacts plus optional gnuplot scripts under the run directory.
-Identical invocations produce byte-identical outputs.
+Every invocation takes one path.  argparse converts and checks each flag
+value (a bad one exits 2 before anything runs or is written); `_load` reads
+the system and reduces it when the subcommand works in the reduced chart;
+the subcommand computes; `_open_run` hashes the flags and source into a run
+id (no timestamps, no randomness), creates the run directory and writes
+config.json; the subcommand writes its CSV/JSON artifacts; and `_finish`
+writes the optional gnuplot scripts, prints the status line and returns the
+exit code.  Identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from .experiments import (
     optimality_check,
     run_connecting_experiment,
     run_drift_experiment,
+    run_orbit,
     sweep_epsilon,
 )
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig
 from .reduction import reduce_system
 from .systems import (
     SystemBundle,
@@ -46,41 +51,40 @@ CSV_FLOAT = "%.17g"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return CSV_FLOAT % float(value)
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
+def _json_default(obj):
+    """json.dumps' hook for numpy values: arrays become lists, scalars Python numbers."""
     if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _canonical_json(obj, indent=None) -> str:
+    return json.dumps(obj, sort_keys=True, indent=indent, default=_json_default)
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_json_ready(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(_canonical_json(obj, indent=2) + "\n")
 
 
 def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
 # -- plot scripts -----------------------------------------------------------------
+
+
+def _gnuplot(path: Path, *lines: str) -> None:
+    """Write a gnuplot script over comma-separated data with a header row."""
+    header = ("set datafile separator ','", "set key autotitle columnhead")
+    path.write_text("\n".join(header + lines) + "\n")
 
 
 def emit_plots(run_dir) -> list[str]:
@@ -108,18 +112,13 @@ def emit_plots(run_dir) -> list[str]:
                         f", {-level!r} with lines lc rgb 'gray' dt 2 title '-c eps'"
                     )
                 break
-        script = "\n".join(
-            [
-                "set datafile separator ','",
-                "set key autotitle columnhead",
-                "set xlabel 't'",
-                "set ylabel 'actions'",
-                "plot 'orbit.csv' using 1:4 with lines title 'I1', \\",
-                f"     'orbit.csv' using 1:5 with lines title 'I2'{band}",
-                "",
-            ]
+        _gnuplot(
+            run_dir / "orbit.gp",
+            "set xlabel 't'",
+            "set ylabel 'actions'",
+            "plot 'orbit.csv' using 1:4 with lines title 'I1', \\",
+            f"     'orbit.csv' using 1:5 with lines title 'I2'{band}",
         )
-        (run_dir / "orbit.gp").write_text(script)
         written.append("orbit.gp")
     if sweep.exists():
         fit = run_dir / "fit.json"
@@ -127,18 +126,13 @@ def emit_plots(run_dir) -> list[str]:
         if fit.exists():
             data = json.loads(fit.read_text())
             fitline = f", {data['A']!r}*x**(-{data['p']!r}) title 'fit'"
-        script = "\n".join(
-            [
-                "set datafile separator ','",
-                "set key autotitle columnhead",
-                "set logscale xy",
-                "set xlabel 'epsilon'",
-                "set ylabel 'tau'",
-                f"plot 'sweep.csv' using 1:3 with points title 'measured'{fitline}",
-                "",
-            ]
+        _gnuplot(
+            run_dir / "sweep.gp",
+            "set logscale xy",
+            "set xlabel 'epsilon'",
+            "set ylabel 'tau'",
+            f"plot 'sweep.csv' using 1:3 with points title 'measured'{fitline}",
         )
-        (run_dir / "sweep.gp").write_text(script)
         written.append("sweep.gp")
     if not written:
         raise UsageError(
@@ -147,100 +141,117 @@ def emit_plots(run_dir) -> list[str]:
     return written
 
 
-# -- config plumbing ---------------------------------------------------------------
+# -- flag values -------------------------------------------------------------------
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.lower().split("x")
-        pair = (int(a), int(b))
-    except ValueError:
-        raise UsageError(f"--grid expects NxM with integers, got {text!r}") from None
-    if pair[0] < 2 or pair[1] < 1:
-        raise UsageError(f"--grid values out of range: {text!r}")
-    return pair
+def _flag_type(rule: str, parse, ok):
+    """An argparse type: parse(text) where ok(value) holds, else exit 2 naming rule.
+
+    A ValueError in parse or ok rejects the text too.  The value returned is
+    what vars(args) stores, config.json records and the run id hashes.
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            accepted = ok(value)
+        except ValueError:
+            accepted = False
+        if not accepted:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _parse_tol(text: str) -> tuple[float, float]:
-    try:
-        a, b = (float(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"--tol expects ABS,REL, got {text!r}") from None
-    if a <= 0 or b <= 0:
-        raise UsageError("--tol values must be positive")
-    return a, b
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
 
 
-def _finite_positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
+_finite = _flag_type("expected a finite number", float, math.isfinite)
+_finite_positive = _flag_type(
+    "expected a finite positive number", float, lambda v: math.isfinite(v) and v > 0
+)
+_positive_int = _flag_type("expected a positive integer", int, lambda n: n >= 1)
+_epsilon = _flag_type("expected an epsilon in [0, 1)", float, lambda v: 0.0 <= v < 1.0)
+_positive_epsilon = _flag_type("expected an epsilon in (0, 1)", float, lambda v: 0.0 < v < 1.0)
+_t_end = _flag_type(
+    "--t-end must be finite and nonzero", float, lambda v: math.isfinite(v) and v != 0.0
+)
+# --tol and --grid store tuples; --state and --epsilons store their text
+_tol = _flag_type(
+    "expected ABS,REL, two finite positive numbers",
+    lambda text: tuple(_floats(text)),
+    lambda pair: len(pair) == 2 and all(math.isfinite(v) and v > 0 for v in pair),
+)
+_grid = _flag_type(
+    "expected NxM integers with N >= 2 and M >= 1",
+    lambda text: tuple(int(v) for v in text.lower().split("x")),
+    lambda pair: len(pair) == 2 and pair[0] >= 2 and pair[1] >= 1,
+)
+_state = _flag_type(
+    "expected four finite numbers th1,th2,I1,I2",
+    str,
+    lambda text: len(_floats(text)) == 4 and all(map(math.isfinite, _floats(text))),
+)
+_epsilon_list = _flag_type(
+    "expected a comma list of epsilons in (0, 1)",
+    str,
+    lambda text: all(0.0 < v < 1.0 for v in _floats(text)),
+)
 
 
-def _load_pair(args):
-    """(system, perturbation, source descriptor) from --system/--system-file."""
-    if getattr(args, "system_file", None):
+# -- one run: inputs, directory, status ----------------------------------------------
+
+
+def _load(args, reduce=True):
+    """(system, perturbation, source, reduced_first) from --system/--system-file.
+
+    source describes the input for config.json.  With reduce, a system not
+    yet in the reduced chart is straightened first and reduced_first is True.
+    """
+    if args.system_file:
         system, f = load_system_file(args.system_file)
-        source = {"file": str(args.system_file), "definition": system_to_dict(system, f)}
-    elif getattr(args, "system", None):
+        source = {"file": args.system_file, "definition": system_to_dict(system, f)}
+    else:
         entry = get_entry(args.system)
-        report = verify_channel_assumptions(entry.system)
-        if not report.passed:
+        if not verify_channel_assumptions(entry.system).passed:
             raise DomainError(f"catalog entry {entry.name} fails its channel conditions")
         system, f = entry.system, entry.perturbation
         source = {"catalog": entry.name}
-    else:
-        raise UsageError("one of --system or --system-file is required")
-    return system, f, source
-
-
-def _ensure_reduced(system, f):
-    """Reduce if needed; returns (system, f, reduction or None)."""
-    if system.is_reduced:
-        return system, f, None
+    if not reduce or system.is_reduced:
+        return system, f, source, False
     result = reduce_system(system, f)
-    return result.system, result.perturbation, result
+    return result.system, result.perturbation, source, True
 
 
-def _config_dict(args, extra=None) -> dict:
-    skip = {"out", "func"}
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        cfg[key] = value if not isinstance(value, Path) else str(value)
-    if extra:
-        cfg.update(extra)
-    return _json_ready(cfg)
+def _open_run(args, source) -> Path:
+    """Create the run directory (--out or runs/<run id>), write config.json, return it.
 
-
-def _run_dir(args, cfg) -> tuple[Path, str]:
-    run_id = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
+    The config is every flag that is set plus source; the run id is the first
+    12 hex digits of the SHA-256 of its canonical JSON.
+    """
+    cfg = {k: v for k, v in vars(args).items() if k not in ("out", "func") and v is not None}
+    cfg["source"] = source
+    run_id = hashlib.sha256(_canonical_json(cfg).encode()).hexdigest()[:12]
     out = Path(args.out) if args.out else Path("runs") / run_id
     out.mkdir(parents=True, exist_ok=True)
-    return out, run_id
+    write_json(out / "config.json", cfg)
+    return out
+
+
+def _finish(out: Path, line: str, ok: bool, plots=False, failed="FAIL") -> int:
+    """Write the plot scripts if asked, print the status line, return the exit code."""
+    if plots:
+        emit_plots(out)
+    print(f"{line} [{'ok' if ok else failed}] -> {out}")
+    return 0 if ok else 1
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    atol, rtol = args.tol if args.tol else (1e-10, 1e-10)
-    samples = getattr(args, "samples", None)
-    if samples is None:
-        return IntegratorConfig(rtol=rtol, atol=atol)
-    if samples < 1:
-        raise UsageError(f"--samples must be a positive integer, got {samples}")
+    atol, rtol = args.tol or (1e-10, 1e-10)
+    samples = getattr(args, "samples", None) or IntegratorConfig.n_samples
     return IntegratorConfig(rtol=rtol, atol=atol, n_samples=samples)
-
-
-def _check_epsilon(value: float, positive: bool = False) -> float:
-    lo_ok = value > 0 if positive else value >= 0
-    if not (lo_ok and value < 1.0):
-        bound = "(0, 1)" if positive else "[0, 1)"
-        raise UsageError(f"--epsilon must lie in {bound}, got {value!r}")
-    return float(value)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -253,20 +264,18 @@ def _cmd_catalog(args) -> int:
         ok = "ok" if reports[name].passed else "FAIL"
         print(f"{name:14s} [{ok}] {entry.note.splitlines()[0]}")
     if args.out:
-        cfg = _config_dict(args)
-        out, _ = _run_dir(args, cfg)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         write_json(out / "catalog.json", {n: reports[n].as_dict() for n in reports})
     return 0 if all(r.passed for r in reports.values()) else 1
 
 
 def _cmd_reduce(args) -> int:
-    system, f, source = _load_pair(args)
+    system, f, source, _ = _load(args, reduce=False)
     if system.is_reduced:
         raise UsageError("system is already reduced; nothing to do")
     result = reduce_system(system, f)
-    cfg = _config_dict(args, {"source": source})
-    out, _ = _run_dir(args, cfg)
-    write_json(out / "config.json", cfg)
+    out = _open_run(args, source)
     write_json(out / "reduced_system.json", system_to_dict(result.system, result.perturbation))
     sidecar = result.report()
     sidecar["channel"] = verify_channel_assumptions(result.system).as_dict()
@@ -276,35 +285,26 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_genericity(args) -> int:
-    system, f, source = _load_pair(args)
-    system, f, reduction = _ensure_reduced(system, f)
-    n_theta, n_interior = args.grid if args.grid else (256, 31)
-    report = genericity_check(f, system, n_theta=n_theta, n_interior=n_interior)
-    cfg = _config_dict(args, {"source": source})
-    out, _ = _run_dir(args, cfg)
-    write_json(out / "config.json", cfg)
-    payload = report.as_dict()
-    payload["reduced_first"] = reduction is not None
-    write_json(out / "genericity.json", payload)
-    status = "ok" if report.passed else "FAIL"
-    print(
+    system, f, source, reduced_first = _load(args)
+    report = genericity_check(f, system, *(args.grid or ()))
+    out = _open_run(args, source)
+    write_json(out / "genericity.json", {**report.as_dict(), "reduced_first": reduced_first})
+    return _finish(
+        out,
         f"genericity: lambda={report.lam:.6g} theta1*={report.theta1_star:.6g} "
-        f"I1*={report.i1_star:.6g} [{status}] -> {out}"
+        f"I1*={report.i1_star:.6g}",
+        report.passed,
     )
-    return 0 if report.passed else 1
 
 
 def _cmd_normal_form(args) -> int:
-    system, f, source = _load_pair(args)
-    system, f, reduction = _ensure_reduced(system, f)
-    bundle = SystemBundle(system, f, _check_epsilon(args.epsilon, positive=True))
+    system, f, source, reduced_first = _load(args)
+    bundle = SystemBundle(system, f, args.epsilon)
     if args.steps == 1:
         result = one_step_normal_form(bundle)
     else:
         result = two_step_normal_form(bundle)
-    cfg = _config_dict(args, {"source": source})
-    out, _ = _run_dir(args, cfg)
-    write_json(out / "config.json", cfg)
+    out = _open_run(args, source)
     first = result.averaging_steps[0]
     payload = {
         "K": first.cutoff,
@@ -318,58 +318,37 @@ def _cmd_normal_form(args) -> int:
         "theta_star": result.genericity.theta1_star,
         "I_star": list(result.genericity.I_star),
         "steps": result.steps,
-        "reduced_first": reduction is not None,
+        "reduced_first": reduced_first,
         "kappa_rounds": [list(r) for r in result.meta["kappa_rounds"]],
     }
     if result.steps == 2:
         second = result.averaging_steps[1]
         payload.update(
-            {
-                "K2": second.cutoff,
-                "gamma2": second.gamma,
-                "sup_f2": result.sup_remainders[1],
-                "fit_residual": result.meta["fit_residual"],
-                "n_kept_modes": result.meta["n_kept_modes"],
-            }
+            K2=second.cutoff,
+            gamma2=second.gamma,
+            sup_f2=result.sup_remainders[1],
+            fit_residual=result.meta["fit_residual"],
+            n_kept_modes=result.meta["n_kept_modes"],
         )
     write_json(out / "normal_form.json", payload)
-    status = "ok" if result.displacement_ok else "FAIL"
-    print(
+    return _finish(
+        out,
         f"normal-form: steps={result.steps} K={first.cutoff} kappa={result.kappa:.6g} "
-        f"residual={result.homological_residual:.3e} [{status}] -> {out}"
+        f"residual={result.homological_residual:.3e}",
+        result.displacement_ok,
     )
-    return 0 if result.displacement_ok else 1
 
 
 def _cmd_simulate(args) -> int:
-    if not np.isfinite(args.t_end) or args.t_end == 0.0:
-        raise UsageError(f"--t-end must be finite and nonzero, got {args.t_end!r}")
-    system, f, source = _load_pair(args)
-    bundle = SystemBundle(system, f, _check_epsilon(args.epsilon))
+    system, f, source, _ = _load(args, reduce=False)
+    bundle = SystemBundle(system, f, args.epsilon)
     if args.state:
-        try:
-            y0 = [float(v) for v in args.state.split(",")]
-        except ValueError:
-            raise UsageError(f"--state expects th1,th2,I1,I2, got {args.state!r}") from None
-        if len(y0) != 4:
-            raise UsageError("--state expects exactly four numbers")
+        y0 = [float(v) for v in args.state.split(",")]
     else:
         mid = system.resonance.segment_points(3)[1]
         y0 = [0.0, 0.0, float(mid[0]), float(mid[1])]
-    config = _integrator_config(args)
-    record = integrate(
-        bundle.rhs(),
-        y0,
-        (0.0, args.t_end),
-        config,
-        domain_radius=system.R,
-        energy_fn=bundle.energy_of,
-        channel_interval=system.resonance.s1_interval(star=True) if system.is_reduced else None,
-        epsilon=args.epsilon,
-    )
-    cfg = _config_dict(args, {"source": source})
-    out, _ = _run_dir(args, cfg)
-    write_json(out / "config.json", cfg)
+    record = run_orbit(bundle, y0, args.t_end, _integrator_config(args))
+    out = _open_run(args, source)
     record.to_csv(out / "orbit.csv")
     summary = {
         "epsilon": args.epsilon,
@@ -381,114 +360,83 @@ def _cmd_simulate(args) -> int:
         "final": list(record.y_end),
     }
     write_json(out / "simulate_report.json", summary)
-    if args.plots:
-        emit_plots(out)
-    status = "flagged" if record.flagged else "ok"
-    print(
-        f"simulate: t_end={record.t_end:.6g} energy_drift={summary['energy_drift']:.3e} "
-        f"[{status}] -> {out}"
+    return _finish(
+        out,
+        f"simulate: t_end={record.t_end:.6g} energy_drift={summary['energy_drift']:.3e}",
+        not record.flagged,
+        args.plots,
+        failed="flagged",
     )
-    return 1 if record.flagged else 0
 
 
 def _cmd_drift(args) -> int:
-    system, f, source = _load_pair(args)
-    system, f, reduction = _ensure_reduced(system, f)
-    bundle = SystemBundle(system, f, _check_epsilon(args.epsilon))
-    config = _integrator_config(args)
+    system, f, source, reduced_first = _load(args)
+    bundle = SystemBundle(system, f, args.epsilon)
     record = run_drift_experiment(
         bundle,
         delta=args.delta,
         theta2_0=args.theta2,
         C_cfg=args.c_cfg,
-        config=config,
+        config=_integrator_config(args),
     )
     audit = optimality_check(record, bundle)
-    cfg = _config_dict(args, {"source": source})
-    out, _ = _run_dir(args, cfg)
-    write_json(out / "config.json", cfg)
+    out = _open_run(args, source)
     record.orbit.to_csv(out / "orbit.csv")
-    payload = record.as_dict()
-    payload["optimality"] = audit.as_dict()
-    payload["reduced_first"] = reduction is not None
+    payload = {**record.as_dict(), "optimality": audit.as_dict(), "reduced_first": reduced_first}
     write_json(out / "drift_report.json", payload)
-    if args.plots:
-        emit_plots(out)
-    ok = record.pass_upper and record.pass_lower and not record.flagged and audit.passed
-    status = "ok" if ok else "FAIL"
-    print(
+    return _finish(
+        out,
         f"drift: eps={record.epsilon:g} delta={record.delta:.6g} "
-        f"drift={record.drift:.9g} c_fit={record.c_fit:.6g} [{status}] -> {out}"
+        f"drift={record.drift:.9g} c_fit={record.c_fit:.6g}",
+        record.pass_upper and record.pass_lower and not record.flagged and audit.passed,
+        args.plots,
     )
-    return 0 if ok else 1
 
 
 def _cmd_connect(args) -> int:
-    system, f, source = _load_pair(args)
-    system, f, reduction = _ensure_reduced(system, f)
-    bundle = SystemBundle(system, f, _check_epsilon(args.epsilon))
-    config = _integrator_config(args)
+    system, f, source, reduced_first = _load(args)
+    bundle = SystemBundle(system, f, args.epsilon)
     record = run_connecting_experiment(
         bundle,
         args.i1_from,
         args.i1_to,
         theta2_0=args.theta2,
-        config=config,
+        config=_integrator_config(args),
     )
-    cfg = _config_dict(args, {"source": source})
-    out, _ = _run_dir(args, cfg)
-    write_json(out / "config.json", cfg)
+    out = _open_run(args, source)
     if record.orbit is not None:
         record.orbit.to_csv(out / "orbit.csv")
-    payload = record.as_dict()
-    payload["reduced_first"] = reduction is not None
-    write_json(out / "connect_report.json", payload)
-    if args.plots and record.orbit is not None:
-        emit_plots(out)
-    ok = record.extras["reached"] and record.pass_upper and not record.flagged
-    status = "ok" if ok else "FAIL"
-    print(
+    write_json(out / "connect_report.json", {**record.as_dict(), "reduced_first": reduced_first})
+    return _finish(
+        out,
         f"connect: {args.i1_from:g} -> {args.i1_to:g} tau={record.tau:.9g} "
-        f"dist={record.extras['terminal_distance']:.3e} [{status}] -> {out}"
+        f"dist={record.extras['terminal_distance']:.3e}",
+        record.extras["reached"] and record.pass_upper and not record.flagged,
+        args.plots and record.orbit is not None,
     )
-    return 0 if ok else 1
 
 
 def _cmd_sweep(args) -> int:
-    system, f, source = _load_pair(args)
-    system, f, reduction = _ensure_reduced(system, f)
-    try:
-        epsilons = [float(v) for v in args.epsilons.split(",")]
-    except ValueError:
-        raise UsageError(f"--epsilons expects a comma list, got {args.epsilons!r}") from None
-    config = _integrator_config(args)
+    system, f, source, reduced_first = _load(args)
     result = sweep_epsilon(
         system,
         f,
-        epsilons,
+        [float(v) for v in args.epsilons.split(",")],
         target_drift=args.target_drift,
         theta2_0=args.theta2,
-        config=config,
+        config=_integrator_config(args),
     )
-    cfg = _config_dict(args, {"source": source})
-    out, _ = _run_dir(args, cfg)
-    write_json(out / "config.json", cfg)
-    header = ["epsilon", "delta", "tau", "drift", "maxI2", "c_fit", "pass_upper", "pass_lower"]
-    rows = [[r.row()[k] for k in header] for r in result.records]
-    write_csv(out / "sweep.csv", header, rows)
-    fit = result.fit_dict()
-    fit["reduced_first"] = reduction is not None
-    write_json(out / "fit.json", fit)
-    if args.plots:
-        emit_plots(out)
-    ok = result.all_reached
-    status = "ok" if ok else "FAIL"
-    print(
+    out = _open_run(args, source)
+    rows = [r.row() for r in result.records]
+    write_csv(out / "sweep.csv", list(rows[0]), [list(row.values()) for row in rows])
+    write_json(out / "fit.json", {**result.fit_dict(), "reduced_first": reduced_first})
+    return _finish(
+        out,
         f"sweep: n={len(result.records)} p={result.p:.6g} A={result.A:.6g} "
-        f"r2={result.r_squared:.6g} [{status}] -> {out}"
+        f"r2={result.r_squared:.6g}",
+        result.all_reached,
+        args.plots,
     )
-    return 0 if ok else 1
-
 
 # -- parser ------------------------------------------------------------------------
 
@@ -504,16 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     src = argparse.ArgumentParser(add_help=False)
-    src.add_argument("--system", help="catalog system name")
-    src.add_argument("--system-file", help="path to a system-definition JSON file")
+    which = src.add_mutually_exclusive_group(required=True)
+    which.add_argument("--system", help="catalog system name")
+    which.add_argument("--system-file", help="path to a system-definition JSON file")
     src.add_argument("--out", help="output directory (default runs/<run-id>)")
 
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_parse_tol, help="integrator tolerances ABS,REL")
-    tol.add_argument("--theta2", type=float, default=0.0, help="initial theta2")
+    tol.add_argument("--tol", type=_tol, help="integrator tolerances ABS,REL")
+    tol.add_argument("--theta2", type=_finite, default=0.0, help="initial theta2")
     tol.add_argument("--plots", action="store_true", help="emit gnuplot scripts")
 
-    p = sub.add_parser("catalog", parents=[], help="list built-in systems")
+    p = sub.add_parser("catalog", help="list built-in systems")
     p.add_argument("--out", help="also write channel reports as JSON")
     p.set_defaults(func=_cmd_catalog)
 
@@ -521,35 +470,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("genericity", parents=[src], help="scan the resonant average")
-    p.add_argument("--grid", type=_parse_grid, help="theta x interior-I grid, e.g. 256x31")
+    p.add_argument("--grid", type=_grid, help="theta x interior-I grid, e.g. 256x31")
     p.set_defaults(func=_cmd_genericity)
 
     p = sub.add_parser("normal-form", parents=[src], help="build an averaging step")
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_positive_epsilon, required=True)
     p.add_argument("--steps", type=int, choices=(1, 2), default=1)
     p.set_defaults(func=_cmd_normal_form)
 
     p = sub.add_parser("simulate", parents=[src, tol], help="integrate the full flow")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--state", help="initial th1,th2,I1,I2 (default: channel midpoint)")
-    p.add_argument("--samples", type=int, help="number of CSV sample rows")
+    p.add_argument("--epsilon", type=_epsilon, required=True)
+    p.add_argument("--t-end", type=_t_end, required=True)
+    p.add_argument("--state", type=_state, help="initial th1,th2,I1,I2 (default: channel midpoint)")
+    p.add_argument("--samples", type=_positive_int, help="number of CSV sample rows")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("drift", parents=[src, tol], help="drift experiment")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, help="drift budget (default from the delta rule)")
+    p.add_argument("--epsilon", type=_epsilon, required=True)
+    p.add_argument("--delta", type=_finite_positive, help="drift budget (default from the delta rule)")
     p.add_argument("--c-cfg", type=_finite_positive, default=1.0, help="configured lower-bound constant")
     p.set_defaults(func=_cmd_drift)
 
     p = sub.add_parser("connect", parents=[src, tol], help="steer between channel actions")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--from", dest="i1_from", type=float, required=True)
-    p.add_argument("--to", dest="i1_to", type=float, required=True)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
+    p.add_argument("--from", dest="i1_from", type=_finite, required=True)
+    p.add_argument("--to", dest="i1_to", type=_finite, required=True)
     p.set_defaults(func=_cmd_connect)
 
     p = sub.add_parser("sweep", parents=[src, tol], help="time-scaling sweep over epsilon")
-    p.add_argument("--epsilons", required=True, help="comma list, e.g. 1e-2,3e-3,1e-3")
+    p.add_argument("--epsilons", type=_epsilon_list, required=True, help="comma list, e.g. 1e-2,3e-3,1e-3")
     p.add_argument("--target-drift", type=_finite_positive, default=0.1)
     p.set_defaults(func=_cmd_sweep)
 
@@ -557,9 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -567,10 +515,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, SmallDivisorError, FlowEscapeError, IntegrationError, WindowFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, SmallDivisorError, FlowEscapeError, IntegrationError, WindowFitError) as exc:
+        # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

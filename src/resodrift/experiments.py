@@ -1,16 +1,17 @@
 """Diffusion experiments on the full Hamiltonian flow.
 
-Every experiment integrates the full system H = h + epsilon f; the averaging
-machinery only supplies the starting data (theta1*, I*, lambda) and the
-predicted bounds.  The transform is O(epsilon)-close to the identity, so
-checking the drift, confinement and time-scaling claims directly on H keeps
-transform error out of the measured quantities.
+Every experiment integrates the full system H = h + epsilon f through one
+runner, `run_orbit`; the averaging machinery only supplies the starting data
+(theta1*, I*, lambda) and the predicted bounds.  The transform is
+O(epsilon)-close to the identity, so checking the drift, confinement and
+time-scaling claims directly on H keeps transform error out of the measured
+quantities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -99,21 +100,19 @@ class ExperimentRecord:
         added, and, when the orbit sampled its energy, max_energy_error, the
         largest |H - H(t0)| over the samples.
         """
-        out = self.row()
-        out.update(
-            {
-                "kind": self.kind,
-                "tau_target": self.tau_target,
-                "C_fit": self.C_fit,
-                "lambda": self.lam,
-                "theta1_star": self.theta1_star,
-                "i1_star": self.I_star[0],
-                "max_dist_channel": self.max_dist_channel,
-                "flagged": int(self.flagged),
-                "initial": list(self.initial.as_array()),
-                "final": list(self.final.as_array()),
-            }
-        )
+        out = {
+            **self.row(),
+            "kind": self.kind,
+            "tau_target": self.tau_target,
+            "C_fit": self.C_fit,
+            "lambda": self.lam,
+            "theta1_star": self.theta1_star,
+            "i1_star": self.I_star[0],
+            "max_dist_channel": self.max_dist_channel,
+            "flagged": int(self.flagged),
+            "initial": list(self.initial.as_array()),
+            "final": list(self.final.as_array()),
+        }
         if self.orbit is not None:
             out["n_rhs_evals"] = self.orbit.n_rhs_evals
             out["n_steps"] = self.orbit.n_steps
@@ -129,23 +128,44 @@ def _require_positive(name: str, value: float):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _resolve_genericity(bundle: SystemBundle, genericity) -> GenericityReport:
-    if genericity is not None:
-        return genericity
-    return genericity_check(bundle.perturbation, bundle.system)
+def _channel_genericity(bundle: SystemBundle, what: str) -> GenericityReport:
+    """The passing genericity scan of a reduced-chart system; ValueError otherwise."""
+    if not bundle.system.is_reduced:
+        raise ValueError(f"{what} experiments run in the reduced chart")
+    gen = genericity_check(bundle.perturbation, bundle.system)
+    if not gen.passed:
+        raise ValueError("genericity scan found no usable angular dependence")
+    return gen
 
 
-def _run(bundle, y0, t_span, config, stop_events=()):
+def run_orbit(
+    bundle: SystemBundle,
+    y0,
+    t_end: float,
+    config: IntegratorConfig | None = None,
+    reach: float | None = None,
+) -> OrbitRecord:
+    """Integrate the full flow of bundle from y0 over (0, t_end); t_end < 0 runs backward.
+
+    The run stops at the edge of the action domain and records the energy
+    and, in the reduced chart, the distance to the working channel interval.
+    With reach set it stops at the "target" event, the first time
+    |I1(t) - I1(0)| reaches reach.
+    """
     system = bundle.system
+    events = ()
+    if reach is not None:
+        i1_0 = float(y0[2])
+        events = (StopEvent("target", lambda _t, y: abs(y[2] - i1_0) - reach, direction=1.0),)
     return integrate(
         bundle.rhs(),
         y0,
-        t_span,
+        (0.0, t_end),
         config,
         domain_radius=system.R,
-        stop_events=stop_events,
+        stop_events=events,
         energy_fn=bundle.energy_of,
-        channel_interval=system.resonance.s1_interval(star=True),
+        channel_interval=system.resonance.s1_interval(star=True) if system.is_reduced else None,
         epsilon=bundle.epsilon,
     )
 
@@ -183,7 +203,6 @@ def _record_from_orbit(kind, bundle, gen, orbit, *, delta, tau_target, judge, ex
 
 def run_drift_experiment(
     bundle: SystemBundle,
-    genericity: GenericityReport | None = None,
     delta: float | None = None,
     theta2_0: float = 0.0,
     C_cfg: float = 1.0,
@@ -191,28 +210,22 @@ def run_drift_experiment(
 ) -> ExperimentRecord:
     """Drift run from (theta1*, theta2_0, I*) over the time tau = delta/epsilon.
 
-    delta defaults to min(lambda / (4 C_cfg), delta*), and C_cfg must be
-    finite and positive (ValueError otherwise); the full Hamiltonian is
+    delta defaults to min(lambda / (4 C_cfg), delta*); delta and C_cfg must
+    be finite and positive (ValueError otherwise).  The full Hamiltonian is
     integrated and the run records the drift |I1(tau) - I1(0)| together with
     the confinement max|I2| and the distance to the working subsegment.  With
     epsilon = 0 the run lasts unit time and the drift is zero.
     """
-    system = bundle.system
-    if not system.is_reduced:
-        raise ValueError("drift experiments run in the reduced chart")
     _require_positive("C_cfg", C_cfg)
-    gen = _resolve_genericity(bundle, genericity)
-    if not gen.passed:
-        raise ValueError("genericity scan found no usable angular dependence")
+    gen = _channel_genericity(bundle, "drift")
     eps = bundle.epsilon
     if delta is None:
         delta = min(gen.lam / (4.0 * C_cfg), gen.delta_star)
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _require_positive("delta", delta)
     tau_target = delta / eps if eps > 0 else 1.0
     y0 = np.array([gen.theta1_star, theta2_0, gen.i1_star, 0.0])
-    record = _run(bundle, y0, (0.0, tau_target), config)
+    record = run_orbit(bundle, y0, tau_target, config)
     return _record_from_orbit(
         "drift", bundle, gen, record, delta=delta, tau_target=tau_target,
         judge=lambda r: (
@@ -228,7 +241,6 @@ def run_connecting_experiment(
     bundle: SystemBundle,
     i1_from: float,
     i1_to: float,
-    genericity: GenericityReport | None = None,
     theta2_0: float = 0.0,
     config: IntegratorConfig | None = None,
 ) -> ExperimentRecord:
@@ -240,23 +252,18 @@ def run_connecting_experiment(
     at delta / epsilon with delta = 2 rho / lambda.  Coinciding endpoints
     yield the trivial zero-time record.
     """
-    system = bundle.system
-    if not system.is_reduced:
-        raise ValueError("connecting experiments run in the reduced chart")
-    gen = _resolve_genericity(bundle, genericity)
-    if not gen.passed:
-        raise ValueError("genericity scan found no usable angular dependence")
+    gen = _channel_genericity(bundle, "connecting")
     eps = bundle.epsilon
     rho = abs(float(i1_to) - float(i1_from))
-    lo, hi = system.resonance.s1_interval()
+    lo, hi = bundle.system.resonance.s1_interval()
     for value, label in ((i1_from, "start"), (i1_to, "target")):
         if not (lo - 1e-12 <= value <= hi + 1e-12):
             raise ValueError(f"{label} action {value} lies outside the channel segment")
 
-    state0 = PhaseState.make(gen.theta1_star, theta2_0, float(i1_from), 0.0)
     if rho == 0.0:
+        start = PhaseState.make(gen.theta1_star, theta2_0, float(i1_from), 0.0)
         return _record_from_orbit(
-            "connect", bundle, gen, None, delta=0.0, tau_target=0.0, start=state0,
+            "connect", bundle, gen, None, delta=0.0, tau_target=0.0, start=start,
             judge=lambda r: (True, True, False),
             extras={"terminal_distance": 0.0, "rho": 0.0, "reached": True},
         )
@@ -269,13 +276,8 @@ def run_connecting_experiment(
     # time if that moves away from the target
     rate_sign = -math.copysign(1.0, gen.derivative_at_star)
     sigma = 1.0 if rate_sign * (i1_to - i1_from) > 0 else -1.0
-
-    def reached_target(_t, y, _c=float(i1_from), _rho=rho):
-        return abs(y[2] - _c) - _rho
-
-    event = StopEvent("target", reached_target, direction=1.0)
     y0 = np.array([gen.theta1_star, theta2_0, float(i1_from), 0.0])
-    record = _run(bundle, y0, (0.0, sigma * t_max), config, stop_events=(event,))
+    record = run_orbit(bundle, y0, sigma * t_max, config, reach=rho)
     reached = record.stop_event == "target"
     return _record_from_orbit(
         "connect", bundle, gen, record, delta=delta, tau_target=t_max,
@@ -304,14 +306,7 @@ class OptimalityReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "drift": self.drift,
-            "delta": self.delta,
-            "f_c1_norm": self.f_c1_norm,
-            "bound": self.bound,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def optimality_check(record: ExperimentRecord, bundle: SystemBundle) -> OptimalityReport:
@@ -347,14 +342,8 @@ class SweepResult:
     all_reached: bool
 
     def fit_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "A": self.A,
-            "r_squared": self.r_squared,
-            "target_drift": self.target_drift,
-            "confinement_ratio": self.confinement_ratio,
-            "all_reached": self.all_reached,
-        }
+        """Every field but the records (the fit.json payload)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
 
 
 def sweep_epsilon(
@@ -362,16 +351,16 @@ def sweep_epsilon(
     perturbation,
     epsilons: Sequence[float],
     target_drift: float = 0.1,
-    genericity: GenericityReport | None = None,
     theta2_0: float = 0.0,
     config: IntegratorConfig | None = None,
 ) -> SweepResult:
     """Measure the time to reach a fixed drift for each epsilon and fit the law.
 
-    Each run starts at (theta1*, theta2_0, I*) and stops when
-    |I1(t) - I1(0)| reaches the target, which must be finite and positive,
-    with a time cap 4 target / (lambda epsilon).  The fitted exponent p
-    comes from least squares on log tau against log epsilon.
+    The system must be in the reduced chart.  Each run starts at
+    (theta1*, theta2_0, I*) and stops when |I1(t) - I1(0)| reaches the
+    target, which must be finite and positive, with a time cap
+    4 target / (lambda epsilon).  The fitted exponent p comes from least
+    squares on log tau against log epsilon.
     """
     _require_positive("target_drift", target_drift)
     epsilons = sorted(float(e) for e in epsilons)
@@ -381,21 +370,13 @@ def sweep_epsilon(
         raise ValueError("sweep epsilons must be positive")
     if max(epsilons) / min(epsilons) < 10.0 - 1e-9:
         raise ValueError("sweep epsilons should span at least a decade")
-    bundle0 = SystemBundle(system, perturbation, epsilons[0])
-    gen = _resolve_genericity(bundle0, genericity)
-    if not gen.passed:
-        raise ValueError("genericity scan found no usable angular dependence")
+    gen = _channel_genericity(SystemBundle(system, perturbation, epsilons[0]), "sweep")
 
     def sweep_one(eps: float) -> ExperimentRecord:
         bundle = SystemBundle(system, perturbation, eps)
         t_max = 4.0 * target_drift / (gen.lam * eps)
-
-        def reached(_t, y, _c=gen.i1_star, _d=target_drift):
-            return abs(y[2] - _c) - _d
-
-        event = StopEvent("target", reached, direction=1.0)
         y0 = np.array([gen.theta1_star, theta2_0, gen.i1_star, 0.0])
-        record = _run(bundle, y0, (0.0, t_max), config, stop_events=(event,))
+        record = run_orbit(bundle, y0, t_max, config, reach=target_drift)
         reached_flag = record.stop_event == "target"
         return _record_from_orbit(
             "sweep", bundle, gen, record, delta=target_drift, tau_target=t_max,

@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from .blas import serial_blas
 from .errors import DomainError, FlowEscapeError, IntegrationError
 from .fourier import BLOCK_VALUES
-from .torus import PhaseState, wrap
+from .torus import PhaseState, circle_delta, wrap
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,9 @@ class OrbitRecord:
     def to_csv(self, path):
         header = "t,theta1,theta2,I1,I2,energy,absI2,dist_channel"
         cols = np.column_stack(
-            [self.t, self.theta[:, 0], self.theta[:, 1], self.actions[:, 0],
-             self.actions[:, 1], self.energy, self.abs_I2, self.dist_channel]
+            [self.t, self.theta, self.actions, self.energy, self.abs_I2, self.dist_channel]
         )
-        lines = [header]
-        for row in cols:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        np.savetxt(path, cols, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _interval_excess(I1, interval):
@@ -495,8 +490,7 @@ def symplecticity_defect(map_fn, state: PhaseState) -> float:
         zp = map_fn(PhaseState.from_array(yp)).as_array()
         zm = map_fn(PhaseState.from_array(ym)).as_array()
         diff = zp - zm
-        # shortest representative for the angle rows
-        diff[:2] = (np.mod(diff[:2] + 0.5, 1.0)) - 0.5
+        diff[:2] = circle_delta(zp[:2], zm[:2])
         J[:, col] = diff / (2.0 * _JACOBIAN_STEP)
     defect = J.T @ _OMEGA @ J - _OMEGA
     return float(np.max(np.abs(defect)))

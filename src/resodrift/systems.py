@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -279,13 +279,7 @@ class ChannelReport:
     n_samples: int
 
     def as_dict(self) -> dict:
-        return {
-            "max_abs_omega1": self.max_abs_omega1,
-            "min_omega2": self.min_omega2,
-            "varpi": self.varpi,
-            "passed": self.passed,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 # points of S and of S_star at which verify_channel_assumptions samples omega

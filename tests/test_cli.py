@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import resodrift as rd
-from resodrift.cli import emit_plots, main
+from resodrift.cli import build_parser, emit_plots, main
 from resodrift.errors import UsageError
 from resodrift.systems import load_system, system_to_dict
 
@@ -150,18 +150,28 @@ def test_simulate_orbit_and_report(tmp_path):
     assert report["flagged"] is False
 
 
-def test_simulate_argument_validation(tmp_path):
+def test_simulate_argument_validation(tmp_path, capsys):
+    out = tmp_path / "v"
     base = [
         "simulate", "--system", "reduced-moser", "--epsilon", "1e-3", "--t-end", "1",
-        "--out", str(tmp_path / "v"),
+        "--out", str(out),
     ]
-    assert run_cli(*base, "--state", "1,2") == 2
-    assert run_cli(*base, "--state", "a,b,c,d") == 2
-    assert run_cli(*base, "--tol", "0,1e-8") == 2
-    assert run_cli(*base, "--tol", "nope") == 2
-    assert run_cli(*base, "--samples", "0") == 2
-    assert run_cli(*base, "--samples", "-3") == 2
-    assert not (tmp_path / "v").exists()
+    cases = [
+        (base + ["--state", "1,2"], "th1,th2,I1,I2"),
+        (base + ["--state", "a,b,c,d"], "th1,th2,I1,I2"),
+        (base + ["--tol", "0,1e-8"], "ABS,REL"),
+        (base + ["--tol", "nope"], "ABS,REL"),
+        (base + ["--samples", "0"], "positive integer"),
+        (base + ["--samples", "-3"], "positive integer"),
+        (["genericity", "--system", "reduced-moser", "--grid", "1x3", "--out", str(out)], "NxM"),
+    ]
+    for argv, rule in cases:
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        # argparse names the rule, not the converter ("invalid _f value")
+        assert rule in err
+        assert not re.search(r"invalid \w+ value", err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("t_end", ["0", "nan", "inf"])
@@ -276,10 +286,12 @@ def test_epsilon_range_checks(tmp_path):
 
 
 def test_experiment_constants_must_be_finite_and_positive(tmp_path):
-    drift = ["drift", "--system", "reduced-moser", "--epsilon", "1e-3", "--c-cfg"]
+    drift = ["drift", "--system", "reduced-moser", "--epsilon", "1e-3"]
     sweep = ["sweep", "--system", "reduced-moser", "--epsilons", "1e-2,3e-3,1e-3", "--target-drift"]
     for i, argv in enumerate(
-        [drift + ["0"], drift + ["-1"], drift + ["nan"], sweep + ["-0.1"], sweep + ["0"], sweep + ["inf"]]
+        [drift + ["--c-cfg", v] for v in ("0", "-1", "nan")]
+        + [drift + ["--delta", v] for v in ("0", "-1", "nan", "inf")]
+        + [sweep + ["-0.1"], sweep + ["0"], sweep + ["inf"]]
     ):
         out = tmp_path / f"run{i}"
         assert run_cli(*argv, "--out", str(out)) == 2
@@ -305,11 +317,37 @@ def test_default_run_directory_is_hash_named(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("genericity", "--system", "reduced-moser") == 0
     runs = list((tmp_path / "runs").iterdir())
-    assert len(runs) == 1
-    assert re.fullmatch(r"[0-9a-f]{12}", runs[0].name)
+    assert [r.name for r in runs] == ["0c8c8e3a36b8"]
     # same config hashes to the same directory, so a re-run adds nothing
     assert run_cli("genericity", "--system", "reduced-moser") == 0
     assert len(list((tmp_path / "runs").iterdir())) == 1
+
+
+def test_run_id_of_a_simulate_invocation(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli(
+        "simulate", "--system", "moser", "--epsilon", "1e-3", "--t-end", "100",
+        "--state", "0,0,1,-1", "--samples", "65", "--tol", "1e-9,1e-9",
+    )
+    assert rc == 0
+    cfg = json.loads((tmp_path / "runs" / "d3004c55498a" / "config.json").read_text())
+    assert cfg["state"] == "0,0,1,-1"
+    assert cfg["tol"] == [1e-9, 1e-9]
+    assert cfg["samples"] == 65
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_parse():
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.strip()]
+    assert len(lines) == 8
+    parser = build_parser()
+    for words in lines:
+        assert words[0] == "resodrift"
+        args = parser.parse_args(words[1:])
+        assert args.command == words[1]
 
 
 def test_emit_plots_requires_artifacts(tmp_path):

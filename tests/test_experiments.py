@@ -91,8 +91,9 @@ def test_drift_rejects_bad_inputs():
     with pytest.raises(ValueError, match="reduced chart"):
         run_drift_experiment(moser)
     b = rd.make_bundle("reduced-moser", 1e-3)
-    with pytest.raises(ValueError, match="delta"):
-        run_drift_experiment(b, delta=-0.1)
+    for delta in (-0.1, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta"):
+            run_drift_experiment(b, delta=delta)
     # a perturbation whose theta2 average vanishes has no certified direction
     flat = rd.FourierPerturbation.from_terms([((0, 1), 0.0, 0.5)])
     degenerate = SystemBundle(b.system, flat, 1e-3)
@@ -105,15 +106,6 @@ def test_drift_rejects_a_lower_bound_constant_that_is_not_finite_and_positive(C_
     b = rd.make_bundle("reduced-moser", 1e-3)
     with pytest.raises(ValueError, match="C_cfg"):
         run_drift_experiment(b, C_cfg=C_cfg)
-
-
-def test_drift_accepts_precomputed_genericity():
-    b = rd.make_bundle("reduced-moser", 1e-3)
-    gen = rd.genericity_check(b.perturbation, b.system)
-    rec1 = run_drift_experiment(b, genericity=gen)
-    rec2 = run_drift_experiment(b)
-    assert rec1.drift == rec2.drift
-    assert rec1.tau == rec2.tau
 
 
 # -- connecting runs ----------------------------------------------------------
@@ -189,6 +181,9 @@ def test_sweep_guards():
     for target in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="target_drift"):
             sweep_epsilon(e.system, e.perturbation, (1e-2, 3e-3, 1e-3), target_drift=target)
+    moser = rd.get_entry("moser")
+    with pytest.raises(ValueError, match="reduced chart"):
+        sweep_epsilon(moser.system, moser.perturbation, (1e-2, 3e-3, 1e-3))
 
 
 def test_sweep_recovers_inverse_epsilon_scaling():
