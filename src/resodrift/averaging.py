@@ -179,10 +179,11 @@ class GeneratorChi:
 
     Every stored mode has k2 != 0, sup-norm |k| <= cutoff, and satisfies the
     small-divisor bound |k.omega| >= varpi/2 on the working window (verified
-    on a grid at construction).  The numerators sit in one divided
-    ModeTable, whose divisors and their action derivatives come from the
-    shared omega and its Jacobian; values and first derivatives follow the
-    quotient rule on polynomial data, so no differencing enters the flows.
+    on a grid at construction; the grid's smallest |k.omega| is kept as
+    min_divisor, None when there is no mode).  The numerators sit in one
+    divided ModeTable, whose divisors and their action derivatives come from
+    the shared omega and its Jacobian; values and first derivatives follow
+    the quotient rule on polynomial data, so no differencing enters the flows.
     """
 
     def __init__(self, system: IntegrableSystem, numerators: dict, cutoff: int, window: ActionWindow):
@@ -211,11 +212,13 @@ class GeneratorChi:
         return not self._numerators
 
     def _verify_divisors(self):
+        self.min_divisor = None
         if self.is_zero:
             return
         I1, I2 = self.window.grid(65, 17)
         A1, A2 = np.meshgrid(I1, I2, indexing="ij")
         smallest = np.min(np.abs(self._table.divisors(A1, A2)), axis=(1, 2)) / TWO_PI
+        self.min_divisor = float(np.min(smallest))
         floor = self.varpi / 2.0
         for k, low in zip(self.mode_keys, smallest):
             if low < floor:

@@ -310,6 +310,7 @@ def _cmd_normal_form(args) -> int:
         "K": first.cutoff,
         "kappa": result.kappa,
         "gamma": first.gamma,
+        "min_divisor": first.chi.min_divisor,
         "sup_f1": result.sup_remainders[0],
         "phi_displacement": result.displacement,
         "displacement_bound": result.displacement_bound,
@@ -326,6 +327,7 @@ def _cmd_normal_form(args) -> int:
         payload.update(
             K2=second.cutoff,
             gamma2=second.gamma,
+            min_divisor2=second.chi.min_divisor,
             sup_f2=result.sup_remainders[1],
             fit_residual=result.meta["fit_residual"],
             n_kept_modes=result.meta["n_kept_modes"],

@@ -1,25 +1,26 @@
 """Adaptive orbit integration, generator flows and symplecticity checks.
 
-One in-repo DOP853 stepper (scipy's tableau, step controller and
-interpolant) has two drivers.  integrate steps an orbit of the full
-Hamiltonian, angles on the universal cover and wrapped only when sampled.
-It builds the interpolant only on steps that hold sample times or a sign
-change of a termination condition (domain exit, channel exit, target drift,
-stopping times), which is root-found on it.  flow_points steps blocks of
-points of a generator flow as stacked systems, each block starting from the
-step the last one ended on, and checks the action window after every
-accepted step; lie_flow is its one-point case.
+One in-repo DOP853 stepper (scipy's step controller and interpolant on the
+tableau vendored in dop853.py) has two drivers.  integrate steps an orbit
+of the full Hamiltonian, angles on the universal cover and wrapped only
+when sampled.  It builds the interpolant only on steps that hold sample
+times or a sign change of a termination condition (domain exit, channel
+exit, target drift, stopping times), which is root-found on it by a port of
+scipy's brentq.  flow_points steps blocks of points of a generator flow as
+stacked systems, each block starting from the step the last one ended on,
+and checks the action window after every accepted step; lie_flow is its
+one-point case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
+from . import dop853
 from .blas import serial_blas
 from .errors import DomainError, FlowEscapeError, IntegrationError
 from .fourier import BLOCK_VALUES
@@ -110,14 +111,13 @@ def _channel_distance(I1, I2, interval):
     return np.maximum(_interval_excess(I1, interval), np.abs(np.asarray(I2)))
 
 
-# DOP853 read off scipy's public class: 12 stages, the 8th-order weights B,
-# the 5th- and 3rd-order error rows E5 and E3 over the 13 rows a step fills
-# (the last is f at the new point), and the interpolant's 3 stages and rows D.
-_A, _B, _C, _E3, _E5, _D = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5, DOP853.D
-_STAGES = DOP853.n_stages + 1
-_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+# DOP853 on the vendored tableau (dop853.py): a step fills 13 stage rows,
+# the last of them f at the new point.
+_A, _B, _C, _E3, _E5, _D = dop853.A, dop853.B, dop853.C, dop853.E3, dop853.E5, dop853.D
+_STAGES = dop853.N_STAGES + 1
+_EXPONENT = -1 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 def _rms(x):
@@ -209,8 +209,8 @@ class _Dop853:
         """y(t) on the last step as a callable of a time or a 1-D array of times."""
         h, t_old, y_old = self.h, self.t_old, self.y_old
         # the 3 extra rows go on a copy: flow blocks never call dense() and keep 13
-        K = np.concatenate([self.K, np.empty((len(DOP853.C_EXTRA), y_old.size))])
-        for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_STAGES):
+        K = np.concatenate([self.K, np.empty((len(dop853.C_EXTRA), y_old.size))])
+        for s, (a, c) in enumerate(zip(dop853.A_EXTRA, dop853.C_EXTRA), start=_STAGES):
             K[s] = self.fun(t_old + c * h, y_old + np.dot(K[:s].T, a[:s]) * h)
             self.nfev += 1
         delta = self.y - y_old
@@ -236,6 +236,64 @@ def _crosses(g, g_new, direction):
     """scipy's event rule: g reaches or passes 0 during the step, in the event's direction."""
     up, down = g <= 0 <= g_new, g >= 0 >= g_new
     return up if direction > 0 else down if direction < 0 else up or down
+
+
+# event roots to 4 ulp (xtol = rtol = 4 eps) in at most 100 iterations
+_ROOT_TOL, _ROOT_ITER = 4 * _EPS, 100
+
+
+def _brentq(f, xa, xb):
+    """Root of f on [xa, xb]: scipy's C brentq (Brent 1973, ch. 4), line for line.
+
+    An end where f is 0 is returned as it is.  Ends of one sign, a NaN value
+    of f or no convergence in _ROOT_ITER iterations raise IntegrationError.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise IntegrationError(f"event function is NaN at t = {x!r}; cannot find its root")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise IntegrationError(f"event function has one sign at t = {xpre!r} and {xcur!r}")
+    for _ in range(_ROOT_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # where den underflows to 0, C's quotient is inf or NaN: never a short step
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise IntegrationError(f"event root not found in {_ROOT_ITER} iterations, last t = {xcur!r}")
 
 
 def integrate(
@@ -305,11 +363,7 @@ def integrate(
         fired = [ev for ev, a, b in zip(events, g, g_new) if _crosses(a, b, ev.direction)]
         if fired:
             sol = stepper.dense()
-            hits = [
-                (brentq(lambda s, fn=ev.fn: fn(s, sol(s)), stepper.t_old, t,
-                        xtol=4 * _EPS, rtol=4 * _EPS), ev)
-                for ev in fired
-            ]
+            hits = [(_brentq(lambda s, fn=ev.fn: fn(s, sol(s)), stepper.t_old, t), ev) for ev in fired]
             t, stop = min(hits, key=lambda hit: stepper.direction * hit[0])
             y = sol(t)
         g = g_new

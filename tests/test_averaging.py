@@ -145,6 +145,19 @@ def test_generator_closed_form_on_generic3(rng):
         assert abs(chi.evaluate(th1, th2, I1, I2) - expected) < 1e-13
 
 
+def test_generator_keeps_its_smallest_divisor():
+    entry = rd.get_entry("generic3")
+    window = star_window(entry.system.resonance, 0.01)
+    chi = solve_homological(entry.system, entry.perturbation, 8, window)
+    # direct recomputation on the same window grid: |k.omega| over every mode
+    A1, A2 = np.meshgrid(*window.grid(65, 17), indexing="ij")
+    om = entry.system.omega(A1, A2)
+    direct = min(np.min(np.abs(k1 * om[0] + k2 * om[1])) for k1, k2 in chi.mode_keys)
+    assert chi.min_divisor == pytest.approx(direct, rel=1e-13)
+    assert chi.min_divisor >= chi.varpi / 2
+    assert GeneratorChi(entry.system, {}, 8, window).min_divisor is None
+
+
 def test_generator_gradients_match_finite_differences(rng):
     entry = rd.get_entry("generic3")
     window = star_window(entry.system.resonance, 0.01)

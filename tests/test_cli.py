@@ -42,6 +42,41 @@ def test_console_script_catalog_runs():
     assert "[ok]" in proc.stdout and "FAIL" not in proc.stdout
 
 
+def test_package_and_cli_run_without_scipy(tmp_path):
+    # scipy is a test extra only: a fresh interpreter that refuses every scipy
+    # import still imports the package and runs a drift and a connect, whose
+    # "target" stop event is root-found on the interpolant.
+    code = f"""
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError("scipy import refused: " + name)
+
+sys.meta_path.insert(0, RefuseScipy())
+import resodrift, resodrift.cli
+assert "scipy" not in sys.modules
+codes = [
+    resodrift.cli.main(["drift", "--system", "moser", "--epsilon", "1e-3",
+                        "--out", {str(tmp_path / "drift")!r}]),
+    resodrift.cli.main(["connect", "--system", "reduced-moser", "--epsilon", "1e-3",
+                        "--from", "1.0", "--to", "1.05", "--out", {str(tmp_path / "connect")!r}]),
+]
+assert "scipy" not in sys.modules
+sys.exit(max(codes))
+"""
+    src = str(Path(rd.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "connect" / "connect_report.json").read_text())
+    assert report["reached"] is True
+
+
 def test_catalog_report_json(tmp_path):
     out = tmp_path / "cat"
     assert run_cli("catalog", "--out", str(out)) == 0
@@ -108,7 +143,8 @@ def test_normal_form_single_step_payload(tmp_path):
     assert payload["K"] >= 2
     assert payload["residual_homological"] <= 1e-9
     assert payload["phi_displacement"] <= payload["displacement_bound"]
-    assert "K2" not in payload
+    assert payload["min_divisor"] >= 0.5 * rd.get_entry("generic3").system.resonance.varpi
+    assert "K2" not in payload and "min_divisor2" not in payload
 
 
 def test_normal_form_two_step_payload_reports_kept_modes(tmp_path, monkeypatch, two_step_results):
@@ -124,6 +160,8 @@ def test_normal_form_two_step_payload_reports_kept_modes(tmp_path, monkeypatch, 
     payload = json.loads((out / "normal_form.json").read_text())
     assert payload["steps"] == 2
     assert payload["K2"] == result.averaging_steps[1].cutoff
+    assert payload["min_divisor"] == result.averaging_steps[0].chi.min_divisor
+    assert payload["min_divisor2"] == result.averaging_steps[1].chi.min_divisor
     assert payload["fit_residual"] == result.meta["fit_residual"]
     assert payload["n_kept_modes"] == result.meta["n_kept_modes"] == 14
     assert payload["kappa_rounds"] == [list(r) for r in result.meta["kappa_rounds"]]

@@ -1,10 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 import resodrift as rd
+from resodrift import dop853
 from resodrift import integrate as integrate_module
 from resodrift.blas import serial_blas
 from resodrift.errors import DomainError, FlowEscapeError, IntegrationError
@@ -197,6 +200,67 @@ def test_stop_events_leave_caller_callables_untouched():
     assert rec.stop_event == "plain"
     assert not hasattr(plain, "terminal")
     assert not hasattr(plain, "direction")
+
+
+def test_event_nan_inside_a_step_raises_integration_error():
+    # y[3] = eps t reaches 0.1 at t = 100; the event is NaN within 1e-9 of
+    # that time, which no step end hits but the root finder's probes do
+    b = rd.make_bundle("moser", 1e-3)
+    target = StopEvent("target", lambda t, y: np.nan if abs(t - 100.0) < 1e-9 else y[3] - 0.1)
+    with pytest.raises(IntegrationError, match="NaN"):
+        integrate(b.rhs(), [0.0, 0.0, 0.0, 0.0], (0.0, 800.0), stop_events=(target,))
+
+
+# -- the root finder against scipy's brentq -----------------------------------
+
+_EPS = np.finfo(float).eps
+_SHAPES = (
+    lambda u, c, p: u,
+    lambda u, c, p: math.sinh(c * u) + 0.1 * u**3,
+    lambda u, c, p: math.copysign(abs(u) ** (1 / p), u),
+    lambda u, c, p: math.tanh(5 * c * u) - 0.3 * u ** (2 * p),
+)
+
+
+def test_root_finder_is_scipy_brentq_bit_for_bit():
+    # seeded functions at magnitudes from subnormal to 1e200, so underflowed
+    # products (a division by 0 in the extrapolation) are exercised too
+    rng = np.random.default_rng(14)
+    n = 0
+    while n < 10_000:
+        shape, scale = _SHAPES[n % 4], (1.0, 1e-200, 1e-310, 1e200)[n // 4 % 4]
+        r, c, p = rng.uniform(-1, 1), rng.uniform(0.1, 3), int(rng.integers(1, 6))
+        a, b = (float(x) for x in rng.uniform(-2, 2, 2))
+
+        def f(x, shape=shape, scale=scale, r=r, c=c, p=p):
+            return scale * shape(x - r, c, p)
+
+        fa, fb = f(a), f(b)
+        if fa == 0 or fb == 0 or (fa < 0) == (fb < 0):
+            continue
+        ours = integrate_module._brentq(f, a, b)
+        theirs = brentq(f, a, b, xtol=4 * _EPS, rtol=4 * _EPS)
+        assert ours.hex() == theirs.hex(), (n, a, b)
+        n += 1
+
+
+def test_root_finder_ends_and_failures():
+    _brentq = integrate_module._brentq
+    assert _brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert _brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    with pytest.raises(IntegrationError, match="one sign"):
+        _brentq(lambda x: x - 1.0, 2.0, 3.0)
+    with pytest.raises(IntegrationError, match="NaN"):
+        _brentq(lambda x: np.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0)
+
+    # a jump on a 2e300-wide bracket takes about 1,000 bisections to 4 ulp
+    def jump(x):
+        return -1.0 if x < 0.5 else 1.0
+
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        brentq(jump, -1e300, 1e300, xtol=4 * _EPS, rtol=4 * _EPS)
+    with pytest.raises(IntegrationError, match="in 100 iterations"):
+        _brentq(jump, -1e300, 1e300)
 
 
 @pytest.mark.parametrize("span", [(0.0, 0.0), (3.0, 3.0), (0.0, np.inf), (0.0, np.nan), (np.inf, np.inf)])
@@ -540,6 +604,13 @@ def _step_both(fun, y0, t_end, h_abs=None):
     np.testing.assert_array_equal(stepper.y, solver.y)
     assert stepper.h_abs == solver.h_abs
     return (solver.nfev - 4) // 12 - len(theirs)
+
+
+def test_vendored_tableau_is_scipys():
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        assert np.array_equal(getattr(dop853, name), getattr(DOP853, name)), name
+    assert dop853.N_STAGES == DOP853.n_stages
+    assert dop853.ERROR_ESTIMATOR_ORDER == DOP853.error_estimator_order
 
 
 def test_stepper_is_scipy_dop853_bit_for_bit(generic3_chi):
