@@ -216,8 +216,7 @@ class GeneratorChi:
         if self.is_zero:
             return
         I1, I2 = self.window.grid(65, 17)
-        A1, A2 = np.meshgrid(I1, I2, indexing="ij")
-        smallest = np.min(np.abs(self._table.divisors(A1, A2)), axis=(1, 2)) / TWO_PI
+        smallest = np.min(np.abs(self._table.divisors(I1[:, None], I2[None, :])), axis=(1, 2)) / TWO_PI
         self.min_divisor = float(np.min(smallest))
         floor = self.varpi / 2.0
         for k, low in zip(self.mode_keys, smallest):
@@ -250,62 +249,62 @@ class GeneratorChi:
 
     # -- measured C^1 norm ---------------------------------------------------------
 
-    def c1_norm(
-        self, n_theta: int = 64, n_action: tuple[int, int] = (17, 5), refine_rounds: int = 25
-    ) -> float:
+    def c1_norm(self) -> float:
         """Measured C^1 sup over T^2 x the generator's window, sharpened by local refinement.
 
-        A coarse grid locates the maximizer of each component (value and the
-        four first derivatives); a shrinking local grid then polishes it so
-        the reported sup is not limited by the coarse resolution.  Both are
-        tensor grids of angles x actions.
+        A coarse tensor grid of C1_ANGLES angles per axis x C1_ACTIONS action
+        points locates the maximizer of each component (value and the four
+        first derivatives); C1_ROUNDS rounds of a halving 5-point local grid
+        about each maximizer then polish it, so the reported sup is not
+        limited by the coarse resolution.  A round evaluates the five
+        components' local grids in one table call.
         """
         if self.is_zero:
             return 0.0
-        window = self.window
-        th = np.linspace(0.0, 1.0, n_theta, endpoint=False)
-        I1, I2 = window.grid(*n_action)
-        axes = (th, th, I1, I2)
-        spans = np.array(
-            [1.0 / n_theta, 1.0 / n_theta,
-             (window.i1_max - window.i1_min) / (n_action[0] - 1),
-             (window.i2_max - window.i2_min) / max(n_action[1] - 1, 1)]
+        w = self.window
+        th = np.linspace(0.0, 1.0, C1_ANGLES, endpoint=False)
+        axes = (th, th, *w.grid(*C1_ACTIONS))
+        found = self._grid_argmax(axes)
+        peaks = np.array([peak for peak, _ in found])
+        # center[c] is component c's maximizer in (theta1, theta2, I1, I2)
+        center = np.array([[ax[i] for ax, i in zip(axes, idx)] for _, idx in found])
+        radius = np.array(
+            [1.0 / C1_ANGLES, 1.0 / C1_ANGLES,
+             (w.i1_max - w.i1_min) / (C1_ACTIONS[0] - 1), (w.i2_max - w.i2_min) / (C1_ACTIONS[1] - 1)]
         )
-        best = 0.0
-        for c, (peak, idx) in enumerate(self._grid_argmax(axes, range(5))):
-            center = np.array([ax[i] for ax, i in zip(axes, idx)])
-            radius = spans.copy()
-            for _ in range(refine_rounds):
-                local = []
-                for d in range(4):
-                    lo = center[d] - radius[d]
-                    hi = center[d] + radius[d]
-                    if d == 2:
-                        lo, hi = max(lo, window.i1_min), min(hi, window.i1_max)
-                    if d == 3:
-                        lo, hi = max(lo, window.i2_min), min(hi, window.i2_max)
-                    local.append(np.linspace(lo, hi, 5))
-                [(local_peak, lidx)] = self._grid_argmax(local, (c,))
-                peak = max(peak, local_peak)
-                center = np.array([ax[i] for ax, i in zip(local, lidx)])
-                radius *= 0.5
-            best = max(best, peak)
-        return best
+        floor = np.array([-np.inf, -np.inf, w.i1_min, w.i2_min])
+        ceiling = np.array([np.inf, np.inf, w.i1_max, w.i2_max])
+        c = np.arange(5)
+        for _ in range(C1_ROUNDS):
+            lo = np.maximum(center - radius, floor)
+            hi = np.minimum(center + radius, ceiling)
+            local = np.linspace(lo, hi, 5, axis=-1)
+            rows = self._table.outer(
+                local[:, 0, :, None], local[:, 1, None, :], local[:, 2, :, None], local[:, 3, None, :],
+                grad=True,
+            )
+            # component c on its own grid, in (theta1, theta2, I1, I2) order
+            vals = np.abs(rows[c, c, :, :, c].transpose(0, 3, 4, 1, 2)).reshape(5, -1)
+            best = np.argmax(vals, axis=1)
+            peaks = np.maximum(peaks, vals[c, best])
+            idx = np.unravel_index(best, (5,) * 4)
+            center = np.stack([local[c, d, i] for d, i in enumerate(idx)], axis=1)
+            radius *= 0.5
+        return float(np.max(peaks))
 
-    def _grid_argmax(self, axes, components):
-        """(sup, index) of |component| on the tensor grid of the 1-D axes.
+    def _grid_argmax(self, axes):
+        """(sup, index) of each |component| on the tensor grid of the 1-D axes.
 
-        axes are (theta1, theta2, I1, I2) and components index the rows
-        (chi, d/dtheta1, d/dtheta2, d/dI1, d/dI2); the index is into the four
-        axes.  Ties go to the first point in (theta1, theta2, I1, I2) order,
-        across the action slices of ModeTable.outer_blocks too.
+        axes are (theta1, theta2, I1, I2), and the components are the rows
+        (chi, d/dtheta1, d/dtheta2, d/dI1, d/dI2); each index is into the
+        four axes.  Ties go to the first point in (theta1, theta2, I1, I2)
+        order, across the action slices of ModeTable.outer_blocks too.
         """
         t1, t2, x1, x2 = axes
-        found = {c: (-1.0, 0, 0) for c in components}
+        found = [(-1.0, 0, 0)] * 5
         grid = (t1[:, None], t2[None, :], x1[:, None], x2[None, :])
         for actions, rows in self._table.outer_blocks(*grid, grad=True):
-            for c in components:
-                vals = np.abs(rows[c], out=rows[c])
+            for c, vals in enumerate(np.abs(rows, out=rows)):
                 peak = vals.max()
                 # hits come in (action, angle) order, so the first of the
                 # smallest angle index has the smallest action index
@@ -315,7 +314,7 @@ class GeneratorChi:
         shapes = ((len(t1), len(t2)), (len(x1), len(x2)))
         return [
             (peak, np.unravel_index(-angle, shapes[0]) + np.unravel_index(-action, shapes[1]))
-            for peak, angle, action in found.values()
+            for peak, angle, action in found
         ]
 
 
@@ -484,12 +483,13 @@ def _homological_residual(system, chi, g, window, grid=(16, 8, 65, 17)) -> float
     n1, n2, m1, m2 = grid
     th1 = np.linspace(0.0, 1.0, n1, endpoint=False)
     th2 = np.linspace(0.0, 1.0, n2, endpoint=False)
-    A1, A2 = np.meshgrid(*window.grid(m1, m2), indexing="ij")
-    angles = (th1[:, None], th2[None, :])
-    rows = chi._table.outer(*angles, A1, A2, grad=True)
-    om = system.omega(A1, A2)[..., None, None]
+    I1, I2 = window.grid(m1, m2)
+    angles, actions = (th1[:, None], th2[None, :]), (I1[:, None], I2[None, :])
+    rows = chi._table.outer(*angles, *actions, grad=True)
+    # omega is a pair of polynomials, which take points of one shape
+    om = system.omega(*np.broadcast_arrays(*actions))[..., None, None]
     lhs = om[0] * rows[1] + om[1] * rows[2]
-    return float(np.max(np.abs(lhs - g.table().outer(*angles, A1, A2))))
+    return float(np.max(np.abs(lhs - g.table().outer(*angles, *actions))))
 
 
 def _measure(
@@ -612,6 +612,13 @@ def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
     return polys
 
 
+# Grids of GeneratorChi.c1_norm: C1_ANGLES points on each angle axis and
+# C1_ACTIONS (I1, I2) points on the window locate each component's
+# maximizer, and C1_ROUNDS rounds of a halving local grid polish it.
+C1_ANGLES = 64
+C1_ACTIONS = (17, 5)
+C1_ROUNDS = 25
+
 # Settings of the second step's fit: f' is sampled on FIT_I_GRID action
 # nodes (Chebyshev in I1) of the half window, modes up to CUTOFF2 whose
 # amplitude reaches MODE_THRESHOLD of the largest are kept, their
@@ -674,8 +681,6 @@ def two_step_normal_form(
     for k1 in range(0, k_max + 1):
         k2_lo = 1 if k1 == 0 else -k_max
         for k2 in range(k2_lo, k_max + 1):
-            if k1 == 0 and k2 <= 0:
-                continue
             if amplitude[k1 % n_th, k2 % n_th] >= floor:
                 kept.append((k1, k2))
 

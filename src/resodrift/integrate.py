@@ -71,7 +71,6 @@ class OrbitRecord:
     abs_I2: np.ndarray
     dist_channel: np.ndarray
     flagged: bool
-    flag: Optional[str]
     stop_event: Optional[str]
     t_end: float
     y_end: np.ndarray
@@ -405,7 +404,6 @@ def integrate(
         abs_I2=np.abs(actions[:, 1]),
         dist_channel=np.asarray(dist, dtype=float),
         flagged=flagged,
-        flag=stop.name if flagged else None,
         stop_event=stop.name if stop is not None else None,
         t_end=t_end,
         y_end=np.asarray(y_end, dtype=float),

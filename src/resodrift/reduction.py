@@ -185,12 +185,6 @@ class ReductionResult:
         )
         return PhaseState.make(float(th1), float(th2), float(I1), float(I2))
 
-    def backward(self, state: PhaseState) -> PhaseState:
-        th1, th2, I1, I2 = self.backward_points(
-            state.angles.theta1, state.angles.theta2, state.actions.I1, state.actions.I2
-        )
-        return PhaseState.make(float(th1), float(th2), float(I1), float(I2))
-
     def report(self) -> dict:
         out = {
             "matrix": [list(row) for row in self.umap.M],
@@ -355,7 +349,7 @@ def map_orbit(
     )
     if direction == "backward":
         return replace(record, theta=theta, actions=actions, y_end=y_end)
-    interval = result.system.resonance.s1_interval()
+    interval = result.system.resonance.s1_interval(star=True)
     return replace(
         record,
         theta=theta,

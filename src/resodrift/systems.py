@@ -200,11 +200,6 @@ class IntegrableSystem:
     def is_reduced(self) -> bool:
         return self.resonance.is_reduced
 
-    def require_inside(self, I1, I2):
-        m = max(float(np.max(np.abs(I1))), float(np.max(np.abs(I2))))
-        if m > self.R + LINE_TOL:
-            raise DomainError(f"actions outside the working domain B_R (R={self.R})")
-
 
 class SystemBundle:
     """Full Hamiltonian h(I) + epsilon * f(theta, I) on T^2 x B_R."""

@@ -62,9 +62,6 @@ class ActionPair:
         object.__setattr__(self, "I1", float(self.I1))
         object.__setattr__(self, "I2", float(self.I2))
 
-    def sup_norm(self) -> float:
-        return max(abs(self.I1), abs(self.I2))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.I1, self.I2])
 

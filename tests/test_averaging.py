@@ -316,17 +316,19 @@ def test_c1_norm_ties_go_to_the_first_point_in_grid_order(monkeypatch):
     starts = []
     original = GeneratorChi._grid_argmax
 
-    def spy(self, axes, components):
-        out = original(self, axes, components)
-        if len(components) == 5:
-            starts.extend(tuple(ax[i] for ax, i in zip(axes, idx)) for _, idx in out)
+    def spy(self, axes):
+        out = original(self, axes)
+        starts.extend(tuple(ax[i] for ax, i in zip(axes, idx)) for _, idx in out)
         return out
 
     monkeypatch.setattr(GeneratorChi, "_grid_argmax", spy)
     # one action point per slice, so ties also fall across slices
     monkeypatch.setattr(fourier, "BLOCK_VALUES", 1)
     n_theta, n_action = 8, (5, 3)
-    chi.c1_norm(n_theta=n_theta, n_action=n_action, refine_rounds=1)
+    monkeypatch.setattr(averaging, "C1_ANGLES", n_theta)
+    monkeypatch.setattr(averaging, "C1_ACTIONS", n_action)
+    monkeypatch.setattr(averaging, "C1_ROUNDS", 1)
+    chi.c1_norm()
     th = np.linspace(0.0, 1.0, n_theta, endpoint=False)
     I1, I2 = window.grid(*n_action)
     grids = np.meshgrid(th, th, I1, I2, indexing="ij")
@@ -336,6 +338,29 @@ def test_c1_norm_ties_go_to_the_first_point_in_grid_order(monkeypatch):
         idx = np.unravel_index(int(np.argmax(vals[c])), vals[c].shape)
         want.append(tuple(g[idx] for g in grids))
     assert starts == want
+
+
+def test_c1_norm_makes_one_coarse_pass_and_one_evaluation_per_round(monkeypatch):
+    # the five components share every table evaluation: one streamed pass
+    # over the coarse grid, then one outer call per refinement round
+    entry = rd.get_entry("generic3")
+    window = star_window(entry.system.resonance, 0.005)
+    chi = solve_homological(entry.system, entry.perturbation, 8, window)
+    calls = {"outer_blocks": 0, "outer": 0}
+
+    def counted(name):
+        original = getattr(fourier.ModeTable, name)
+
+        def spy(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(fourier.ModeTable, name, spy)
+
+    counted("outer_blocks")
+    counted("outer")
+    chi.c1_norm()
+    assert calls == {"outer_blocks": 1, "outer": averaging.C1_ROUNDS}
 
 
 def test_c1_norm_memory_is_bounded_by_one_action_slice():

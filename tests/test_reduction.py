@@ -195,5 +195,21 @@ def test_state_level_maps_agree_with_point_maps(moser_reduction):
     fwd = red.forward(s)
     arr = red.forward_points(0.12, 0.81, 0.9, -0.9)
     np.testing.assert_allclose(fwd.as_array(), [float(v) for v in arr], atol=1e-15)
-    back = red.backward(fwd)
+    back = PhaseState.make(*(float(v) for v in red.backward_points(*fwd.as_array())))
     assert back.distance(s) < 1e-12
+
+
+def test_forward_mapped_orbit_measures_the_working_subsegment(moser_reduction):
+    # dist_channel of a forward-mapped orbit is measured against S*, as
+    # run_orbit measures it on the reduced chart: I1 drifts from 0.3 to 0.2,
+    # which ends 0.05 below S = [0.25, 1.75] and 0.3 below S* = [0.5, 1.5]
+    red = moser_reduction
+    moser = rd.get_entry("moser")
+    y0 = np.array([0.0, 0.0, 0.3, -0.3])
+    rec = rd.run_orbit(rd.SystemBundle(moser.system, moser.perturbation, 1e-3), y0, 100.0)
+    mapped = map_orbit(red, rec, direction="forward")
+    start = np.array([float(v) for v in red.forward_points(*y0)])
+    direct = rd.run_orbit(rd.SystemBundle(red.system, red.perturbation, 1e-3), start, 100.0)
+    np.testing.assert_array_equal(mapped.t, direct.t)
+    assert np.max(np.abs(mapped.dist_channel - direct.dist_channel)) < 1e-9
+    assert np.max(mapped.dist_channel) == pytest.approx(0.3, abs=1e-9)

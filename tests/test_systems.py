@@ -111,13 +111,6 @@ def test_hessian_is_symmetric_and_constant_for_quadratic_h():
     np.testing.assert_allclose(H, [[1.0, 0.0], [0.0, -1.0]])
 
 
-def test_require_inside_raises_outside_box():
-    system = rd.get_entry("reduced-moser").system
-    system.require_inside(1.0, 0.0)
-    with pytest.raises(DomainError):
-        system.require_inside(system.R + 0.1, 0.0)
-
-
 def test_bundle_epsilon_validation():
     entry = rd.get_entry("moser")
     with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 from resodrift.torus import (
-    ActionPair,
     AnglePair,
     PhaseState,
     circle_delta,
@@ -62,11 +61,6 @@ def test_angle_pair_canonicalizes():
     q = p.shifted(0.5, 0.75)
     assert (q.theta1, q.theta2) == (0.75, 0.25)
     assert np.isclose(p.distance(q), 0.5)
-
-
-def test_action_pair_sup_norm():
-    a = ActionPair(-3.0, 2.0)
-    assert a.sup_norm() == 3.0
 
 
 def test_phase_state_array_round_trip():
