@@ -26,6 +26,7 @@ from .blas import serial_blas
 from .errors import DomainError, FlowEscapeError, SmallDivisorError, WindowFitError
 from .fourier import TWO_PI, FourierPerturbation, ModeTable
 from .integrate import flow_points, lie_flow
+from .norms import c1_peaks
 from .poly import PolyField
 from .systems import (
     ActionWindow,
@@ -250,72 +251,10 @@ class GeneratorChi:
     # -- measured C^1 norm ---------------------------------------------------------
 
     def c1_norm(self) -> float:
-        """Measured C^1 sup over T^2 x the generator's window, sharpened by local refinement.
-
-        A coarse tensor grid of C1_ANGLES angles per axis x C1_ACTIONS action
-        points locates the maximizer of each component (value and the four
-        first derivatives); C1_ROUNDS rounds of a halving 5-point local grid
-        about each maximizer then polish it, so the reported sup is not
-        limited by the coarse resolution.  A round evaluates the five
-        components' local grids in one table call.
-        """
+        """Measured C^1 sup over T^2 x the generator's window (norms.c1_peaks)."""
         if self.is_zero:
             return 0.0
-        w = self.window
-        th = np.linspace(0.0, 1.0, C1_ANGLES, endpoint=False)
-        axes = (th, th, *w.grid(*C1_ACTIONS))
-        found = self._grid_argmax(axes)
-        peaks = np.array([peak for peak, _ in found])
-        # center[c] is component c's maximizer in (theta1, theta2, I1, I2)
-        center = np.array([[ax[i] for ax, i in zip(axes, idx)] for _, idx in found])
-        radius = np.array(
-            [1.0 / C1_ANGLES, 1.0 / C1_ANGLES,
-             (w.i1_max - w.i1_min) / (C1_ACTIONS[0] - 1), (w.i2_max - w.i2_min) / (C1_ACTIONS[1] - 1)]
-        )
-        floor = np.array([-np.inf, -np.inf, w.i1_min, w.i2_min])
-        ceiling = np.array([np.inf, np.inf, w.i1_max, w.i2_max])
-        c = np.arange(5)
-        for _ in range(C1_ROUNDS):
-            lo = np.maximum(center - radius, floor)
-            hi = np.minimum(center + radius, ceiling)
-            local = np.linspace(lo, hi, 5, axis=-1)
-            rows = self._table.outer(
-                local[:, 0, :, None], local[:, 1, None, :], local[:, 2, :, None], local[:, 3, None, :],
-                grad=True,
-            )
-            # component c on its own grid, in (theta1, theta2, I1, I2) order
-            vals = np.abs(rows[c, c, :, :, c].transpose(0, 3, 4, 1, 2)).reshape(5, -1)
-            best = np.argmax(vals, axis=1)
-            peaks = np.maximum(peaks, vals[c, best])
-            idx = np.unravel_index(best, (5,) * 4)
-            center = np.stack([local[c, d, i] for d, i in enumerate(idx)], axis=1)
-            radius *= 0.5
-        return float(np.max(peaks))
-
-    def _grid_argmax(self, axes):
-        """(sup, index) of each |component| on the tensor grid of the 1-D axes.
-
-        axes are (theta1, theta2, I1, I2), and the components are the rows
-        (chi, d/dtheta1, d/dtheta2, d/dI1, d/dI2); each index is into the
-        four axes.  Ties go to the first point in (theta1, theta2, I1, I2)
-        order, across the action slices of ModeTable.outer_blocks too.
-        """
-        t1, t2, x1, x2 = axes
-        found = [(-1.0, 0, 0)] * 5
-        grid = (t1[:, None], t2[None, :], x1[:, None], x2[None, :])
-        for actions, rows in self._table.outer_blocks(*grid, grad=True):
-            for c, vals in enumerate(np.abs(rows, out=rows)):
-                peak = vals.max()
-                # hits come in (action, angle) order, so the first of the
-                # smallest angle index has the smallest action index
-                action, angle = np.nonzero(vals == peak)
-                i = int(np.argmin(angle))
-                found[c] = max(found[c], (float(peak), -int(angle[i]), -(actions.start + int(action[i]))))
-        shapes = ((len(t1), len(t2)), (len(x1), len(x2)))
-        return [
-            (peak, np.unravel_index(-angle, shapes[0]) + np.unravel_index(-action, shapes[1]))
-            for peak, angle, action in found
-        ]
+        return max(c1_peaks(self._table, self.window))
 
 
 def solve_homological(
@@ -486,8 +425,7 @@ def _homological_residual(system, chi, g, window, grid=(16, 8, 65, 17)) -> float
     I1, I2 = window.grid(m1, m2)
     angles, actions = (th1[:, None], th2[None, :]), (I1[:, None], I2[None, :])
     rows = chi._table.outer(*angles, *actions, grad=True)
-    # omega is a pair of polynomials, which take points of one shape
-    om = system.omega(*np.broadcast_arrays(*actions))[..., None, None]
+    om = system.omega(*actions)[..., None, None]
     lhs = om[0] * rows[1] + om[1] * rows[2]
     return float(np.max(np.abs(lhs - g.table().outer(*angles, *actions))))
 
@@ -611,13 +549,6 @@ def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
         polys.append(PolyField(tmp).compose_affine(A, b))
     return polys
 
-
-# Grids of GeneratorChi.c1_norm: C1_ANGLES points on each angle axis and
-# C1_ACTIONS (I1, I2) points on the window locate each component's
-# maximizer, and C1_ROUNDS rounds of a halving local grid polish it.
-C1_ANGLES = 64
-C1_ACTIONS = (17, 5)
-C1_ROUNDS = 25
 
 # Settings of the second step's fit: f' is sampled on FIT_I_GRID action
 # nodes (Chebyshev in I1) of the half window, modes up to CUTOFF2 whose

@@ -329,11 +329,10 @@ class ModeTable:
 class FourierPerturbation:
     """Finite trigonometric polynomial on T^2 with PolyField coefficients."""
 
-    __slots__ = ("_modes", "_partial_cache", "_table")
+    __slots__ = ("_modes", "_table")
 
     def __init__(self, modes: dict | None = None):
         self._modes: dict[tuple[int, int], tuple[PolyField, PolyField]] = {}
-        self._partial_cache: dict = {}
         self._table: ModeTable | None = None
         if modes:
             for k, (a, b) in modes.items():
@@ -370,7 +369,6 @@ class FourierPerturbation:
             b = PolyField.zero()  # sin(0) contributes nothing
         old_a, old_b = self._modes.get(key, (PolyField.zero(), PolyField.zero()))
         self._modes[key] = (old_a + a, old_b + b)
-        self._partial_cache.clear()
         self._table = None
 
     def _prune(self):
@@ -388,10 +386,6 @@ class FourierPerturbation:
     @property
     def mode_keys(self):
         return sorted(self._modes.keys())
-
-    @property
-    def n_modes(self) -> int:
-        return len(self._modes)
 
     @property
     def max_mode(self) -> int:
@@ -457,10 +451,6 @@ class FourierPerturbation:
 
     def partial(self, d_theta1=0, d_theta2=0, d_I1=0, d_I2=0) -> "FourierPerturbation":
         """Exact mixed partial derivative, returned as a new series."""
-        key = (d_theta1, d_theta2, d_I1, d_I2)
-        cached = self._partial_cache.get(key)
-        if cached is not None:
-            return cached
         out = self
         for _ in range(d_theta1):
             out = out._single_theta_partial(0)
@@ -470,7 +460,6 @@ class FourierPerturbation:
             out = out._single_action_partial(0)
         for _ in range(d_I2):
             out = out._single_action_partial(1)
-        self._partial_cache[key] = out
         return out
 
     def theta_gradient(self, theta1, theta2, I1, I2) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Exact bivariate polynomials in the action variables.
 
-Frequency maps, Hessians and Fourier coefficient functions are all polynomial
-in the actions for the systems treated here, so derivatives are computed by
+Frequency maps and Fourier coefficient functions are all polynomial in the
+actions for the systems treated here, so derivatives are computed by
 manipulating coefficient tables instead of differencing.  That keeps every
 downstream identity (gradients, small divisors, homological residuals) exact
 up to floating-point rounding.

@@ -142,9 +142,9 @@ def star_window(resonance: ResonanceData, margin: float) -> ActionWindow:
 class IntegrableSystem:
     """Polynomial integrable Hamiltonian h(I) on B_R with resonance data.
 
-    The frequency map omega = grad h and the Hessian are differentiated
-    exactly from the coefficient table; a finite-difference cross-check runs
-    once at construction.
+    The frequency map omega = grad h is differentiated exactly from the
+    coefficient table; a finite-difference cross-check runs once at
+    construction.
     """
 
     def __init__(self, h: PolyField, R: float, resonance: ResonanceData):
@@ -153,10 +153,6 @@ class IntegrableSystem:
         self.resonance = resonance
         self._d1 = h.partial(1, 0)
         self._d2 = h.partial(0, 1)
-        self._hess = (
-            (h.partial(2, 0), h.partial(1, 1)),
-            (h.partial(1, 1), h.partial(0, 2)),
-        )
         if self.R <= 0:
             raise ValueError("domain radius must be positive")
         for p in resonance.S:
@@ -165,7 +161,7 @@ class IntegrableSystem:
         self._check_derivatives()
 
     def _check_derivatives(self, n: int = 5, tol: float = 1e-6):
-        """Exact gradient/Hessian must agree with central differences."""
+        """The exact gradient must agree with central differences."""
         rng = np.random.default_rng(7)
         pts = rng.uniform(-0.5 * self.R, 0.5 * self.R, size=(n, 2))
         step = 1e-5 * max(self.R, 1.0)
@@ -179,22 +175,14 @@ class IntegrableSystem:
                 raise ValueError("frequency map disagrees with finite differences")
 
     def omega(self, I1, I2) -> np.ndarray:
-        """Frequency vector grad h, stacked along a leading axis."""
+        """Frequency vector grad h at I1, I2 broadcast together, stacked along a leading axis."""
+        I1, I2 = np.broadcast_arrays(I1, I2)
         return np.stack(
             [np.asarray(self._d1(I1, I2), dtype=float), np.asarray(self._d2(I1, I2), dtype=float)]
         )
 
     def omega_polys(self) -> tuple[PolyField, PolyField]:
         return self._d1, self._d2
-
-    def hessian(self, I1, I2) -> np.ndarray:
-        return np.array(
-            [
-                [self._hess[0][0](I1, I2), self._hess[0][1](I1, I2)],
-                [self._hess[1][0](I1, I2), self._hess[1][1](I1, I2)],
-            ],
-            dtype=float,
-        )
 
     @property
     def is_reduced(self) -> bool:

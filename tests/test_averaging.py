@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import resodrift as rd
-from resodrift import averaging, fourier
+from resodrift import averaging, fourier, norms
 from resodrift.averaging import (
     GeneratorChi,
     average_over_theta2,
@@ -18,6 +18,8 @@ from resodrift.fourier import FourierPerturbation
 from resodrift.poly import PolyField
 from resodrift.systems import star_window
 from resodrift.torus import wrap
+
+from c1_reference import reference_c1_peaks
 
 TWO_PI = 2.0 * np.pi
 
@@ -252,47 +254,9 @@ def test_c1_norm_refinement_dominates_dense_grid(rng):
     assert gamma <= sup_sample * 1.05  # the refinement should not overshoot
 
 
-def reference_c1_norm(chi, window, n_theta=64, n_action=(17, 5), refine_rounds=25):
-    """c1_norm as it ran before tensor grids: 4-D meshgrids evaluated point by point.
-
-    Ties go to the first point in (theta1, theta2, I1, I2) order, through
-    argmax on the meshgrid.
-    """
-
-    def components(*points):
-        return np.abs(np.asarray(chi._table.evaluate(*points)))
-
-    th = np.linspace(0.0, 1.0, n_theta, endpoint=False)
-    I1, I2 = window.grid(*n_action)
-    T1, T2, A1, A2 = np.meshgrid(th, th, I1, I2, indexing="ij")
-    best = 0.0
-    spans = np.array(
-        [1.0 / n_theta, 1.0 / n_theta,
-         (window.i1_max - window.i1_min) / (n_action[0] - 1),
-         (window.i2_max - window.i2_min) / max(n_action[1] - 1, 1)]
-    )
-    for c, vals in enumerate(components(T1, T2, A1, A2)):
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        center = np.array([T1[idx], T2[idx], A1[idx], A2[idx]])
-        radius = spans.copy()
-        peak = float(vals[idx])
-        for _ in range(refine_rounds):
-            axes = []
-            for d in range(4):
-                lo, hi = center[d] - radius[d], center[d] + radius[d]
-                if d == 2:
-                    lo, hi = max(lo, window.i1_min), min(hi, window.i1_max)
-                if d == 3:
-                    lo, hi = max(lo, window.i2_min), min(hi, window.i2_max)
-                axes.append(np.linspace(lo, hi, 5))
-            L = np.meshgrid(*axes, indexing="ij")
-            local = components(*L)[c]
-            lidx = np.unravel_index(int(np.argmax(local)), local.shape)
-            peak = max(peak, float(local[lidx]))
-            center = np.array([grid[lidx] for grid in L])
-            radius *= 0.5
-        best = max(best, peak)
-    return best
+def reference_c1_norm(chi, window):
+    """c1_norm as it ran before tensor grids: 4-D meshgrids evaluated point by point."""
+    return max(reference_c1_peaks(chi._table, window))
 
 
 def test_c1_norm_matches_the_meshgrid_reference(one_step_results, two_step_results):
@@ -314,20 +278,20 @@ def test_c1_norm_ties_go_to_the_first_point_in_grid_order(monkeypatch):
     window = star_window(entry.system.resonance, 0.01)
     chi = GeneratorChi(entry.system, {(0, 1): (PolyField.from_terms([(0, 0, 1.0)]), PolyField.zero())}, 1, window)
     starts = []
-    original = GeneratorChi._grid_argmax
+    original = norms._grid_argmax
 
-    def spy(self, axes):
-        out = original(self, axes)
+    def spy(table, axes):
+        out = original(table, axes)
         starts.extend(tuple(ax[i] for ax, i in zip(axes, idx)) for _, idx in out)
         return out
 
-    monkeypatch.setattr(GeneratorChi, "_grid_argmax", spy)
+    monkeypatch.setattr(norms, "_grid_argmax", spy)
     # one action point per slice, so ties also fall across slices
     monkeypatch.setattr(fourier, "BLOCK_VALUES", 1)
     n_theta, n_action = 8, (5, 3)
-    monkeypatch.setattr(averaging, "C1_ANGLES", n_theta)
-    monkeypatch.setattr(averaging, "C1_ACTIONS", n_action)
-    monkeypatch.setattr(averaging, "C1_ROUNDS", 1)
+    monkeypatch.setattr(norms, "C1_ANGLES", n_theta)
+    monkeypatch.setattr(norms, "C1_ACTIONS", n_action)
+    monkeypatch.setattr(norms, "C1_ROUNDS", 1)
     chi.c1_norm()
     th = np.linspace(0.0, 1.0, n_theta, endpoint=False)
     I1, I2 = window.grid(*n_action)
@@ -360,7 +324,7 @@ def test_c1_norm_makes_one_coarse_pass_and_one_evaluation_per_round(monkeypatch)
     counted("outer_blocks")
     counted("outer")
     chi.c1_norm()
-    assert calls == {"outer_blocks": 1, "outer": averaging.C1_ROUNDS}
+    assert calls == {"outer_blocks": 1, "outer": norms.C1_ROUNDS}
 
 
 def test_c1_norm_memory_is_bounded_by_one_action_slice():

@@ -167,6 +167,22 @@ def test_drift_never_beats_the_c1_bound():
     assert keys == {"drift", "delta", "f_c1_norm", "bound", "slack", "passed"}
 
 
+# |f|_C1 of the audit, pinned to the float drift_report.json carries
+AUDIT_C1_NORMS = {"generic3": 3.141592653589793, "moser": 1.0, "product": 1.0, "reduced-moser": 1.0}
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("name", rd.catalog_names())
+def test_audit_c1_norm_is_pinned(name, eps):
+    entry = rd.get_entry(name)
+    system, f = entry.system, entry.perturbation
+    if not system.is_reduced:
+        reduced = rd.reduce_system(system, f)
+        system, f = reduced.system, reduced.perturbation
+    b = SystemBundle(system, f, eps)
+    assert optimality_check(run_drift_experiment(b), b).f_c1_norm == AUDIT_C1_NORMS[name]
+
+
 # -- sweeps -------------------------------------------------------------------
 
 

@@ -123,7 +123,7 @@ def test_filter_and_max_mode():
 def test_zero_perturbation_evaluates_to_zero():
     z = FourierPerturbation.zero()
     assert z.is_zero
-    assert z.n_modes == 0
+    assert z.mode_keys == []
     vals = z(np.array([0.1, 0.2]), np.array([0.3, 0.4]), 0.0, 0.0)
     np.testing.assert_array_equal(vals, np.zeros(2))
 

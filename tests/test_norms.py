@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 import resodrift as rd
+from resodrift import averaging, norms
+from resodrift.averaging import solve_homological
 from resodrift.fourier import BLOCK_VALUES, FourierPerturbation
-from resodrift.norms import _multi_indices, estimate_cj_norm
+from resodrift.norms import estimate_cj_norm
 from resodrift.poly import PolyField
-from resodrift.systems import ActionWindow
+from resodrift.systems import ActionWindow, star_window
+
+from c1_reference import reference_c1_peaks
 
 TWO_PI = 2.0 * np.pi
 WINDOW = ActionWindow(0.5, 1.5, -0.1, 0.1)
+FIRST_ROWS = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
 
 def test_c0_norm_of_single_mode_is_amplitude():
@@ -31,12 +36,6 @@ def test_c1_norm_of_normalized_sine_is_one():
     assert rep.per_index[(0, 0, 1, 0)] == 0.0
 
 
-def test_c2_norm_picks_up_second_angle_derivative():
-    f = FourierPerturbation.from_terms([((1, 0), 0.0, 1.0 / TWO_PI)])
-    rep = estimate_cj_norm(f, 2, WINDOW)
-    assert abs(rep.value - TWO_PI) < 1e-10
-
-
 def test_action_dependent_coefficient_contributes_gradient():
     # f = I1 cos(2 pi theta2): dI1 derivative has sup 1, dtheta2 sup 2 pi I1max
     poly = PolyField.from_terms([(1, 0, 1.0)])
@@ -47,63 +46,46 @@ def test_action_dependent_coefficient_contributes_gradient():
     assert abs(rep.value - TWO_PI * 1.5) < 1e-9
 
 
-def test_action_dependent_series_matches_full_meshgrid():
-    # the series path works one action slice at a time; the full 4-D grid
-    # evaluated pointwise must give the same sups for every derivative
+def _action_dependent_series():
     a = PolyField.from_terms([(0, 0, 0.3), (1, 0, -0.7), (1, 1, 0.5), (0, 2, 1.2)])
     b = PolyField.from_terms([(2, 0, 0.4), (0, 1, -0.9), (3, 0, 0.1)])
-    f = FourierPerturbation.from_terms([((1, -2), a, b), ((0, 1), b, 0.2), ((2, 1), 0.3, a)])
-    n_angle, n_action = 24, 7
-    rep = estimate_cj_norm(f, 2, WINDOW, n_angle=n_angle, n_action=n_action)
-    assert rep.grid_shape == (n_angle, n_angle, n_action, n_action)
-    th = np.linspace(0.0, 1.0, n_angle, endpoint=False)
-    I1 = np.linspace(WINDOW.i1_min, WINDOW.i1_max, n_action)
-    I2 = np.linspace(WINDOW.i2_min, WINDOW.i2_max, n_action)
-    T1, T2, A1, A2 = np.meshgrid(th, th, I1, I2, indexing="ij")
-    assert len(rep.per_index) == 15
-    for alpha, got in rep.per_index.items():
-        want = float(np.max(np.abs(f.partial(*alpha)(T1, T2, A1, A2))))
-        assert abs(got - want) <= 1e-12 * (1.0 + want)
+    return FourierPerturbation.from_terms([((1, -2), a, b), ((0, 1), b, 0.2), ((2, 1), 0.3, a)])
+
+
+def test_action_dependent_series_matches_full_meshgrid():
+    # the streamed coarse pass and the shared refinement rounds against each
+    # component located and refined on its own pointwise 4-D meshgrids
+    f = _action_dependent_series()
+    rep = estimate_cj_norm(f, 1, WINDOW)
+    assert rep.grid_shape == (norms.C1_ANGLES, norms.C1_ANGLES, *norms.C1_ACTIONS)
+    assert list(rep.per_index) == FIRST_ROWS
+    want = reference_c1_peaks(f.table(), WINDOW)
+    for got, peak in zip(rep.per_index.values(), want):
+        assert abs(got - peak) <= 1e-12 * peak
     assert rep.value == max(rep.per_index.values())
 
 
 def test_non_fourier_field_is_rejected():
     f = FourierPerturbation.from_terms([((1, 1), 0.2, -0.1)])
     with pytest.raises(TypeError, match="FourierPerturbation"):
-        estimate_cj_norm(lambda t1, t2, i1, i2: f(t1, t2, i1, i2), 1, WINDOW, n_angle=64, n_action=9)
+        estimate_cj_norm(lambda t1, t2, i1, i2: f(t1, t2, i1, i2), 1, WINDOW)
 
 
-def test_rejects_bad_order_and_coarse_grids():
+def test_rejects_orders_other_than_0_and_1():
     f = FourierPerturbation.from_terms([((1, 0), 1.0, 0.0)])
-    with pytest.raises(ValueError):
-        estimate_cj_norm(f, 5, WINDOW)
-    with pytest.raises(ValueError):
-        estimate_cj_norm(f, 2, WINDOW, n_angle=3, n_action=3)
+    for j in (-1, 2, 5):
+        with pytest.raises(ValueError, match="0 or 1"):
+            estimate_cj_norm(f, j, WINDOW)
 
 
 def test_norm_is_monotone_in_order():
     entry = rd.get_entry("generic3")
-    reps = [estimate_cj_norm(entry.perturbation, j, WINDOW, n_angle=32, n_action=5) for j in range(3)]
-    assert reps[0].value <= reps[1].value <= reps[2].value
+    c0, c1 = (estimate_cj_norm(entry.perturbation, j, WINDOW) for j in (0, 1))
+    assert c0.value <= c1.value
+    assert c0.per_index == {(0, 0, 0, 0): c1.per_index[(0, 0, 0, 0)]}
 
 
-# -- the tensor-grid reduction against the per-partial loop it replaced --------
-
-
-def reference_per_index(f, j, window, n_angle=128, n_action=33):
-    """per_index as estimate_cj_norm computed it before tensor-grid evaluation.
-
-    Every multi-index goes through its own partial series, one I1 slice of
-    the action grid at a time, with the angle table rebuilt for each slice.
-    """
-    th = np.linspace(0.0, 1.0, n_angle, endpoint=False)
-    I1 = np.linspace(window.i1_min, window.i1_max, n_action)
-    I2 = np.linspace(window.i2_min, window.i2_max, n_action)
-    T1, T2 = np.meshgrid(th, th, indexing="ij")
-    return {
-        alpha: max(float(np.max(np.abs(f.partial(*alpha).table().outer(T1, T2, a1, I2)))) for a1 in I1)
-        for alpha in _multi_indices(j)
-    }
+# -- one measured C^1 norm ------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", rd.catalog_names())
@@ -111,25 +93,46 @@ def test_per_index_is_exact_for_catalog_entries(name):
     f = rd.get_entry(name).perturbation
     assert f.is_action_independent
     rep = estimate_cj_norm(f, 1, WINDOW)
-    assert rep.per_index == reference_per_index(f, 1, WINDOW)
-    assert list(rep.per_index) == _multi_indices(1)
+    assert list(rep.per_index) == FIRST_ROWS
+    assert list(rep.per_index.values()) == reference_c1_peaks(f.table(), WINDOW)
+    # f does not depend on the actions
+    assert rep.per_index[(0, 0, 1, 0)] == rep.per_index[(0, 0, 0, 1)] == 0.0
 
 
-@pytest.mark.parametrize("j", [1, 2])
-def test_per_index_matches_the_partial_loop_for_action_dependent_series(j):
-    a = PolyField.from_terms([(0, 0, 0.3), (1, 0, -0.7), (1, 1, 0.5), (0, 2, 1.2)])
-    b = PolyField.from_terms([(2, 0, 0.4), (0, 1, -0.9), (3, 0, 0.1)])
-    f = FourierPerturbation.from_terms([((1, -2), a, b), ((0, 1), b, 0.2), ((2, 1), 0.3, a)])
-    rep = estimate_cj_norm(f, j, WINDOW, n_angle=64, n_action=17)
-    want = reference_per_index(f, j, WINDOW, n_angle=64, n_action=17)
-    assert list(rep.per_index) == list(want)
-    for alpha, got in rep.per_index.items():
-        assert abs(got - want[alpha]) <= 1e-13 * want[alpha]
+def test_zero_series_is_not_evaluated(monkeypatch):
+    def fail(self):
+        raise AssertionError("a zero series needs no table")
+
+    monkeypatch.setattr(FourierPerturbation, "table", fail)
+    rep = estimate_cj_norm(FourierPerturbation.zero(), 1, WINDOW)
+    assert rep.value == 0.0
+    assert rep.per_index == dict.fromkeys(FIRST_ROWS, 0.0)
 
 
-# Twice one I1 slice of one derivative on the default grid (33 x 128^2 values
-# of 8 bytes): about one block of BLOCK_VALUES values, far below the
-# 33^2 x 128^2 values of the whole grid.
+def test_both_c1_norms_make_one_c1_peaks_call(monkeypatch):
+    # |f|_C1 of the optimality audit and |chi|_C1 of the averaging step are
+    # one measurement
+    calls = []
+    original = norms.c1_peaks
+
+    def spy(table, window):
+        calls.append(window)
+        return original(table, window)
+
+    monkeypatch.setattr(norms, "c1_peaks", spy)
+    monkeypatch.setattr(averaging, "c1_peaks", spy)
+    entry = rd.get_entry("generic3")
+    window = star_window(entry.system.resonance, 0.005)
+    estimate_cj_norm(entry.perturbation, 1, window)
+    assert calls == [window]
+    chi = solve_homological(entry.system, entry.perturbation, 8, window)
+    assert chi.c1_norm() == max(original(chi._table, window))
+    assert calls == [window, window]
+
+
+# Twice one I1 slice of one derivative on a 128^2 x 33^2 grid (33 x 128^2
+# values of 8 bytes): about one block of BLOCK_VALUES values, the most that
+# ModeTable.outer_blocks holds at once.
 ONE_SLICE_BOUND = 2 * 33 * 128**2 * 8
 
 
@@ -139,7 +142,7 @@ def test_cj_norm_memory_is_bounded_by_one_action_slice():
     estimate_cj_norm(f, 1, WINDOW)  # builds and caches the table
     tracemalloc.start()
     try:
-        estimate_cj_norm(f, 1, WINDOW, n_angle=128, n_action=33)
+        estimate_cj_norm(f, 1, WINDOW)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

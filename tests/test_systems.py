@@ -104,11 +104,15 @@ def test_omega_is_gradient_of_h(rng):
         assert abs(om[1] - fd2) < 1e-8
 
 
-def test_hessian_is_symmetric_and_constant_for_quadratic_h():
-    system = rd.get_entry("moser").system
-    H = system.hessian(0.3, -0.7)
-    np.testing.assert_allclose(H, H.T)
-    np.testing.assert_allclose(H, [[1.0, 0.0], [0.0, -1.0]])
+def test_omega_broadcasts_its_actions():
+    # tensor-grid axes give the same bits as the meshgrid they expand to
+    system = rd.get_entry("generic3").system
+    I1 = np.linspace(0.5, 1.5, 7)
+    I2 = np.linspace(-0.1, 0.1, 3)
+    A1, A2 = np.meshgrid(I1, I2, indexing="ij")
+    om = system.omega(I1[:, None], I2[None, :])
+    assert om.shape == (2, 7, 3)
+    assert np.array_equal(om, system.omega(A1, A2))
 
 
 def test_bundle_epsilon_validation():
