@@ -251,7 +251,10 @@ class GeneratorChi:
     # -- measured C^1 norm ---------------------------------------------------------
 
     def c1_norm(self) -> float:
-        """Measured C^1 sup over T^2 x the generator's window (norms.c1_peaks)."""
+        """Measured C^1 norm over T^2 x the generator's window.
+
+        The largest grid sup of norms.c1_peaks, an estimate from below.
+        """
         if self.is_zero:
             return 0.0
         return max(c1_peaks(self._table, self.window))
@@ -333,7 +336,6 @@ class NormalFormResult:
     sample_window: ActionWindow
     displacement_bound: float
     homological_residual: float
-    channel: object
     genericity: GenericityReport
     meta: dict = field(default_factory=dict)
     displacement: float = field(init=False)
@@ -476,8 +478,7 @@ def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200
         raise ValueError("the averaging step needs epsilon > 0")
     if not system.is_reduced:
         raise ValueError("normal form expects the reduced chart; run the reduction first")
-    channel = verify_channel_assumptions(system)
-    if not channel.passed:
+    if not verify_channel_assumptions(system).passed:
         raise ValueError("channel conditions fail; the averaging step does not apply")
     res = system.resonance
     varpi = res.varpi
@@ -512,7 +513,6 @@ def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200
         star_window(res, kappa * eps / 2.0),
         bound,
         homological_residual=_homological_residual(system, chi, f - f_bar, window),
-        channel=channel,
         genericity=genericity_check(f, system),
         meta={"kappa_rounds": tuple(rounds)},
     )
@@ -662,7 +662,6 @@ def two_step_normal_form(
         star_window(res, kappa * eps / 4.0),
         3.0 * kappa * eps / 4.0,
         homological_residual=s1.homological_residual,
-        channel=s1.channel,
         genericity=s1.genericity,
         meta={
             **s1.meta,

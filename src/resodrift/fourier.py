@@ -304,9 +304,9 @@ class ModeTable:
     def outer_blocks(self, theta1, theta2, I1, I2, grad: bool = False):
         """:meth:`outer` streamed over slices of the flattened action points.
 
-        Yields (actions, rows): a slice of the flat action index and the rows
-        on it, shape (rows, slice length, angle points), with rows = 5 with
-        grad and 1 without.  The angle table is computed once.  The slices
+        Yields the rows on consecutive slices of the flat action points, each
+        of shape (rows, slice length, angle points), with rows = 5 with grad
+        and 1 without.  The angle table is computed once.  The slices
         are sized so that the angle table and a slice's temporaries (its
         rows, their weights, its power table and polynomial rows) hold about
         BLOCK_VALUES values.  Every block is a view of one buffer that the
@@ -319,11 +319,11 @@ class ModeTable:
         step = max(1, (BLOCK_VALUES - trig.size) // per_action)
         buffer = np.empty(rows * min(step, len(x1)) * n_angle)
         for start in range(0, len(x1), step):
-            actions = slice(start, min(start + step, len(x1)))
-            out = buffer[: rows * (actions.stop - start) * n_angle].reshape(rows, -1, n_angle)
+            a1, a2 = x1[start : start + step], x2[start : start + step]
+            out = buffer[: rows * len(a1) * n_angle].reshape(rows, -1, n_angle)
             with serial_blas():
-                np.matmul(self._weights(x1[actions], x2[actions], grad).transpose(0, 2, 1), trig, out=out)
-            yield actions, out
+                np.matmul(self._weights(a1, a2, grad).transpose(0, 2, 1), trig, out=out)
+            yield out
 
 
 class FourierPerturbation:

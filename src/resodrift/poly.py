@@ -164,7 +164,8 @@ class PolyField:
         )
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        # + 0.0 maps -0.0 to 0.0: the two compare equal, so must hash alike
+        return hash((self.coeffs + 0.0).tobytes())
 
     def __repr__(self):
         return f"PolyField({self.to_terms()!r})"

@@ -53,8 +53,8 @@ def _action_dependent_series():
 
 
 def test_action_dependent_series_matches_full_meshgrid():
-    # the streamed coarse pass and the shared refinement rounds against each
-    # component located and refined on its own pointwise 4-D meshgrids
+    # the streamed tensor grid against the same grid as a pointwise 4-D
+    # meshgrid
     f = _action_dependent_series()
     rep = estimate_cj_norm(f, 1, WINDOW)
     assert rep.grid_shape == (norms.C1_ANGLES, norms.C1_ANGLES, *norms.C1_ACTIONS)
@@ -94,7 +94,11 @@ def test_per_index_is_exact_for_catalog_entries(name):
     assert f.is_action_independent
     rep = estimate_cj_norm(f, 1, WINDOW)
     assert list(rep.per_index) == FIRST_ROWS
-    assert list(rep.per_index.values()) == reference_c1_peaks(f.table(), WINDOW)
+    want = reference_c1_peaks(f.table(), WINDOW)
+    assert rep.value == max(want)
+    # the tensor and pointwise paths may round a component an ulp apart
+    for got, peak in zip(rep.per_index.values(), want):
+        assert abs(got - peak) <= 1e-12 * peak
     # f does not depend on the actions
     assert rep.per_index[(0, 0, 1, 0)] == rep.per_index[(0, 0, 0, 1)] == 0.0
 

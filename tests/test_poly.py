@@ -90,3 +90,12 @@ def test_degree_tracks_array_extent():
     assert PolyField.from_terms([(2, 1, 0.3)]).degree == 3
     assert PolyField.from_terms([(0, 0, 1.0)]).degree == 0
     assert PolyField.zero().degree == 0
+
+
+def test_equal_fields_with_signed_zeros_hash_alike():
+    # negation stores a -0.0 coefficient where from_terms stores 0.0
+    a = -PolyField.from_terms([(0, 1, 1.0)])
+    b = PolyField.from_terms([(0, 1, -1.0)])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
