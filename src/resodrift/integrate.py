@@ -7,8 +7,8 @@ when sampled.  It builds the interpolant only on steps that hold sample
 times or a sign change of a termination condition (domain exit, channel
 exit, target drift, stopping times), which is root-found on it by a port of
 scipy's brentq.  flow_points steps blocks of points of a generator flow as
-stacked systems, each block starting from the step the last one ended on,
-and checks the action window after every accepted step; lie_flow is its
+stacked systems, each block's first step spanning the whole flow time, and
+checks the action window after every accepted step; lie_flow is its
 one-point case.
 """
 
@@ -469,10 +469,10 @@ def flow_points(
     angles.  Points are integrated in blocks of _BLOCK points, each one
     stacked system stepped by DOP853.  A block's shared adaptive step is
     controlled by the RMS error norm over the block, not by its worst point.
-    The first block starts from scipy's initial-step choice; every later
-    block starts from the step the controller proposed at the end of the
-    block before it, which the controller rejects and shrinks if it is too
-    large.  When a window is given every point is checked against it after
+    Every block first tries one step over the whole time |t|, which the
+    controller rejects and shrinks if it is too large; a near-identity flow
+    takes it in 13 evaluations, and a block's result depends on its points
+    alone.  When a window is given every point is checked against it after
     every accepted step, and leaving it raises FlowEscapeError, as does a
     step that collapses.  The stage products run on one BLAS thread.
     """
@@ -484,11 +484,11 @@ def flow_points(
     if t == 0.0 or chi.is_zero:
         return tuple(v.reshape(shape).copy() for v in flat)
 
+    t = float(t)
     n = flat[0].size
     out = np.empty((4, n))
     rhs = chi.flow_rhs(scale)
     pad = None if window is None else 1e-12 + 1e-9 * window.sup_radius
-    h_abs = None
     for start in range(0, n, _BLOCK):
         block = np.stack([v[start : start + _BLOCK] for v in flat])
         m = block.shape[1]
@@ -496,7 +496,7 @@ def flow_points(
         def stacked(_t, y, _m=m):
             return rhs(_t, y.reshape(4, _m)).ravel()
 
-        stepper = _Dop853(stacked, 0.0, block.ravel(), float(t), rtol, atol, h_abs)
+        stepper = _Dop853(stacked, 0.0, block.ravel(), t, rtol, atol, abs(t))
         while stepper.running:
             if not stepper.step():
                 raise FlowEscapeError(
@@ -506,7 +506,6 @@ def flow_points(
             if pad is not None and not np.all(window.contains(end[2], end[3], margin=pad)):
                 raise FlowEscapeError("generator flow left its action window")
         out[:, start : start + m] = stepper.y.reshape(4, m)
-        h_abs = stepper.h_abs
         # free this block's stage table before the next block allocates its own
         del stepper
     return tuple(v.reshape(shape) for v in out)

@@ -558,7 +558,7 @@ class _DrumGenerator:
         return fun
 
 
-def test_warm_started_block_rejects_a_step_that_is_too_large(monkeypatch):
+def test_block_started_at_the_whole_time_rejects_a_step_that_is_too_large(monkeypatch):
     monkeypatch.setattr(integrate_module, "_BLOCK", 64)
     rate = np.repeat([1.0, 50.0], 64)
     I1 = np.linspace(0.0, 0.5, rate.size)
@@ -568,22 +568,70 @@ def test_warm_started_block_rejects_a_step_that_is_too_large(monkeypatch):
     first = [t for t, w in calls if w == 1.0]
     last = [t for t, w in calls if w == 50.0]
     # a block calls f at t = 0, then 12 times per attempted step, the last of
-    # them at the attempt's end; only a fresh start adds the initial-step probe
-    assert len(first) % 12 == 2 and len(last) % 12 == 1
-    # after an accepted first step every later call lies beyond its end, after
-    # a rejected one the retry comes back
-    first_end = last[12]
-    assert sum(t <= first_end for t in last) > 13
+    # them at the attempt's end; no block probes for an initial step
+    assert len(first) % 12 == 1 and len(last) % 12 == 1
+    # every block first tries the whole time; at rate 50 that attempt is
+    # rejected and the retry comes back to a shorter step from t = 0
+    assert first[12] == last[12] == 1.0
+    assert len(last) > 13 and 0.0 < last[24] < last[12]
     np.testing.assert_allclose(out[2], I1 + np.sin(rate) / rate, rtol=0, atol=1e-12)
     for i in range(rate.size):
         alone = flow_points(_DrumGenerator(), 1.0, 1.0, 0.0, 0.0, I1[i], rate[i])
         assert abs(alone[2] - out[2][i]) <= 1e-12
 
 
-def _step_both(fun, y0, t_end, h_abs=None):
+class _CountedGenerator:
+    """chi with a count of the calls of its flow field."""
+
+    is_zero = False
+
+    def __init__(self, chi):
+        self.chi, self.calls = chi, 0
+
+    def flow_rhs(self, scale):
+        rhs = self.chi.flow_rhs(scale)
+
+        def fun(t, y):
+            self.calls += 1
+            return rhs(t, y)
+
+        return fun
+
+
+def test_one_block_flow_calls_its_field_13_times(generic3_chi):
+    # one accepted step over the whole time: f at t = 0 and 12 stages
+    _, window, chi = generic3_chi
+    rng = np.random.default_rng(5)
+    points = (rng.uniform(0, 1, 2000), rng.uniform(0, 1, 2000),
+              rng.uniform(0.995, 1.005, 2000), rng.uniform(-0.005, 0.005, 2000))
+    for t in (1.0, -1.0):
+        counted = _CountedGenerator(chi)
+        flow_points(counted, 1e-3, t, *points, window=window)
+        assert counted.calls == 13
+
+
+def test_only_orbits_choose_an_initial_step(generic3_chi, monkeypatch):
+    b, window, chi = generic3_chi
+    calls = []
+    original = integrate_module._Dop853._initial_step
+
+    def spy(self):
+        calls.append(self.t_bound)
+        return original(self)
+
+    monkeypatch.setattr(integrate_module._Dop853, "_initial_step", spy)
+    s = PhaseState.make(0.3, 0.4, 1.0, 0.001)
+    flow_points(chi, 1e-3, 1.0, [0.3, 0.5], [0.4, 0.6], [1.0, 1.0], [0.001, 0.0], window=window)
+    lie_flow(chi, 1e-3, -1.0, s, window=window)
+    assert calls == []
+    integrate(b.rhs(), s.as_array(), (0.0, 0.5), IntegratorConfig(n_samples=2))
+    assert calls == [0.5]
+
+
+def _step_both(fun, y0, t_end, h_abs=None, min_steps=2):
     """Compare _Dop853 with scipy's DOP853 stepped on the same system, step by
     step and bit for bit, then the interpolants on the last step; return the
-    number of rejected steps."""
+    number of rejected steps and the end state."""
     ours, theirs = [], []
     with serial_blas():
         stepper = integrate_module._Dop853(fun, 0.0, y0, t_end, 1e-12, 1e-12, h_abs)
@@ -598,12 +646,12 @@ def _step_both(fun, y0, t_end, h_abs=None):
         times = np.linspace(solver.t_old, solver.t, 5)
         np.testing.assert_array_equal(stepper.dense()(times), solver.dense_output()(times))
         assert stepper.nfev == solver.nfev
-    assert solver.status == "finished" and len(ours) == len(theirs) > 1
+    assert solver.status == "finished" and len(ours) == len(theirs) >= min_steps
     for a, b in zip(ours, theirs):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(stepper.y, solver.y)
     assert stepper.h_abs == solver.h_abs
-    return (solver.nfev - 4) // 12 - len(theirs)
+    return (solver.nfev - 4) // 12 - len(theirs), stepper.y
 
 
 def test_vendored_tableau_is_scipys():
@@ -631,7 +679,23 @@ def test_stepper_is_scipy_dop853_bit_for_bit(generic3_chi):
     # a given first step that is too large: rejections, then a capped growth
     drum = _DrumGenerator().flow_rhs(1.0)
     y0 = np.stack([np.zeros(n), np.zeros(n), np.linspace(0, 1, n), np.full(n, 50.0)])
-    assert _step_both(lambda t, y: drum(t, y.reshape(4, n)).ravel(), y0.ravel(), 1.0, 1.0) > 0
+    assert _step_both(lambda t, y: drum(t, y.reshape(4, n)).ravel(), y0.ravel(), 1.0, 1.0)[0] > 0
+
+
+def test_lie_flow_is_scipy_dop853_started_at_the_whole_time(generic3_chi):
+    # lie_flow steps scipy's DOP853 with first_step = |t|: here one step
+    _, window, chi = generic3_chi
+    s = PhaseState.make(0.3, 0.4, 1.0, 0.001)
+    rhs = chi.flow_rhs(1e-3)
+
+    def fun(t, y):
+        return rhs(t, y.reshape(4, 1)).ravel()
+
+    for t in (1.0, -1.0):
+        rejected, y = _step_both(fun, s.as_array(), t, abs(t), min_steps=1)
+        assert rejected == 0
+        moved = lie_flow(chi, 1e-3, t, s, window=window)
+        np.testing.assert_array_equal(moved.as_array(), [wrap(y[0]), wrap(y[1]), y[2], y[3]])
 
 
 class _ShearGenerator:
