@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
+from numpy.polynomial import polynomial as npoly
 
 from .blas import serial_blas
 from .errors import DomainError, FlowEscapeError, SmallDivisorError, WindowFitError
@@ -143,8 +144,7 @@ def genericity_check(
     else:
         candidates = np.linspace(lo, hi, n_interior + 2)[1:-1]
     theta = np.linspace(0.0, 1.0, n_theta, endpoint=False)
-    T, A = np.meshgrid(theta, candidates, indexing="ij")
-    vals = np.asarray(d_f_bar(T, 0.0 * T, A, 0.0 * A))
+    vals = np.asarray(d_f_bar(theta[:, None], 0.0, candidates, 0.0))
     flat = int(np.argmax(np.abs(vals)))
     it, ia = np.unravel_index(flat, vals.shape)
     max_derivative = float(np.abs(vals[it, ia]))
@@ -438,9 +438,9 @@ def _measure(
     """Measure Phi on nf's sample window and return nf.
 
     The displacement is the largest coordinate move of Phi over n_points
-    random points; the last remainder is surveyed on a survey_grid mesh of
-    (theta1, theta2, I1, I2) and its sup appended to sups_before, the sups
-    of the earlier steps.
+    random points; the last remainder is surveyed on the survey_grid tensor
+    grid of (theta1, theta2, I1, I2) and its sup appended to sups_before,
+    the sups of the earlier steps.
     """
     w = nf.sample_window
     rng = np.random.default_rng(seed)
@@ -449,13 +449,10 @@ def _measure(
     moved = nf.phi_points(*start)
     nf.displacement = float(max(np.max(np.abs(p - q)) for p, q in zip(moved, start)))
     n1, n2, m1, m2 = survey_grid
-    mesh = np.meshgrid(
-        np.linspace(0.0, 1.0, n1, endpoint=False),
-        np.linspace(0.0, 1.0, n2, endpoint=False),
-        *w.grid(m1, m2),
-        indexing="ij",
-    )
-    nf.sup_remainders = sups_before + (float(np.max(np.abs(nf.remainder(*mesh)))),)
+    th1, th2 = (np.linspace(0.0, 1.0, n, endpoint=False) for n in (n1, n2))
+    I1, I2 = w.grid(m1, m2)
+    survey = nf.remainder(th1[:, None, None, None], th2[None, :, None, None], I1[:, None], I2)
+    nf.sup_remainders = sups_before + (float(np.max(np.abs(survey))),)
     return nf
 
 
@@ -469,7 +466,7 @@ def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200
     (kappa tried, gamma measured), one c1_norm call each.  The result's
     displacement is measured on displacement_points random points of the
     half window against the budget kappa epsilon / 2, and its remainder's
-    sup on a 32 x 32 x 9 x 5 mesh of it.
+    sup on a 32 x 32 x 9 x 5 grid of it.
     """
     system = bundle.system
     f = bundle.perturbation
@@ -523,31 +520,26 @@ def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
     """Least-squares tensor Chebyshev fit of sampled coefficient tables.
 
     targets is a (n_targets, n1, n2) stack; the return is a list of PolyField
-    objects in the raw action variables, one per target.
+    objects in the raw action variables, one per target.  Each axis is fitted
+    in its window's variable u = (I - c) / h; column j of the axis's matrix M
+    holds T_j(u) in raw powers of I, so a fitted table C is M1 @ C @ M2.T in
+    the power basis.
     """
-    d1, d2 = degrees
-    c1 = 0.5 * (window.i1_min + window.i1_max)
-    h1 = 0.5 * (window.i1_max - window.i1_min)
-    c2 = 0.5 * (window.i2_min + window.i2_max)
-    h2 = 0.5 * (window.i2_max - window.i2_min) or 1.0
-    u = (I1_nodes - c1) / h1
-    v = (I2_nodes - c2) / h2
-    U, V = np.meshgrid(u, v, indexing="ij")
-    B = ncheb.chebvander2d(U.ravel(), V.ravel(), [d1, d2])
-    Y = targets.reshape(targets.shape[0], -1).T
-    coef, *_ = np.linalg.lstsq(B, Y, rcond=None)
-    # shared affine map from raw actions to the scaled fit variables
-    A = np.array([[1.0 / h1, 0.0], [0.0, 1.0 / h2]])
-    b = np.array([-c1 / h1, -c2 / h2])
-    polys = []
-    for col in range(coef.shape[1]):
-        cheb_table = coef[:, col].reshape(d1 + 1, d2 + 1)
-        # convert the Chebyshev tensor table to the power basis, one axis at
-        # a time
-        tmp = np.apply_along_axis(lambda col_: ncheb.cheb2poly(col_), 0, cheb_table)
-        tmp = np.apply_along_axis(lambda row_: ncheb.cheb2poly(row_), 1, tmp)
-        polys.append(PolyField(tmp).compose_affine(A, b))
-    return polys
+    scaled, basis = [], []
+    for nodes, lo, hi, d in ((I1_nodes, window.i1_min, window.i1_max, degrees[0]),
+                             (I2_nodes, window.i2_min, window.i2_max, degrees[1])):
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
+        M = np.zeros((d + 1, d + 1))
+        for j in range(d + 1):
+            T_j = ncheb.Chebyshev.basis(j, domain=[c - h, c + h])
+            M[: j + 1, j] = T_j.convert(kind=npoly.Polynomial).coef
+        scaled.append((nodes - c) / h)
+        basis.append(M)
+    # rows of the tensor Vandermonde run over (I1 node, I2 node), columns over (T_i, T_j)
+    B = np.kron(ncheb.chebvander(scaled[0], degrees[0]), ncheb.chebvander(scaled[1], degrees[1]))
+    coef, *_ = np.linalg.lstsq(B, targets.reshape(len(targets), -1).T, rcond=None)
+    tables = basis[0] @ coef.T.reshape(-1, degrees[0] + 1, degrees[1] + 1) @ basis[1].T
+    return [PolyField(t) for t in tables]
 
 
 # Settings of the second step's fit: f' is sampled on FIT_I_GRID action
@@ -581,7 +573,7 @@ def two_step_normal_form(
     direction).  The fitted series drives a second homological solve at
     scale epsilon^2; the displacement is measured on displacement_points
     points of the quarter window and the final remainder's sup on a
-    32 x 32 x 7 x 3 mesh of it.
+    32 x 32 x 7 x 3 grid of it.
     """
     if not bundle.perturbation.is_action_independent:
         raise ValueError("the second averaging step is implemented for "
@@ -599,8 +591,8 @@ def two_step_normal_form(
     n1, n2 = FIT_I_GRID
     th = np.linspace(0.0, 1.0, n_th, endpoint=False)
     I1_nodes, I2_nodes = half.grid(n1, n2, chebyshev_i1=True)
-    T1, T2, A1, A2 = np.meshgrid(th, th, I1_nodes, I2_nodes, indexing="ij")
-    f_prime = np.asarray(s1.remainder(T1, T2, A1, A2))
+    angles = (th[:, None, None, None], th[None, :, None, None])
+    f_prime = s1.remainder(*angles, I1_nodes[:, None], I2_nodes)
     sup_grid = float(np.max(np.abs(f_prime)))
 
     spectrum = np.fft.fft2(f_prime, axes=(0, 1)) / (n_th * n_th)
@@ -608,30 +600,20 @@ def two_step_normal_form(
     k_max = min(CUTOFF2, n_th // 2 - 1)
     floor = MODE_THRESHOLD * float(np.max(amplitude))
 
-    kept: list[tuple[int, int]] = [(0, 0)]
-    for k1 in range(0, k_max + 1):
-        k2_lo = 1 if k1 == 0 else -k_max
-        for k2 in range(k2_lo, k_max + 1):
-            if amplitude[k1 % n_th, k2 % n_th] >= floor:
-                kept.append((k1, k2))
+    # (0, 0), then in (k1, k2) order the canonical modes up to k_max (first
+    # nonzero component positive) whose amplitude reaches the floor
+    k1 = np.arange(k_max + 1)[:, None]
+    k2 = np.arange(-k_max, k_max + 1)
+    loud = ((k1 > 0) | (k2 > 0)) & (amplitude[k1 % n_th, k2 % n_th] >= floor)
+    kept = np.concatenate([[[0, 0]], np.argwhere(loud) - [0, k_max]])
 
-    targets = np.empty((2 * len(kept), n1, n2))
-    for i, (k1, k2) in enumerate(kept):
-        c = spectrum[k1 % n_th, k2 % n_th]
-        if (k1, k2) == (0, 0):
-            targets[2 * i] = c.real
-            targets[2 * i + 1] = 0.0
-        else:
-            targets[2 * i] = 2.0 * c.real
-            targets[2 * i + 1] = -2.0 * c.imag
-
-    polys = _chebyshev_fit_polyfields(
-        half, I1_nodes, I2_nodes, targets, FIT_DEGREES
-    )
-    terms = []
-    for i, k in enumerate(kept):
-        terms.append((k, polys[2 * i], polys[2 * i + 1]))
-    f_prime_fit = FourierPerturbation.from_terms(terms)
+    # the cos and sin targets of every kept mode; the mean counts once
+    c = spectrum[kept[:, 0] % n_th, kept[:, 1] % n_th]
+    weight = np.full((len(kept), 1, 1), 2.0)
+    weight[0] = 1.0
+    targets = np.stack([weight * c.real, -weight * c.imag], axis=1).reshape(-1, n1, n2)
+    polys = _chebyshev_fit_polyfields(half, I1_nodes, I2_nodes, targets, FIT_DEGREES)
+    f_prime_fit = FourierPerturbation.from_terms(zip(map(tuple, kept), polys[::2], polys[1::2]))
 
     # residual of the full reconstruction on the sampling grid, a tensor grid
     recon = f_prime_fit.table().outer(th[:, None], th[None, :], I1_nodes[:, None], I2_nodes[None, :])

@@ -307,11 +307,7 @@ def _cmd_normal_form(args) -> int:
     out = _open_run(args, source)
     first = result.averaging_steps[0]
     payload = {
-        "K": first.cutoff,
         "kappa": result.kappa,
-        "gamma": first.gamma,
-        "min_divisor": first.chi.min_divisor,
-        "sup_f1": result.sup_remainders[0],
         "phi_displacement": result.displacement,
         "displacement_bound": result.displacement_bound,
         "residual_homological": result.homological_residual,
@@ -322,16 +318,16 @@ def _cmd_normal_form(args) -> int:
         "reduced_first": reduced_first,
         "kappa_rounds": [list(r) for r in result.meta["kappa_rounds"]],
     }
-    if result.steps == 2:
-        second = result.averaging_steps[1]
-        payload.update(
-            K2=second.cutoff,
-            gamma2=second.gamma,
-            min_divisor2=second.chi.min_divisor,
-            sup_f2=result.sup_remainders[1],
-            fit_residual=result.meta["fit_residual"],
-            n_kept_modes=result.meta["n_kept_modes"],
-        )
+    # step n's keys carry the suffix n from the second step on: K, K2, ...
+    for n, (step, sup) in enumerate(zip(result.averaging_steps, result.sup_remainders), 1):
+        tag = str(n) if n > 1 else ""
+        payload.update({
+            "K" + tag: step.cutoff,
+            "gamma" + tag: step.gamma,
+            "min_divisor" + tag: step.chi.min_divisor,
+            f"sup_f{n}": sup,
+        })
+    payload.update({k: result.meta[k] for k in ("fit_residual", "n_kept_modes") if k in result.meta})
     write_json(out / "normal_form.json", payload)
     return _finish(
         out,

@@ -58,11 +58,12 @@ _SCALAR = (float, int, np.floating, np.integer)
 class ModeTable:
     """Packed series sum_k a_k(I) cos(2 pi k.theta) + b_k(I) sin(2 pi k.theta).
 
-    K is the (m, 2) integer mode matrix; cos and sin are (m, n1, n2) tensors
-    whose entry [k, i, j] multiplies I1**i * I2**j.  An action derivative is
-    the same tensor shifted one index down with the factor i (or j); an angle
-    derivative rotates the cos/sin pair and scales by 2 pi k.  Values and
-    first partials are all read off one power table of (I1, I2).
+    K is the (m, 2) integer mode matrix; the cos and sin coefficients are
+    packed as (m, n1, n2) tensors whose entry [k, i, j] multiplies
+    I1**i * I2**j.  An action derivative is the same tensor shifted one index
+    down with the factor i (or j); an angle derivative rotates the cos/sin
+    pair and scales by 2 pi k.  Values and first partials are all read off
+    one power table of (I1, I2).
 
     omega, a pair of polynomials (the frequency map), is evaluated on the
     same power table and returned after the series rows.  With divided=True
@@ -83,7 +84,7 @@ class ModeTable:
     enters that guard, so an orbit RHS call pays nothing for it.
     """
 
-    __slots__ = ("K", "cos", "sin", "divided", "n_rows", "block_points", "_Kf", "_k1", "_k2",
+    __slots__ = ("K", "divided", "n_rows", "block_points", "_Kf", "_k1", "_k2",
                  "_e1", "_e2", "_W", "_n_poly", "_n1", "_n2", "_w", "_terms")
 
     def __init__(self, modes: dict, omega=None, divided: bool = False):
@@ -98,7 +99,6 @@ class ModeTable:
             row[: p.coeffs.shape[0], : p.coeffs.shape[1]] = p.coeffs
         m = len(keys)
         self.K = np.array(keys, dtype=int).reshape(m, 2)
-        self.cos, self.sin = P[:m], P[m : 2 * m]
         self.divided = bool(divided)
         # value, four first partials, then omega when the table returns it
         self.n_rows = 5 if divided or omega is None else 7

@@ -465,9 +465,11 @@ def flow_points(
 ):
     """Vectorized generator flow over arrays of initial points.
 
-    Returns (theta1, theta2, I1, I2) arrays of the same shape with unwrapped
-    angles.  Points are integrated in blocks of _BLOCK points, each one
-    stacked system stepped by DOP853.  A block's shared adaptive step is
+    The four inputs broadcast together, and the points are taken in the C
+    order of the broadcast shape, the order of the meshgrid they expand to.
+    Returns (theta1, theta2, I1, I2) arrays of the broadcast shape with
+    unwrapped angles.  Points are integrated in blocks of _BLOCK points, each
+    one stacked system stepped by DOP853.  A block's shared adaptive step is
     controlled by the RMS error norm over the block, not by its worst point.
     Every block first tries one step over the whole time |t|, which the
     controller rejects and shrinks if it is too large; a near-identity flow
@@ -476,11 +478,9 @@ def flow_points(
     every accepted step, and leaving it raises FlowEscapeError, as does a
     step that collapses.  The stage products run on one BLAS thread.
     """
-    shape = np.broadcast(np.asarray(theta1), np.asarray(I1)).shape
-    flat = [
-        np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(-1)
-        for v in (theta1, theta2, I1, I2)
-    ]
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (theta1, theta2, I1, I2)))
+    shape = arrays[0].shape
+    flat = [v.reshape(-1) for v in arrays]
     if t == 0.0 or chi.is_zero:
         return tuple(v.reshape(shape).copy() for v in flat)
 

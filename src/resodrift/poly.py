@@ -67,7 +67,9 @@ class PolyField:
     # -- evaluation and calculus -------------------------------------------
 
     def __call__(self, I1, I2):
-        return npoly.polyval2d(np.asarray(I1, dtype=float), np.asarray(I2, dtype=float), self.coeffs)
+        """Value at I1 and I2 broadcast together."""
+        I1, I2 = np.broadcast_arrays(np.asarray(I1, dtype=float), np.asarray(I2, dtype=float))
+        return npoly.polyval2d(I1, I2, self.coeffs)
 
     def partial(self, d1: int = 0, d2: int = 0) -> "PolyField":
         """Exact partial derivative d^(d1+d2) / dI1^d1 dI2^d2."""

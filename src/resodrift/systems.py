@@ -176,10 +176,7 @@ class IntegrableSystem:
 
     def omega(self, I1, I2) -> np.ndarray:
         """Frequency vector grad h at I1, I2 broadcast together, stacked along a leading axis."""
-        I1, I2 = np.broadcast_arrays(I1, I2)
-        return np.stack(
-            [np.asarray(self._d1(I1, I2), dtype=float), np.asarray(self._d2(I1, I2), dtype=float)]
-        )
+        return np.stack([self._d1(I1, I2), self._d2(I1, I2)])
 
     def omega_polys(self) -> tuple[PolyField, PolyField]:
         return self._d1, self._d2

@@ -467,6 +467,26 @@ def test_flow_points_matches_single_state_flow(generic3_chi):
     np.testing.assert_array_equal(s.as_array(), [wrap(one[0]), wrap(one[1]), one[2], one[3]])
 
 
+def test_flow_points_broadcasts_its_inputs(generic3_chi):
+    # axes of a tensor grid, scalars among them, flow to the same bits as the
+    # meshgrid they expand to: the points are taken in its order
+    _, window, chi = generic3_chi
+    th = np.linspace(0.0, 1.0, 6, endpoint=False)
+    I1, I2 = np.array([0.8, 1.0, 1.2]), np.array([-0.002, 0.003])
+    T1, T2 = np.meshgrid(th, th, indexing="ij")
+    out = flow_points(chi, 1e-3, 1.0, th[:, None], th[None, :], 1.0, 0.0)
+    mesh = flow_points(chi, 1e-3, 1.0, T1, T2, np.ones_like(T1), np.zeros_like(T1))
+    for a, b in zip(out, mesh):
+        assert a.shape == (6, 6)
+        np.testing.assert_array_equal(a, b)
+    axes = (th[:, None, None, None], th[None, :, None, None], I1[:, None], I2)
+    out = flow_points(chi, 1e-3, 1.0, *axes, window=window)
+    mesh = flow_points(chi, 1e-3, 1.0, *np.meshgrid(th, th, I1, I2, indexing="ij"), window=window)
+    for a, b in zip(out, mesh):
+        assert a.shape == (6, 6, 3, 2)
+        np.testing.assert_array_equal(a, b)
+
+
 def test_flow_points_window_escape(generic3_chi):
     _, _, chi = generic3_chi
     tight = ActionWindow(1.0 - 1e-7, 1.0 + 1e-7, -1e-7, 1e-7)

@@ -86,6 +86,16 @@ def test_compose_affine_identity_is_noop(rng):
     np.testing.assert_allclose(q(I1, I2), p(I1, I2), atol=1e-14)
 
 
+def test_call_broadcasts_its_actions(rng):
+    # tensor-grid axes give the same bits as the meshgrid they expand to
+    p = PolyField(rng.standard_normal((4, 3)))
+    I1 = rng.uniform(-2, 2, 7)
+    I2 = rng.uniform(-2, 2, 5)
+    values = p(I1[:, None], I2)
+    assert values.shape == (7, 5)
+    np.testing.assert_array_equal(values, p(*np.meshgrid(I1, I2, indexing="ij")))
+
+
 def test_degree_tracks_array_extent():
     assert PolyField.from_terms([(2, 1, 0.3)]).degree == 3
     assert PolyField.from_terms([(0, 0, 1.0)]).degree == 0
