@@ -33,6 +33,7 @@ from .systems import (
     ActionWindow,
     IntegrableSystem,
     SystemBundle,
+    hamiltonian_series,
     star_window,
     verify_channel_assumptions,
 )
@@ -199,7 +200,7 @@ class GeneratorChi:
             if max(abs(k1), abs(k2)) > self.cutoff:
                 raise SmallDivisorError(f"mode {k} exceeds the cutoff {self.cutoff}")
             self._numerators[(k1, k2)] = (nc, ns)
-        self._table = ModeTable(self._numerators, omega=system.omega_polys(), divided=True)
+        self._table = ModeTable(self._numerators, omega=system.omega_polys())
         self._verify_divisors()
 
     # -- structure ---------------------------------------------------------------
@@ -403,11 +404,10 @@ class NormalFormResult:
         return state
 
     def remainder(self, th1, th2, I1, I2):
-        """Sampled remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1)."""
+        """Sampled remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1); both are one series."""
         moved = self.bundle.hamiltonian(*self.phi_points(th1, th2, I1, I2))
-        base = self.bundle.system.h(I1, I2)
-        for step in self.averaging_steps:
-            base = base + step.scale * step.f_bar(th1, th2, I1, I2)
+        f_bar = sum((step.scale * step.f_bar for step in self.averaging_steps), FourierPerturbation.zero())
+        base = hamiltonian_series(self.bundle.system.h, f_bar)(th1, th2, I1, I2)
         return (moved - base) / self.epsilon ** (self.steps + 1)
 
 

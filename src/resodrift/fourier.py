@@ -65,11 +65,12 @@ class ModeTable:
     pair and scales by 2 pi k.  Values and first partials are all read off
     one power table of (I1, I2).
 
-    omega, a pair of polynomials (the frequency map), is evaluated on the
-    same power table and returned after the series rows.  With divided=True
-    omega only enters the divisors: every mode is divided by
+    Given omega, a pair of polynomials (the frequency map), the table is
+    divided: omega only enters the divisors, every mode is divided by
     D_k = 2 pi k.omega(I), and the action derivatives follow the quotient
-    rule with dD_k/dI = 2 pi k.(d omega/dI).
+    rule with dD_k/dI = 2 pi k.(d omega/dI).  Without omega the series is
+    evaluated as it stands; a Hamiltonian h + eps f is such a series, with
+    h on the mode (0, 0), so its rows are H and its four first partials.
 
     Evaluation has two branches, chosen by the shape of the input.  A single
     point of an undivided table is evaluated in plain Python floats.  On the
@@ -84,12 +85,10 @@ class ModeTable:
     enters that guard, so an orbit RHS call pays nothing for it.
     """
 
-    __slots__ = ("K", "divided", "n_rows", "block_points", "_Kf", "_k1", "_k2",
+    __slots__ = ("K", "divided", "block_points", "_Kf", "_k1", "_k2",
                  "_e1", "_e2", "_W", "_n_poly", "_n1", "_n2", "_w", "_terms")
 
-    def __init__(self, modes: dict, omega=None, divided: bool = False):
-        if divided and omega is None:
-            raise ValueError("a divided table needs the frequency map omega")
+    def __init__(self, modes: dict, omega=None):
         keys = sorted(modes)
         polys = [modes[k][0] for k in keys] + [modes[k][1] for k in keys] + list(omega or ())
         n1 = max((p.coeffs.shape[0] for p in polys), default=1)
@@ -99,9 +98,7 @@ class ModeTable:
             row[: p.coeffs.shape[0], : p.coeffs.shape[1]] = p.coeffs
         m = len(keys)
         self.K = np.array(keys, dtype=int).reshape(m, 2)
-        self.divided = bool(divided)
-        # value, four first partials, then omega when the table returns it
-        self.n_rows = 5 if divided or omega is None else 7
+        self.divided = omega is not None
         dP1 = np.zeros_like(P)
         dP1[:, :-1, :] = P[:, 1:, :] * np.arange(1, n1)[:, None]
         dP2 = np.zeros_like(P)
@@ -126,12 +123,11 @@ class ModeTable:
 
         Every row of an undivided table is bilinear in the powers
         I1**i * I2**j (power index i * n2 + j) and the trig values: the cos of
-        mode k at trig index k, its sin at m + k and, for omega, the constant
-        1 at 2m.
+        mode k at trig index k and its sin at m + k.
         """
         m = self.K.shape[0]
         value, d_i1, d_i2 = self._W.reshape(3, self._n_poly, self._n1 * self._n2).tolist()
-        rows = [[] for _ in range(self.n_rows)]
+        rows = [[] for _ in range(5)]
 
         def add(row, trig, coeffs, scale=1.0):
             rows[row].extend((p, trig, scale * c) for p, c in enumerate(coeffs) if scale * c != 0.0)
@@ -147,8 +143,6 @@ class ModeTable:
             for j, d in enumerate((d_i1, d_i2)):
                 add(3 + j, k, d[k])
                 add(3 + j, m + k, d[m + k])
-        for j, om in enumerate(value[2 * m :]):
-            add(5 + j, 2 * m, om)
         return rows
 
     def _point(self, t1, t2, x1, x2, grad: bool):
@@ -157,7 +151,7 @@ class ModeTable:
         if terms is None:
             terms = self._terms = self._compile_terms()
         phase = [w1 * t1 + w2 * t2 for w1, w2 in self._w]
-        trig = [*map(math.cos, phase), *map(math.sin, phase), 1.0]
+        trig = [*map(math.cos, phase), *map(math.sin, phase)]
         p1, p2 = [1.0], [1.0]
         for _ in range(1, self._n1):
             p1.append(p1[-1] * x1)
@@ -209,8 +203,7 @@ class ModeTable:
             swing = swing * inv
             dnum = (dnum - num * self._k_dot(G[:, 2 * m :])) * inv
         d_theta = TWO_PI * (self._Kf.T[:, :, None] * swing).sum(axis=1)
-        out = [value[None], d_theta, dnum.sum(axis=1)]
-        return np.concatenate(out if self.divided else out + [om])
+        return np.concatenate([value[None], d_theta, dnum.sum(axis=1)])
 
     def _run(self, args, grad: bool):
         t1, t2, x1, x2 = args
@@ -222,7 +215,7 @@ class ModeTable:
         shape = arrays[0].shape
         flat = [v.reshape(-1) for v in arrays]
         n = flat[0].size
-        out = np.empty((self.n_rows, n) if grad else n)
+        out = np.empty((5, n) if grad else n)
         with serial_blas():
             for start in range(0, n, self.block_points):
                 block = slice(start, start + self.block_points)
@@ -232,7 +225,7 @@ class ModeTable:
     # -- public evaluation ----------------------------------------------------------
 
     def evaluate(self, theta1, theta2, I1, I2) -> np.ndarray:
-        """Rows (value, d/dtheta1, d/dtheta2, d/dI1, d/dI2[, omega1, omega2]).
+        """Rows (value, d/dtheta1, d/dtheta2, d/dI1, d/dI2).
 
         The rows are stacked along a leading axis over the broadcast shape of
         the inputs; a single point of an undivided table gives a list of
@@ -293,9 +286,8 @@ class ModeTable:
         shape.  The result has the action shape followed by the angle shape;
         with grad it is stacked along a leading axis as (value, d/dtheta1,
         d/dtheta2, d/dI1, d/dI2), and divided tables follow the quotient
-        rule.  omega is not returned.  The whole grid is one product, so the
-        result holds rows x actions x angles values: bound large grids with
-        :meth:`outer_blocks`.
+        rule.  The whole grid is one product, so the result holds rows x
+        actions x angles values: bound large grids with :meth:`outer_blocks`.
         """
         trig, x1, x2, shape = self._grid(theta1, theta2, I1, I2)
         out = np.matmul(self._weights(x1, x2, grad).transpose(0, 2, 1), trig)

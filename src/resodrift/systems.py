@@ -6,6 +6,10 @@ channel segment S on it, the working subsegment S* and the transverse
 frequency floor varpi.  In reduced coordinates the line is {I2 = 0}, the
 channel conditions read omega1(I1, 0) = 0 on S1 and omega2(I1, 0) >= varpi
 on S1*, and most of the package operates in that chart.
+
+A bundle holds H = h + epsilon * f as one series with h on the mode (0, 0),
+so H and its vector field are read off one ModeTable.  A malformed system
+definition file raises UsageError before any object is built.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .fourier import FourierPerturbation, ModeTable
+from .fourier import FourierPerturbation
 from .poly import PolyField
 
 LINE_TOL = 1e-10
@@ -51,7 +55,7 @@ class ResonanceData:
         S_star = tuple(tuple(float(x) for x in p) for p in self.S_star)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "S_star", S_star)
-        if self.varpi <= 0:
+        if not self.varpi > 0:  # NaN fails too
             raise ValueError("varpi must be positive")
         for p in (*S, *S_star):
             if abs(k[0] * p[0] + k[1] * p[1] + self.a) > LINE_TOL:
@@ -153,7 +157,7 @@ class IntegrableSystem:
         self.resonance = resonance
         self._d1 = h.partial(1, 0)
         self._d2 = h.partial(0, 1)
-        if self.R <= 0:
+        if not self.R > 0:  # NaN fails too
             raise ValueError("domain radius must be positive")
         for p in resonance.S:
             if max(abs(p[0]), abs(p[1])) > self.R + LINE_TOL:
@@ -186,8 +190,13 @@ class IntegrableSystem:
         return self.resonance.is_reduced
 
 
+def hamiltonian_series(h: PolyField, f: FourierPerturbation) -> FourierPerturbation:
+    """h(I) + f(theta, I) as one series, with h on the mode (0, 0)."""
+    return FourierPerturbation({(0, 0): (h, PolyField.zero())}) + f
+
+
 class SystemBundle:
-    """Full Hamiltonian h(I) + epsilon * f(theta, I) on T^2 x B_R."""
+    """Full Hamiltonian H = h(I) + epsilon * f(theta, I) on T^2 x B_R, held as one series."""
 
     def __init__(self, system: IntegrableSystem, perturbation: FourierPerturbation, epsilon: float):
         epsilon = float(epsilon)
@@ -197,29 +206,21 @@ class SystemBundle:
         self.system = system
         self.perturbation = perturbation
         self.epsilon = epsilon
-        self._table: ModeTable | None = None
+        self.series = hamiltonian_series(system.h, epsilon * perturbation)
 
     def hamiltonian(self, theta1, theta2, I1, I2):
-        value = self.system.h(I1, I2)
-        if self.epsilon != 0.0:
-            value = value + self.epsilon * self.perturbation(theta1, theta2, I1, I2)
-        return value
+        return self.series(theta1, theta2, I1, I2)
 
     def vector_field(self, theta1, theta2, I1, I2):
-        """(dtheta/dt, dI/dt), each stacked along a leading axis of length 2.
+        """(dtheta/dt, dI/dt) = (dH/dI, -dH/dtheta), each stacked along a leading axis of length 2.
 
-        omega and the four first partials of f come from one pass over a
-        table holding f's modes and the frequency map, built on first use.
         A single state, given as real scalars, gives two lists of two floats.
         """
-        if self._table is None:
-            self._table = ModeTable(self.perturbation.modes, omega=self.system.omega_polys())
-        rows = self._table.evaluate(theta1, theta2, I1, I2)
-        eps = self.epsilon
+        rows = self.series.table().evaluate(theta1, theta2, I1, I2)
         if isinstance(rows, list):
-            _, d1, d2, g1, g2, om1, om2 = rows
-            return [om1 + eps * g1, om2 + eps * g2], [d1 * -eps, d2 * -eps]
-        return rows[5:] + eps * rows[3:5], rows[1:3] * -eps
+            _, d1, d2, g1, g2 = rows
+            return [g1, g2], [-d1, -d2]
+        return rows[3:5], -rows[1:3]
 
     def rhs(self):
         """Right-hand side f(t, y) on flat states y = [th1, th2, I1, I2].
@@ -308,6 +309,40 @@ def _check_keys(obj: dict, allowed: set, where: str):
         raise UsageError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
+# a polynomial degree above this in either action is rejected before any
+# coefficient table is allocated; the catalog's largest is 2
+MAX_DEGREE = 32
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number (true and false are not numbers)."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        finite = False
+    if not finite:
+        raise UsageError(f"{where} must be a finite number")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    """A JSON number with an integer value, as polynomial degrees and wave vectors are."""
+    if _number(value, where) != int(value):
+        raise UsageError(f"{where} must be an integer")
+    return int(value)
+
+
+def _pair(entry, where: str, item) -> tuple:
+    """A JSON list of exactly two entries, each read by item(entry, where)."""
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise UsageError(f"{where} must be a list of two entries")
+    return tuple(item(v, where) for v in entry)
+
+
+def _point(entry, where: str) -> tuple[float, float]:
+    return _pair(entry, f"an endpoint of {where}", _number)
+
+
 def _poly_from_json(entry, where: str) -> PolyField:
     if not isinstance(entry, list):
         raise UsageError(f"{where} must be a list of [deg_I1, deg_I2, coeff] triples")
@@ -315,10 +350,10 @@ def _poly_from_json(entry, where: str) -> PolyField:
     for triple in entry:
         if not (isinstance(triple, list) and len(triple) == 3):
             raise UsageError(f"{where} must be a list of [deg_I1, deg_I2, coeff] triples")
-        i, j, c = triple
-        if int(i) != i or int(j) != j or int(i) < 0 or int(j) < 0:
-            raise UsageError(f"bad polynomial degrees in {where}")
-        terms.append((int(i), int(j), float(c)))
+        i, j = (_integer(d, f"a degree in {where}") for d in triple[:2])
+        if not (0 <= i <= MAX_DEGREE and 0 <= j <= MAX_DEGREE):
+            raise UsageError(f"bad polynomial degrees in {where}: each lies in [0, {MAX_DEGREE}]")
+        terms.append((i, j, _number(triple[2], f"a coefficient in {where}")))
     return PolyField.from_terms(terms)
 
 
@@ -343,13 +378,14 @@ def load_system(data: dict) -> tuple[IntegrableSystem, FourierPerturbation]:
         if key not in res_raw:
             raise UsageError(f"resonance is missing key {key!r}")
     resonance = ResonanceData(
-        k=tuple(int(v) for v in res_raw["k"]),
-        a=float(res_raw["a"]),
-        S=tuple(tuple(float(x) for x in p) for p in res_raw["S"]),
-        S_star=tuple(tuple(float(x) for x in p) for p in res_raw["Sstar"]),
-        varpi=float(res_raw["varpi"]),
+        k=_pair(res_raw["k"], "resonance.k", _integer),
+        a=_number(res_raw["a"], "resonance.a"),
+        S=_pair(res_raw["S"], "resonance.S", _point),
+        S_star=_pair(res_raw["Sstar"], "resonance.Sstar", _point),
+        varpi=_number(res_raw["varpi"], "resonance.varpi"),
         delta_star=(
-            float(res_raw["delta_star"]) if res_raw.get("delta_star") is not None else None
+            _number(res_raw["delta_star"], "resonance.delta_star")
+            if res_raw.get("delta_star") is not None else None
         ),
     )
     terms = []
@@ -362,12 +398,12 @@ def load_system(data: dict) -> tuple[IntegrableSystem, FourierPerturbation]:
         _check_keys(mode, _MODE_KEYS, where)
         if "k" not in mode:
             raise UsageError(f"{where} is missing key 'k'")
-        k = tuple(int(v) for v in mode["k"])
+        k = _pair(mode["k"], f"{where}.k", _integer)
         cos = _poly_from_json(mode.get("cos", []), f"{where}.cos")
         sin = _poly_from_json(mode.get("sin", []), f"{where}.sin")
         terms.append((k, cos, sin))
     f = FourierPerturbation.from_terms(terms)
-    system = IntegrableSystem(h, float(data["R"]), resonance)
+    system = IntegrableSystem(h, _number(data["R"], "R"), resonance)
     return system, f
 
 

@@ -393,6 +393,18 @@ def test_emit_plots_requires_artifacts(tmp_path):
         emit_plots(tmp_path)
 
 
+def test_malformed_system_file_exits_2(tmp_path, capsys):
+    # a wave vector that is not a pair is a usage error, not a traceback
+    entry = rd.get_entry("moser")
+    data = system_to_dict(entry.system, entry.perturbation)
+    data["resonance"]["k"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("reduce", "--system-file", str(path), "--out", str(tmp_path / "red")) == 2
+    err = capsys.readouterr().err
+    assert "resonance.k" in err and "Traceback" not in err
+
+
 def test_system_file_source(tmp_path):
     entry = rd.get_entry("moser")
     path = tmp_path / "moser.json"

@@ -261,6 +261,29 @@ def test_bundle_rhs_matches_per_mode_loop(f, seed, eps):
         assert_rows_close(out, want[:, i], tol[:, i])
 
 
+@pytest.mark.parametrize("eps", [1e-2, 0.0])
+def test_vector_field_matches_per_mode_loop(eps, rng):
+    # an action-dependent f with a (0, 0) mode, which H's series adds to h
+    f = _action_dependent_series() + FourierPerturbation.from_terms(
+        [((0, 0), PolyField.from_terms([(0, 0, -0.2), (1, 1, 0.4), (2, 0, 0.3)]), 0.0)]
+    )
+    bundle = SystemBundle(_GENERIC3, f, eps)
+    pts = _points(rng, 9)
+    rows, size = reference_series(f.modes, *pts)
+    omega = _GENERIC3.omega(pts[2], pts[3])
+    want = (omega + eps * rows[3:5], -eps * rows[1:3])
+    tol = (np.abs(omega) + eps * size[3:5], eps * size[1:3])
+    states = [pts] + [tuple(float(v[i]) for v in pts) for i in range(9)]
+    for i, state in enumerate(states):
+        # the (4, n) arrays, then each (4,) state in floats
+        column = slice(None) if i == 0 else i - 1
+        got = bundle.vector_field(*state)
+        for g, w, t in zip(got, want, tol):
+            assert_rows_close(g, w[:, column], t[:, column])
+        if eps == 0.0:
+            assert np.all(np.asarray(got[1]) == 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(numerators=_chi_modes, seed=_seed)
 def test_generator_matches_per_mode_loop(numerators, seed):

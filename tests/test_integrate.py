@@ -93,7 +93,7 @@ def test_action_dependent_orbit_agrees_across_evaluator_branches():
         for rhs, b in ((by_state, scalar), (lambda t, y: by_column(t, y[:, None])[:, 0], array))
     ]
     # only the (4,) states compiled the single-point term list
-    assert scalar._table._terms is not None and array._table._terms is None
+    assert scalar.series.table()._terms is not None and array.series.table()._terms is None
     for rec in runs:
         assert not rec.flagged
         assert rec.max_energy_error < 1e-8

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import resodrift as rd
 from resodrift.errors import DomainError, UsageError
-from resodrift.fourier import FourierPerturbation
+from resodrift.fourier import BLOCK_VALUES, FourierPerturbation
 from resodrift.poly import PolyField
 from resodrift.systems import (
     ActionWindow,
@@ -199,3 +201,85 @@ def test_domain_excludes_channel_outside_R():
     h = PolyField.from_terms([(1, 1, 1.0)])
     with pytest.raises(DomainError):
         IntegrableSystem(h, 2.0, res)
+
+
+# Malformed system definitions: each must raise UsageError, not another
+# exception, a silent truncation or, for the degree, an allocation as large
+# as the degree.
+MALFORMED = {
+    "k not a list": (("resonance", "k"), 5),
+    "k of one entry": (("resonance", "k"), [1]),
+    "one-point S": (("resonance", "S"), [[0.25, -0.25]]),
+    "3-D endpoint": (("resonance", "Sstar"), [[0.5, -0.5, 0.0], [1.5, -1.5]]),
+    "mode k of one entry": (("modes", 0, "k"), [1]),
+    "fractional mode k": (("modes", 0, "k"), [1.5, -1]),
+    "NaN R": (("R",), float("nan")),
+    "NaN varpi": (("resonance", "varpi"), float("nan")),
+    "infinite a": (("resonance", "a"), float("inf")),
+    "text R": (("R",), "4"),
+    "text varpi": (("resonance", "varpi"), "half"),
+    "text coefficient": (("h", 0, 2), "0.5"),
+    "degree 10,000": (("h", 0, 0), 10_000),
+    "int beyond the float range": (("modes", 0, "k"), [10**400, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_system_rejects_malformed_definitions(case):
+    entry = rd.get_entry("moser")
+    data = system_to_dict(entry.system, entry.perturbation)
+    path, value = MALFORMED[case]
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(UsageError):
+        load_system(data)
+
+
+def test_constructors_reject_nan_radius_and_floor():
+    entry = rd.get_entry("reduced-moser")
+    res = entry.system.resonance
+    with pytest.raises(ValueError, match="domain radius"):
+        IntegrableSystem(entry.system.h, float("nan"), res)
+    with pytest.raises(ValueError, match="varpi"):
+        ResonanceData(k=res.k, a=res.a, S=res.S, S_star=res.S_star, varpi=float("nan"))
+
+
+def test_hamiltonian_memory_is_its_result_and_two_blocks():
+    # H is one series evaluated in blocks: besides its result, a call holds
+    # at most two blocks of BLOCK_VALUES values
+    bundle = rd.make_bundle("generic3", 1e-3)
+    points = np.random.default_rng(3).uniform(0.0, 1.0, (4, 10**6))
+    bundle.hamiltonian(*points[:, :10])
+    tracemalloc.start()
+    try:
+        value = bundle.hamiltonian(*points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= value.nbytes + 2 * BLOCK_VALUES * 8
+
+
+def test_point_clouds_never_reach_the_polynomial_evaluator(monkeypatch, one_step_results):
+    # h is the (0, 0) mode of H's series and of the normal form's, so only
+    # ModeTable evaluates the point arrays
+    nf = one_step_results[1e-2]
+    bundle = nf.bundle
+    calls = []
+    original = PolyField.__call__
+
+    def spy(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(PolyField, "__call__", spy)
+    w = nf.sample_window
+    points = np.random.default_rng(5).uniform(0.0, 1.0, (4, 50))
+    points[2] = w.i1_min + (w.i1_max - w.i1_min) * points[2]
+    points[3] = w.i2_min + (w.i2_max - w.i2_min) * points[3]
+    bundle.hamiltonian(*points)
+    bundle.energy_of(points.T)
+    bundle.vector_field(*points)
+    nf.remainder(*points)
+    assert calls == []
