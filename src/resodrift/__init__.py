@@ -72,14 +72,12 @@ from .systems import (
     system_to_dict,
     verify_channel_assumptions,
 )
-from .torus import AnglePair, ActionPair, PhaseState, circle_delta, torus_distance, wrap
+from .torus import PhaseState, circle_delta, torus_distance, wrap
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionPair",
     "ActionWindow",
-    "AnglePair",
     "AveragingStep",
     "CatalogEntry",
     "ChannelReport",

@@ -138,14 +138,14 @@ def genericity_check(
     if not system.is_reduced:
         raise ValueError("genericity check expects a system in the reduced chart")
     f_bar = average_over_theta2(f)
-    d_f_bar = f_bar.partial(d_theta1=1)
     lo, hi = system.resonance.s1_interval(star=True)
     if f.is_action_independent:
         candidates = np.array([0.5 * (lo + hi)])
     else:
         candidates = np.linspace(lo, hi, n_interior + 2)[1:-1]
     theta = np.linspace(0.0, 1.0, n_theta, endpoint=False)
-    vals = np.asarray(d_f_bar(theta[:, None], 0.0, candidates, 0.0))
+    # row 1 of the table is d f_bar/d theta1, on (candidates, theta)
+    vals = f_bar.table().outer(theta, 0.0, candidates, 0.0, grad=True)[1].T
     flat = int(np.argmax(np.abs(vals)))
     it, ia = np.unravel_index(flat, vals.shape)
     max_derivative = float(np.abs(vals[it, ia]))

@@ -42,7 +42,7 @@ def exact_moser_orbit(epsilon: float, t):
     return th.copy(), th.copy(), I1, I2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentRecord:
     """One diffusion run: inputs, measured quantities and pass flags.
 
@@ -177,28 +177,33 @@ def _record_from_orbit(kind, bundle, gen, orbit, *, delta, tau_target, judge, ex
     The drift is measured from I_star[0] (default gen.I_star) to the orbit's
     final I1, and the confinement and channel distance over its samples.
     orbit=None is the zero-time run that stays at the PhaseState start.
-    judge(record) returns (pass_upper, pass_lower, flagged) from the
-    measured record.
+    judge(measured) returns (pass_upper, pass_lower, flagged) from the dict
+    of measured fields, and the record is built once from both.
     """
     eps = bundle.epsilon
     I_star = gen.I_star if I_star is None else I_star
-    rec = ExperimentRecord(
-        kind=kind, epsilon=eps, delta=delta, tau_target=tau_target, tau=0.0, drift=0.0,
-        max_abs_I2=0.0, max_dist_channel=0.0, c_fit=0.0, C_fit=0.0, lam=gen.lam,
-        theta1_star=gen.theta1_star, I_star=I_star, initial=start, final=start,
-        pass_upper=True, pass_lower=True, flagged=False, orbit=orbit, extras=extras,
-    )
+    measured = dict(tau=0.0, drift=0.0, max_abs_I2=0.0, max_dist_channel=0.0, c_fit=0.0,
+                    C_fit=0.0, initial=start, final=start)
     if orbit is not None:
         interval = bundle.system.resonance.s1_interval(star=True)
-        rec.tau = abs(float(orbit.t_end))
-        rec.drift = abs(float(orbit.y_end[2]) - I_star[0])
-        rec.max_abs_I2 = float(np.max(orbit.abs_I2))
-        rec.max_dist_channel = float(np.max(_interval_excess(orbit.actions[:, 0], interval)))
-        rec.c_fit = rec.max_abs_I2 / eps if eps > 0 else 0.0
-        rec.C_fit = rec.drift / delta**2
-        rec.initial, rec.final = orbit.initial_state, orbit.final_state
-    rec.pass_upper, rec.pass_lower, rec.flagged = (bool(v) for v in judge(rec))
-    return rec
+        drift = abs(float(orbit.y_end[2]) - I_star[0])
+        max_abs_I2 = float(np.max(orbit.abs_I2))
+        measured = dict(
+            tau=abs(float(orbit.t_end)),
+            drift=drift,
+            max_abs_I2=max_abs_I2,
+            max_dist_channel=float(np.max(_interval_excess(orbit.actions[:, 0], interval))),
+            c_fit=max_abs_I2 / eps if eps > 0 else 0.0,
+            C_fit=drift / delta**2,
+            initial=orbit.initial_state,
+            final=orbit.final_state,
+        )
+    pass_upper, pass_lower, flagged = (bool(v) for v in judge(measured))
+    return ExperimentRecord(
+        kind=kind, epsilon=eps, delta=delta, tau_target=tau_target, lam=gen.lam,
+        theta1_star=gen.theta1_star, I_star=I_star, pass_upper=pass_upper,
+        pass_lower=pass_lower, flagged=flagged, orbit=orbit, extras=extras, **measured,
+    )
 
 
 def run_drift_experiment(
@@ -228,10 +233,10 @@ def run_drift_experiment(
     record = run_orbit(bundle, y0, tau_target, config)
     return _record_from_orbit(
         "drift", bundle, gen, record, delta=delta, tau_target=tau_target,
-        judge=lambda r: (
-            r.drift <= delta + 1e-6,
-            eps == 0.0 or r.drift >= C_cfg * delta**2 - 1e-12,
-            record.flagged or r.max_dist_channel > delta + 0.1,
+        judge=lambda m: (
+            m["drift"] <= delta + 1e-6,
+            eps == 0.0 or m["drift"] >= C_cfg * delta**2 - 1e-12,
+            record.flagged or m["max_dist_channel"] > delta + 0.1,
         ),
         extras={"C_cfg": C_cfg, "theta2_0": theta2_0, "delta_star": gen.delta_star},
     )
@@ -264,7 +269,7 @@ def run_connecting_experiment(
         start = PhaseState.make(gen.theta1_star, theta2_0, float(i1_from), 0.0)
         return _record_from_orbit(
             "connect", bundle, gen, None, delta=0.0, tau_target=0.0, start=start,
-            judge=lambda r: (True, True, False),
+            judge=lambda m: (True, True, False),
             extras={"terminal_distance": 0.0, "rho": 0.0, "reached": True},
         )
     if eps <= 0.0:
@@ -282,7 +287,7 @@ def run_connecting_experiment(
     return _record_from_orbit(
         "connect", bundle, gen, record, delta=delta, tau_target=t_max,
         I_star=(float(i1_from), 0.0),
-        judge=lambda r: (r.tau <= t_max * (1.0 + 1e-9), reached, record.flagged),
+        judge=lambda m: (m["tau"] <= t_max * (1.0 + 1e-9), reached, record.flagged),
         extras={
             "terminal_distance": abs(float(record.y_end[2]) - float(i1_to)),
             "rho": rho,
@@ -380,8 +385,8 @@ def sweep_epsilon(
         reached_flag = record.stop_event == "target"
         return _record_from_orbit(
             "sweep", bundle, gen, record, delta=target_drift, tau_target=t_max,
-            judge=lambda r: (
-                r.drift <= target_drift + 1e-6 + r.max_abs_I2,
+            judge=lambda m: (
+                m["drift"] <= target_drift + 1e-6 + m["max_abs_I2"],
                 reached_flag,
                 record.flagged or not reached_flag,
             ),

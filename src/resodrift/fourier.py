@@ -9,14 +9,14 @@ over a finite set of integer wave vectors k, with a_k and b_k exact
 series is real by construction: each stored k has its first nonzero component
 positive, and the reflected term is folded in through the parity of cos/sin.
 
-Angle derivatives rotate the cos/sin pair and scale by 2 pi k; action
-derivatives differentiate the coefficient polynomials.  Both are closed form,
-which is what downstream consumers (vector fields, homological solves, norm
-estimates) rely on.
-
-Every such series, the averaging generators included, is evaluated through
-one packed :class:`ModeTable`: an integer mode matrix and cos/sin coefficient
-tensors, read through one power table of the actions.
+A :class:`FourierPerturbation` holds the data and the algebra.  Every such
+series, the averaging generators included, is evaluated through one packed
+:class:`ModeTable`: an integer mode matrix and cos/sin coefficient tensors,
+read through one power table of the actions.  The table also gives every
+first partial in closed form (angle derivatives rotate the cos/sin pair and
+scale by 2 pi k, action derivatives differentiate the coefficient
+polynomials), which is what vector fields, generator flows, norm estimates
+and the genericity scan read.
 """
 
 from __future__ import annotations
@@ -319,7 +319,11 @@ class ModeTable:
 
 
 class FourierPerturbation:
-    """Finite trigonometric polynomial on T^2 with PolyField coefficients."""
+    """Finite trigonometric polynomial on T^2 with PolyField coefficients.
+
+    The series holds its modes and their algebra; values come from __call__
+    and every first partial from the rows of :meth:`table`.
+    """
 
     __slots__ = ("_modes", "_table")
 
@@ -417,50 +421,6 @@ class FourierPerturbation:
 
     def __call__(self, theta1, theta2, I1, I2):
         return self.table().values(theta1, theta2, I1, I2)
-
-    evaluate = __call__
-
-    # -- calculus ----------------------------------------------------------------
-
-    def _single_theta_partial(self, axis: int) -> "FourierPerturbation":
-        new = {}
-        for (k1, k2), (a, b) in self._modes.items():
-            kk = k1 if axis == 0 else k2
-            if kk == 0:
-                continue
-            factor = TWO_PI * kk
-            # d/dtheta [a cos + b sin] = factor * (b cos - a sin)
-            new[(k1, k2)] = (factor * b, (-factor) * a)
-        return FourierPerturbation(new)
-
-    def _single_action_partial(self, axis: int) -> "FourierPerturbation":
-        new = {}
-        for k, (a, b) in self._modes.items():
-            da = a.partial(1, 0) if axis == 0 else a.partial(0, 1)
-            db = b.partial(1, 0) if axis == 0 else b.partial(0, 1)
-            new[k] = (da, db)
-        return FourierPerturbation(new)
-
-    def partial(self, d_theta1=0, d_theta2=0, d_I1=0, d_I2=0) -> "FourierPerturbation":
-        """Exact mixed partial derivative, returned as a new series."""
-        out = self
-        for _ in range(d_theta1):
-            out = out._single_theta_partial(0)
-        for _ in range(d_theta2):
-            out = out._single_theta_partial(1)
-        for _ in range(d_I1):
-            out = out._single_action_partial(0)
-        for _ in range(d_I2):
-            out = out._single_action_partial(1)
-        return out
-
-    def theta_gradient(self, theta1, theta2, I1, I2) -> np.ndarray:
-        """(d f/d theta1, d f/d theta2) stacked along a leading axis."""
-        return np.asarray(self.table().evaluate(theta1, theta2, I1, I2)[1:3])
-
-    def action_gradient(self, theta1, theta2, I1, I2) -> np.ndarray:
-        """(d f/d I1, d f/d I2) stacked along a leading axis."""
-        return np.asarray(self.table().evaluate(theta1, theta2, I1, I2)[3:5])
 
     # -- algebra ----------------------------------------------------------------
 

@@ -180,9 +180,7 @@ class ReductionResult:
         return th1, th2, J1, J2
 
     def forward(self, state: PhaseState) -> PhaseState:
-        th1, th2, I1, I2 = self.forward_points(
-            state.angles.theta1, state.angles.theta2, state.actions.I1, state.actions.I2
-        )
+        th1, th2, I1, I2 = self.forward_points(state.theta1, state.theta2, state.I1, state.I2)
         return PhaseState.make(float(th1), float(th2), float(I1), float(I2))
 
     def report(self) -> dict:

@@ -405,6 +405,20 @@ def test_malformed_system_file_exits_2(tmp_path, capsys):
     assert "resonance.k" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["reduce"], ["genericity"], ["drift", "--epsilon", "1e-3"]])
+def test_oversized_wave_vector_exits_2(tmp_path, capsys, command):
+    # a wave vector beyond int64 is a usage error, not an OverflowError
+    entry = rd.get_entry("moser")
+    data = system_to_dict(entry.system, entry.perturbation)
+    data["modes"][0]["k"] = [1e19, -1e19]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    argv = [command[0], "--system-file", str(path), "--out", str(tmp_path / "out"), *command[1:]]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "modes[0].k" in err and "Traceback" not in err
+
+
 def test_system_file_source(tmp_path):
     entry = rd.get_entry("moser")
     path = tmp_path / "moser.json"

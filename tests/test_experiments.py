@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,8 +124,8 @@ def test_connect_reaches_target_in_either_direction():
         assert rec.tau == pytest.approx(50.0, abs=1e-3)
         assert rec.tau <= rec.tau_target * (1.0 + 1e-9)
         assert rec.pass_upper and rec.pass_lower and not rec.flagged
-    assert up.final.actions.I1 == pytest.approx(1.05, abs=1e-6)
-    assert down.final.actions.I1 == pytest.approx(0.95, abs=1e-6)
+    assert up.final.I1 == pytest.approx(1.05, abs=1e-6)
+    assert down.final.I1 == pytest.approx(0.95, abs=1e-6)
     # budgeted time is delta / eps with delta = 2 rho / lambda
     assert up.tau_target == pytest.approx(2 * 0.05 / 0.9 / 1e-3, rel=1e-12)
 
@@ -269,6 +271,22 @@ def test_record_validation_and_row_schema():
     # no orbit, no solver counts and no energy error
     assert "n_rhs_evals" not in d and "n_steps" not in d
     assert "max_energy_error" not in d
+
+
+def test_record_checks_see_the_measured_values(monkeypatch):
+    # a record is built once, so its drift and time checks read the reported numbers
+    seen = []
+    check = ExperimentRecord.__post_init__
+
+    def spy(self):
+        seen.append((self.drift, self.tau))
+        check(self)
+
+    monkeypatch.setattr(ExperimentRecord, "__post_init__", spy)
+    rec = run_drift_experiment(rd.make_bundle("reduced-moser", 1e-2))
+    assert seen == [(rec.drift, rec.tau)] and rec.drift > 0 and rec.tau > 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.drift = 0.0
 
 
 def test_report_carries_the_orbit_solver_counts():

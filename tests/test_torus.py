@@ -2,7 +2,6 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 from resodrift.torus import (
-    AnglePair,
     PhaseState,
     circle_delta,
     torus_distance,
@@ -55,10 +54,10 @@ def test_torus_distance_sup_norm():
     assert torus_distance((0.3, 0.7), (0.3, 0.7)) == 0.0
 
 
-def test_angle_pair_canonicalizes():
-    p = AnglePair(1.25, -0.5)
+def test_phase_state_wraps_its_angles():
+    p = PhaseState(1.25, -0.5, 0.0, 0.0)
     assert (p.theta1, p.theta2) == (0.25, 0.5)
-    q = p.shifted(0.5, 0.75)
+    q = PhaseState(p.theta1 + 0.5, p.theta2 + 0.75, 0.0, 0.0)
     assert (q.theta1, q.theta2) == (0.75, 0.25)
     assert np.isclose(p.distance(q), 0.5)
 
@@ -69,5 +68,5 @@ def test_phase_state_array_round_trip():
     t = PhaseState.from_array(arr)
     assert t == s
     # angles were wrapped on the way in
-    assert np.isclose(s.angles.theta2, 0.9)
+    assert np.isclose(s.theta2, 0.9)
     np.testing.assert_allclose(arr, [0.1, 0.9, -0.4, 2.5])
