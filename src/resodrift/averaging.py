@@ -16,7 +16,7 @@ finite Fourier/polynomial representation by least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -294,7 +294,8 @@ class AveragingStep:
     Step n averages at scale = epsilon**n.  chi (Fourier cutoff, measured
     C^1 norm gamma) is guarded and flowed on window; f_bar is the resonant
     correction the step adds to the normal form, and budget is the
-    displacement the scalar flow may make (kappa epsilon / 2**n).
+    displacement the scalar flow may make (kappa epsilon / 2**n).  A step
+    whose scale * gamma exceeds its budget raises FlowEscapeError.
     """
 
     chi: GeneratorChi
@@ -304,6 +305,11 @@ class AveragingStep:
     cutoff: int
     f_bar: FourierPerturbation
     budget: float
+
+    def __post_init__(self):
+        if self.scale * self.gamma > self.budget * (1.0 + 1e-9):
+            raise FlowEscapeError(f"flow budget exceeded: scale * gamma = "
+                                  f"{self.scale * self.gamma:.3e} > budget {self.budget:.3e}")
 
     def phi_points(self, th1, th2, I1, I2, direction: float = 1.0):
         """Phi_n on arrays of points; direction=-1 flows back."""
@@ -317,7 +323,7 @@ class AveragingStep:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalFormResult:
     """A resonant normal form of bundle, held as its averaging steps.
 
@@ -326,25 +332,35 @@ class NormalFormResult:
     first step first, so they invert Phi.  remainder samples the last
     remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1), and
     sup_remainders[j] is the sup of the remainder left after step j + 1.
-    The displacement of Phi and the last remainder's sup are measured on
-    sample_window when the builder finishes (_measure); every sup, residual
-    and displacement is a grid measurement.
+    The sample window and the displacement bound follow from the steps.
+    The builder measures the displacement of Phi and the last remainder's
+    sup on the sample window (_measure); every sup, residual and
+    displacement is a grid measurement.
     """
 
     bundle: SystemBundle
     kappa: float
     averaging_steps: tuple[AveragingStep, ...]
-    sample_window: ActionWindow
-    displacement_bound: float
     homological_residual: float
     genericity: GenericityReport
     meta: dict = field(default_factory=dict)
-    displacement: float = field(init=False)
-    sup_remainders: tuple[float, ...] = field(init=False)
+    displacement: float = math.nan
+    sup_remainders: tuple[float, ...] = ()
 
     @property
     def epsilon(self) -> float:
         return self.bundle.epsilon
+
+    @property
+    def sample_window(self) -> ActionWindow:
+        """Window of radius the last step's budget, where Phi is measured."""
+        return star_window(self.bundle.system.resonance, self.averaging_steps[-1].budget)
+
+    @property
+    def displacement_bound(self) -> float:
+        """Sum of the step budgets, (1 - 2^-n) kappa epsilon."""
+        n = self.steps
+        return (2.0**n - 1.0) * self.kappa * self.epsilon / 2.0**n
 
     @property
     def displacement_ok(self) -> bool:
@@ -432,28 +448,26 @@ def _homological_residual(system, chi, g, window, grid=(16, 8, 65, 17)) -> float
     return float(np.max(np.abs(lhs - g.table().outer(*angles, *actions))))
 
 
-def _measure(
-    nf: NormalFormResult, sups_before: tuple, n_points: int, seed: int, survey_grid: tuple
-) -> NormalFormResult:
-    """Measure Phi on nf's sample window and return nf.
+def _measure(nf: NormalFormResult, n_points: int, survey_grid: tuple) -> NormalFormResult:
+    """nf with Phi measured on its sample window.
 
     The displacement is the largest coordinate move of Phi over n_points
-    random points; the last remainder is surveyed on the survey_grid tensor
-    grid of (theta1, theta2, I1, I2) and its sup appended to sups_before,
-    the sups of the earlier steps.
+    random points (seed 20240816 + n); the last remainder is surveyed on the
+    survey_grid tensor grid of (theta1, theta2, I1, I2) and its sup appended
+    to nf.sup_remainders, the sups of the earlier steps.
     """
     w = nf.sample_window
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240816 + nf.steps)
     start = tuple(rng.uniform(lo, hi, n_points) for lo, hi in
                   ((0.0, 1.0), (0.0, 1.0), (w.i1_min, w.i1_max), (w.i2_min, w.i2_max)))
     moved = nf.phi_points(*start)
-    nf.displacement = float(max(np.max(np.abs(p - q)) for p, q in zip(moved, start)))
+    displacement = float(max(np.max(np.abs(p - q)) for p, q in zip(moved, start)))
     n1, n2, m1, m2 = survey_grid
     th1, th2 = (np.linspace(0.0, 1.0, n, endpoint=False) for n in (n1, n2))
     I1, I2 = w.grid(m1, m2)
     survey = nf.remainder(th1[:, None, None, None], th2[None, :, None, None], I1[:, None], I2)
-    nf.sup_remainders = sups_before + (float(np.max(np.abs(survey))),)
-    return nf
+    sups = nf.sup_remainders + (float(np.max(np.abs(survey))),)
+    return replace(nf, displacement=displacement, sup_remainders=sups)
 
 
 @serial_blas()
@@ -496,24 +510,22 @@ def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200
         kappa = kappa_next
     else:
         raise FlowEscapeError("kappa bootstrap did not settle in 8 rounds")
-    # On exit kappa >= 2 * gamma measured on window(kappa), so the
-    # displacement budget below is covered by the measured norm.
+    # On exit kappa >= max(2 gamma, 1) for the last round's gamma, measured on
+    # the window of the last kappa tried, which the final kappa exceeds by at
+    # most 1e-6 relative.  AveragingStep enforces eps gamma <= kappa eps / 2.
     window = star_window(res, kappa * eps)
     _require_window_inside(system, window)
     cutoff = choose_cutoff(eps, kappa, varpi, f)
     chi = solve_homological(system, f, cutoff, window)
-    bound = kappa * eps / 2.0
     nf = NormalFormResult(
         bundle,
         kappa,
-        (AveragingStep(chi, eps, window, gamma, cutoff, f_bar, bound),),
-        star_window(res, kappa * eps / 2.0),
-        bound,
+        (AveragingStep(chi, eps, window, gamma, cutoff, f_bar, kappa * eps / 2.0),),
         homological_residual=_homological_residual(system, chi, f - f_bar, window),
         genericity=genericity_check(f, system),
         meta={"kappa_rounds": tuple(rounds)},
     )
-    return _measure(nf, (), displacement_points, 20240817, (32, 32, 9, 5))
+    return _measure(nf, displacement_points, (32, 32, 9, 5))
 
 
 def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
@@ -581,10 +593,8 @@ def two_step_normal_form(
     if step1 is not None and (step1.steps != 1 or step1.bundle is not bundle):
         raise ValueError("step1 must be a one-step normal form of the same bundle")
     s1 = step1 or one_step_normal_form(bundle)
-    system = bundle.system
     eps = bundle.epsilon
-    res = system.resonance
-    kappa = s1.kappa
+    n = s1.steps
     half = s1.sample_window
 
     n_th = int(theta_grid)
@@ -601,10 +611,12 @@ def two_step_normal_form(
     floor = MODE_THRESHOLD * float(np.max(amplitude))
 
     # (0, 0), then in (k1, k2) order the canonical modes up to k_max (first
-    # nonzero component positive) whose amplitude reaches the floor
+    # nonzero component positive) whose amplitude is nonzero and reaches the
+    # floor; an exactly zero f' keeps the mean alone
     k1 = np.arange(k_max + 1)[:, None]
     k2 = np.arange(-k_max, k_max + 1)
-    loud = ((k1 > 0) | (k2 > 0)) & (amplitude[k1 % n_th, k2 % n_th] >= floor)
+    a = amplitude[k1 % n_th, k2 % n_th]
+    loud = ((k1 > 0) | (k2 > 0)) & (a > 0.0) & (a >= floor)
     kept = np.concatenate([[[0, 0]], np.argwhere(loud) - [0, k_max]])
 
     # the cos and sin targets of every kept mode; the mean counts once
@@ -627,29 +639,10 @@ def two_step_normal_form(
             "the window is too wide for the fitted degrees"
         )
 
-    chi2 = solve_homological(system, f_prime_fit, k_max, half)
-    gamma2 = chi2.c1_norm()
-    if eps**2 * gamma2 > kappa * eps / 4.0 * (1.0 + 1e-9):
-        raise FlowEscapeError(
-            "second-step flow budget exceeded: eps^2 gamma2 = "
-            f"{eps**2 * gamma2:.3e} > kappa eps / 4 = {kappa * eps / 4.0:.3e}"
-        )
-    step2 = AveragingStep(
-        chi2, eps**2, half, gamma2, k_max, average_over_theta2(f_prime_fit), kappa * eps / 4.0
-    )
-    nf = NormalFormResult(
-        bundle,
-        kappa,
-        s1.averaging_steps + (step2,),
-        star_window(res, kappa * eps / 4.0),
-        3.0 * kappa * eps / 4.0,
-        homological_residual=s1.homological_residual,
-        genericity=s1.genericity,
-        meta={
-            **s1.meta,
-            "sup_f_prime_grid": sup_grid,
-            "n_kept_modes": len(kept),
-            "fit_residual": fit_residual,
-        },
-    )
-    return _measure(nf, s1.sup_remainders, displacement_points, 20240818, (32, 32, 7, 3))
+    chi2 = solve_homological(bundle.system, f_prime_fit, k_max, half)
+    step2 = AveragingStep(chi2, eps ** (n + 1), half, chi2.c1_norm(), k_max,
+                          average_over_theta2(f_prime_fit), s1.kappa * eps / 2 ** (n + 1))
+    nf = replace(s1, averaging_steps=s1.averaging_steps + (step2,), meta={
+        **s1.meta, "sup_f_prime_grid": sup_grid, "n_kept_modes": len(kept), "fit_residual": fit_residual,
+    })
+    return _measure(nf, displacement_points, (32, 32, 7, 3))

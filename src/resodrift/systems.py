@@ -8,8 +8,8 @@ channel conditions read omega1(I1, 0) = 0 on S1 and omega2(I1, 0) >= varpi
 on S1*, and most of the package operates in that chart.
 
 A bundle holds H = h + epsilon * f as one series with h on the mode (0, 0),
-so H and its vector field are read off one ModeTable.  A malformed system
-definition file raises UsageError before any object is built.
+so H and its vector field are read off one ModeTable.  A system definition
+file that is malformed or breaks a constructor's rule raises UsageError.
 """
 
 from __future__ import annotations
@@ -287,10 +287,13 @@ _MODE_KEYS = {"k", "cos", "sin"}
 _RES_KEYS = {"k", "a", "S", "Sstar", "varpi", "delta_star"}
 
 
-def _check_keys(obj: dict, allowed: set, where: str):
+def _check_keys(obj: dict, allowed: set, where: str, required: tuple):
     unknown = set(obj) - allowed
     if unknown:
         raise UsageError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+    for key in required:
+        if key not in obj:
+            raise UsageError(f"{where} is missing key {key!r}")
 
 
 # a polynomial degree above this in either action is rejected before any
@@ -356,23 +359,26 @@ def _poly_to_json(p: PolyField) -> list:
     return [[i, j, c] for i, j, c in p.to_terms()]
 
 
+def _built(cls, *args, **kwargs):
+    """cls(*args, **kwargs), with a broken constructor rule raised as UsageError."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:  # DomainError is a ValueError
+        raise UsageError(str(exc)) from exc
+
+
 def load_system(data: dict) -> tuple[IntegrableSystem, FourierPerturbation]:
     """Build a system from a parsed definition dict; unknown keys are rejected."""
     if not isinstance(data, dict):
         raise UsageError("system definition must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "system definition")
-    for key in ("h", "modes", "R", "resonance"):
-        if key not in data:
-            raise UsageError(f"system definition is missing key {key!r}")
+    _check_keys(data, _TOP_KEYS, "system definition", ("h", "modes", "R", "resonance"))
     h = _poly_from_json(data["h"], "h")
     res_raw = data["resonance"]
     if not isinstance(res_raw, dict):
         raise UsageError("resonance must be a JSON object")
-    _check_keys(res_raw, _RES_KEYS, "resonance")
-    for key in ("k", "a", "S", "Sstar", "varpi"):
-        if key not in res_raw:
-            raise UsageError(f"resonance is missing key {key!r}")
-    resonance = ResonanceData(
+    _check_keys(res_raw, _RES_KEYS, "resonance", ("k", "a", "S", "Sstar", "varpi"))
+    resonance = _built(
+        ResonanceData,
         k=_pair(res_raw["k"], "resonance.k", _wave),
         a=_number(res_raw["a"], "resonance.a"),
         S=_pair(res_raw["S"], "resonance.S", _point),
@@ -390,15 +396,13 @@ def load_system(data: dict) -> tuple[IntegrableSystem, FourierPerturbation]:
         where = f"modes[{idx}]"
         if not isinstance(mode, dict):
             raise UsageError(f"{where} must be a JSON object")
-        _check_keys(mode, _MODE_KEYS, where)
-        if "k" not in mode:
-            raise UsageError(f"{where} is missing key 'k'")
+        _check_keys(mode, _MODE_KEYS, where, ("k",))
         k = _pair(mode["k"], f"{where}.k", _wave)
         cos = _poly_from_json(mode.get("cos", []), f"{where}.cos")
         sin = _poly_from_json(mode.get("sin", []), f"{where}.sin")
         terms.append((k, cos, sin))
     f = FourierPerturbation.from_terms(terms)
-    system = IntegrableSystem(h, _number(data["R"], "R"), resonance)
+    system = _built(IntegrableSystem, h, _number(data["R"], "R"), resonance)
     return system, f
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -494,6 +495,52 @@ def test_two_step_fit_and_displacement(two_step_results):
     assert s2.sup_remainders[1] > 0.0
     # the second averaged correction only keeps resonant modes
     assert all(k[1] == 0 for k in s2.averaging_steps[1].f_bar.mode_keys)
+
+
+def test_window_and_bound_follow_from_the_steps(one_step_results, two_step_results):
+    # step n's budget is kappa eps / 2^n; the result samples on the window of
+    # its last budget and may move a point by the sum of the budgets
+    assert {f.name for f in dataclasses.fields(rd.NormalFormResult)}.isdisjoint(
+        {"sample_window", "displacement_bound"}
+    )
+    for eps, nf in one_step_results.items():
+        res, kappa = nf.bundle.system.resonance, nf.kappa
+        assert nf.displacement_bound == kappa * eps / 2.0
+        assert nf.sample_window == star_window(res, kappa * eps / 2.0)
+    for eps, nf in two_step_results.items():
+        res, kappa = nf.bundle.system.resonance, nf.kappa
+        assert nf.displacement_bound == 3.0 * kappa * eps / 4.0
+        assert nf.sample_window == star_window(res, kappa * eps / 4.0)
+        assert nf.quarter_window == nf.sample_window
+        assert nf.averaging_steps[1].window == one_step_results[eps].sample_window
+
+
+def test_results_and_steps_are_frozen(one_step_results):
+    nf = one_step_results[1e-3]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nf.displacement = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nf.averaging_steps[0].budget = 1.0
+
+
+def test_averaging_step_over_its_budget_raises(one_step_results):
+    step = one_step_results[1e-3].step1
+    # a budget of exactly scale * gamma is admitted, a little less is not
+    dataclasses.replace(step, budget=step.scale * step.gamma)
+    with pytest.raises(FlowEscapeError, match="flow budget"):
+        dataclasses.replace(step, budget=step.scale * step.gamma * (1.0 - 1e-6))
+    with pytest.raises(FlowEscapeError, match="flow budget"):
+        dataclasses.replace(step, gamma=2.0 * step.budget / step.scale)
+
+
+def test_two_step_on_an_exactly_zero_remainder_keeps_the_mean_alone():
+    # chi1 = 0 on reduced-moser, so f' is exactly 0 and its spectrum has no
+    # mode that reaches a nonzero floor
+    entry = rd.get_entry("reduced-moser")
+    nf = rd.two_step_normal_form(rd.SystemBundle(entry.system, entry.perturbation, 1e-3), theta_grid=48)
+    assert nf.meta["n_kept_modes"] == 1
+    assert nf.meta["sup_f_prime_grid"] == 0.0
+    assert nf.chi2.is_zero
 
 
 @pytest.mark.parametrize("steps", [1, 2])

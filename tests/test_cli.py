@@ -405,6 +405,19 @@ def test_malformed_system_file_exits_2(tmp_path, capsys):
     assert "resonance.k" in err and "Traceback" not in err
 
 
+def test_system_file_breaking_a_constructor_rule_exits_2(tmp_path, capsys):
+    # the channel lies outside B_R: the constructor's DomainError is a usage
+    # error of the file, not a failed computation (exit 1)
+    entry = rd.get_entry("generic3")
+    data = system_to_dict(entry.system, entry.perturbation)
+    data["R"] = 1
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("genericity", "--system-file", str(path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "outside B_R" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["reduce"], ["genericity"], ["drift", "--epsilon", "1e-3"]])
 def test_oversized_wave_vector_exits_2(tmp_path, capsys, command):
     # a wave vector beyond int64 is a usage error, not an OverflowError

@@ -206,7 +206,8 @@ def test_domain_excludes_channel_outside_R():
 
 # Malformed system definitions: each must raise UsageError, not another
 # exception, a silent truncation or, for the degree, an allocation as large
-# as the degree.
+# as the degree.  A constructor's ValueError or DomainError on file data is
+# a UsageError too.
 MALFORMED = {
     "k not a list": (("resonance", "k"), 5),
     "k of one entry": (("resonance", "k"), [1]),
@@ -224,6 +225,13 @@ MALFORMED = {
     "int beyond the float range": (("modes", 0, "k"), [10**400, 1]),
     "mode k beyond int64": (("modes", 0, "k"), [1e19, -1e19]),
     "resonance k above MAX_WAVE": (("resonance", "k"), [MAX_WAVE + 1, 1]),
+    # well-formed values that break a constructor's rule
+    "negative R": (("R",), -1),
+    "zero varpi": (("resonance", "varpi"), 0),
+    "zero resonance k": (("resonance", "k"), [0, 0]),
+    "S endpoint off the line": (("resonance", "S"), [[0.25, 0.25], [1.75, -1.75]]),
+    "S* outside S": (("resonance", "Sstar"), [[0.1, -0.1], [1.5, -1.5]]),
+    "channel outside B_R": (("R",), 1),
 }
 
 
