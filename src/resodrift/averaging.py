@@ -10,7 +10,9 @@ remainder it samples.  Remainders are never estimated symbolically: they are
 sampled operationally by composing the numerical flow with the Hamiltonian
 and dividing out the expected power of epsilon.  The second step repeats the
 construction on the sampled first remainder after projecting it back onto a
-finite Fourier/polynomial representation by least squares.
+finite Fourier/polynomial representation by least squares; the fit carries
+the action dependence of every kept coefficient, so it serves any
+perturbation, with or without action-dependent coefficients.
 """
 
 from __future__ import annotations
@@ -291,18 +293,17 @@ def solve_homological(
 class AveragingStep:
     """One averaging step: the unit-time flow Phi_n of scale * chi.
 
-    Step n averages at scale = epsilon**n.  chi (Fourier cutoff, measured
-    C^1 norm gamma) is guarded and flowed on window; f_bar is the resonant
-    correction the step adds to the normal form, and budget is the
-    displacement the scalar flow may make (kappa epsilon / 2**n).  A step
-    whose scale * gamma exceeds its budget raises FlowEscapeError.
+    Step n averages at scale = epsilon**n.  chi carries its Fourier cutoff
+    and its window, on which it is guarded and flowed; gamma is its measured
+    C^1 norm, f_bar the resonant correction the step adds to the normal
+    form, and budget the displacement the scalar flow may make
+    (kappa epsilon / 2**n).  A step whose scale * gamma exceeds its budget
+    raises FlowEscapeError.
     """
 
     chi: GeneratorChi
     scale: float
-    window: ActionWindow
     gamma: float
-    cutoff: int
     f_bar: FourierPerturbation
     budget: float
 
@@ -313,13 +314,13 @@ class AveragingStep:
 
     def phi_points(self, th1, th2, I1, I2, direction: float = 1.0):
         """Phi_n on arrays of points; direction=-1 flows back."""
-        return flow_points(self.chi, self.scale, float(direction), th1, th2, I1, I2, window=self.window)
+        return flow_points(self.chi, self.scale, float(direction), th1, th2, I1, I2, window=self.chi.window)
 
     def phi(self, state: PhaseState, direction: float = 1.0) -> PhaseState:
         """Phi_n on one state, checked against the window and the budget."""
         return lie_flow(
             self.chi, self.scale, float(direction), state,
-            window=self.window, displacement_bound=self.budget,
+            window=self.chi.window, displacement_bound=self.budget,
         )
 
 
@@ -335,7 +336,8 @@ class NormalFormResult:
     The sample window and the displacement bound follow from the steps.
     The builder measures the displacement of Phi and the last remainder's
     sup on the sample window (_measure); every sup, residual and
-    displacement is a grid measurement.
+    displacement is a grid measurement.  as_dict is the normal_form.json
+    record.
     """
 
     bundle: SystemBundle
@@ -379,7 +381,7 @@ class NormalFormResult:
     @property
     def window(self) -> ActionWindow:
         """Working window of radius kappa epsilon, on which the first step flows."""
-        return self.averaging_steps[0].window
+        return self.averaging_steps[0].chi.window
 
     @property
     def sup_remainder(self) -> float:
@@ -402,6 +404,26 @@ class NormalFormResult:
         if self.steps != 2:
             raise AttributeError("only a two-step normal form has a quarter window")
         return self.sample_window
+
+    def as_dict(self) -> dict:
+        """The normal_form.json record; from step 2 on a step's keys carry its number: K, K2, ..."""
+        record = {
+            "kappa": self.kappa,
+            "phi_displacement": self.displacement,
+            "displacement_bound": self.displacement_bound,
+            "residual_homological": self.homological_residual,
+            "lambda": self.genericity.lam,
+            "theta_star": self.genericity.theta1_star,
+            "I_star": list(self.genericity.I_star),
+            "steps": self.steps,
+            "kappa_rounds": [list(r) for r in self.meta["kappa_rounds"]],
+        }
+        for n, (step, sup) in enumerate(zip(self.averaging_steps, self.sup_remainders), 1):
+            tag = str(n) if n > 1 else ""
+            record.update({"K" + tag: step.chi.cutoff, "gamma" + tag: step.gamma,
+                           "min_divisor" + tag: step.chi.min_divisor, f"sup_f{n}": sup})
+        record.update({k: self.meta[k] for k in ("fit_residual", "n_kept_modes") if k in self.meta})
+        return record
 
     def _ordered(self, direction: float):
         return self.averaging_steps if direction < 0 else self.averaging_steps[::-1]
@@ -491,17 +513,18 @@ def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200
         raise ValueError("normal form expects the reduced chart; run the reduction first")
     if not verify_channel_assumptions(system).passed:
         raise ValueError("channel conditions fail; the averaging step does not apply")
-    res = system.resonance
-    varpi = res.varpi
     f_bar = average_over_theta2(f)
+
+    def solve(kappa):
+        """chi on the window of radius kappa eps, the bootstrap's as the final one."""
+        window = star_window(system.resonance, kappa * eps)
+        _require_window_inside(system, window)
+        return solve_homological(system, f, choose_cutoff(eps, kappa, system.resonance.varpi, f), window)
 
     kappa = 1.0
     rounds = []
     for _ in range(8):
-        window = star_window(res, kappa * eps)
-        _require_window_inside(system, window)
-        chi = solve_homological(system, f, choose_cutoff(eps, kappa, varpi, f), window)
-        gamma = chi.c1_norm()
+        gamma = solve(kappa).c1_norm()
         rounds.append((kappa, gamma))
         kappa_next = max(2.0 * gamma, 1.0)
         if kappa_next <= kappa * (1.0 + 1e-6):
@@ -513,15 +536,12 @@ def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200
     # On exit kappa >= max(2 gamma, 1) for the last round's gamma, measured on
     # the window of the last kappa tried, which the final kappa exceeds by at
     # most 1e-6 relative.  AveragingStep enforces eps gamma <= kappa eps / 2.
-    window = star_window(res, kappa * eps)
-    _require_window_inside(system, window)
-    cutoff = choose_cutoff(eps, kappa, varpi, f)
-    chi = solve_homological(system, f, cutoff, window)
+    chi = solve(kappa)
     nf = NormalFormResult(
         bundle,
         kappa,
-        (AveragingStep(chi, eps, window, gamma, cutoff, f_bar, kappa * eps / 2.0),),
-        homological_residual=_homological_residual(system, chi, f - f_bar, window),
+        (AveragingStep(chi, eps, gamma, f_bar, kappa * eps / 2.0),),
+        homological_residual=_homological_residual(system, chi, f - f_bar, chi.window),
         genericity=genericity_check(f, system),
         meta={"kappa_rounds": tuple(rounds)},
     )
@@ -582,14 +602,12 @@ def two_step_normal_form(
     analyzed by FFT in the angles, and each retained coefficient's action
     dependence is fitted by least-squares polynomials (Chebyshev basis,
     higher degree along the wide I1 direction, low degree across the thin I2
-    direction).  The fitted series drives a second homological solve at
-    scale epsilon^2; the displacement is measured on displacement_points
-    points of the quarter window and the final remainder's sup on a
-    32 x 32 x 7 x 3 grid of it.
+    direction).  The remainder is action dependent whether or not f is, so
+    one path serves every perturbation.  The fitted series drives a second
+    homological solve at scale epsilon^2; the displacement is measured on
+    displacement_points points of the quarter window and the final
+    remainder's sup on a 32 x 32 x 7 x 3 grid of it.
     """
-    if not bundle.perturbation.is_action_independent:
-        raise ValueError("the second averaging step is implemented for "
-                         "action-independent perturbations")
     if step1 is not None and (step1.steps != 1 or step1.bundle is not bundle):
         raise ValueError("step1 must be a one-step normal form of the same bundle")
     s1 = step1 or one_step_normal_form(bundle)
@@ -640,8 +658,8 @@ def two_step_normal_form(
         )
 
     chi2 = solve_homological(bundle.system, f_prime_fit, k_max, half)
-    step2 = AveragingStep(chi2, eps ** (n + 1), half, chi2.c1_norm(), k_max,
-                          average_over_theta2(f_prime_fit), s1.kappa * eps / 2 ** (n + 1))
+    step2 = AveragingStep(chi2, eps ** (n + 1), chi2.c1_norm(), average_over_theta2(f_prime_fit),
+                          s1.kappa * eps / 2 ** (n + 1))
     nf = replace(s1, averaging_steps=s1.averaging_steps + (step2,), meta={
         **s1.meta, "sup_f_prime_grid": sup_grid, "n_kept_modes": len(kept), "fit_residual": fit_residual,
     })

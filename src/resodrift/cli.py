@@ -195,9 +195,10 @@ _state = _flag_type(
     lambda text: len(_floats(text)) == 4 and all(map(math.isfinite, _floats(text))),
 )
 _epsilon_list = _flag_type(
-    "expected a comma list of epsilons in (0, 1)",
+    "expected a comma list of distinct epsilons in (0, 1)",
     str,
-    lambda text: all(0.0 < v < 1.0 for v in _floats(text)),
+    lambda text: all(0.0 < v < 1.0 for v in _floats(text))
+    and len(set(_floats(text))) == len(_floats(text)),
 )
 
 
@@ -305,33 +306,11 @@ def _cmd_normal_form(args) -> int:
     else:
         result = two_step_normal_form(bundle)
     out = _open_run(args, source)
-    first = result.averaging_steps[0]
-    payload = {
-        "kappa": result.kappa,
-        "phi_displacement": result.displacement,
-        "displacement_bound": result.displacement_bound,
-        "residual_homological": result.homological_residual,
-        "lambda": result.genericity.lam,
-        "theta_star": result.genericity.theta1_star,
-        "I_star": list(result.genericity.I_star),
-        "steps": result.steps,
-        "reduced_first": reduced_first,
-        "kappa_rounds": [list(r) for r in result.meta["kappa_rounds"]],
-    }
-    # step n's keys carry the suffix n from the second step on: K, K2, ...
-    for n, (step, sup) in enumerate(zip(result.averaging_steps, result.sup_remainders), 1):
-        tag = str(n) if n > 1 else ""
-        payload.update({
-            "K" + tag: step.cutoff,
-            "gamma" + tag: step.gamma,
-            "min_divisor" + tag: step.chi.min_divisor,
-            f"sup_f{n}": sup,
-        })
-    payload.update({k: result.meta[k] for k in ("fit_residual", "n_kept_modes") if k in result.meta})
-    write_json(out / "normal_form.json", payload)
+    record = result.as_dict()
+    write_json(out / "normal_form.json", {**record, "reduced_first": reduced_first})
     return _finish(
         out,
-        f"normal-form: steps={result.steps} K={first.cutoff} kappa={result.kappa:.6g} "
+        f"normal-form: steps={result.steps} K={record['K']} kappa={result.kappa:.6g} "
         f"residual={result.homological_residual:.3e}",
         result.displacement_ok,
     )

@@ -365,7 +365,8 @@ def sweep_epsilon(
     (theta1*, theta2_0, I*) and stops when |I1(t) - I1(0)| reaches the
     target, which must be finite and positive, with a time cap
     4 target / (lambda epsilon).  The fitted exponent p comes from least
-    squares on log tau against log epsilon.
+    squares on log tau against log epsilon, over at least three distinct
+    epsilons spanning a decade.
     """
     _require_positive("target_drift", target_drift)
     epsilons = sorted(float(e) for e in epsilons)
@@ -373,6 +374,8 @@ def sweep_epsilon(
         raise ValueError("a sweep needs at least three epsilon values")
     if min(epsilons) <= 0:
         raise ValueError("sweep epsilons must be positive")
+    if len(set(epsilons)) < len(epsilons):
+        raise ValueError("sweep epsilons must be distinct")
     if max(epsilons) / min(epsilons) < 10.0 - 1e-9:
         raise ValueError("sweep epsilons should span at least a decade")
     gen = _channel_genericity(SystemBundle(system, perturbation, epsilons[0]), "sweep")

@@ -132,13 +132,15 @@ def test_genericity_fails_on_flat_average(tmp_path):
     assert payload["passed"] is False
 
 
-def test_normal_form_single_step_payload(tmp_path):
+def test_normal_form_single_step_payload(tmp_path, one_step_results):
     out = tmp_path / "nf"
     rc = run_cli(
         "normal-form", "--system", "generic3", "--epsilon", "1e-2", "--out", str(out)
     )
     assert rc == 0
     payload = json.loads((out / "normal_form.json").read_text())
+    # the CLI's build repeats the session's, so the record is the result's
+    assert payload == {**one_step_results[1e-2].as_dict(), "reduced_first": False}
     assert payload["steps"] == 1
     assert payload["K"] >= 2
     assert payload["residual_homological"] <= 1e-9
@@ -158,8 +160,9 @@ def test_normal_form_two_step_payload_reports_kept_modes(tmp_path, monkeypatch, 
     )
     assert rc == 0
     payload = json.loads((out / "normal_form.json").read_text())
+    assert payload == {**result.as_dict(), "reduced_first": False}
     assert payload["steps"] == 2
-    assert payload["K2"] == result.averaging_steps[1].cutoff
+    assert payload["K2"] == result.averaging_steps[1].chi.cutoff
     assert payload["min_divisor"] == result.averaging_steps[0].chi.min_divisor
     assert payload["min_divisor2"] == result.averaging_steps[1].chi.min_divisor
     assert payload["fit_residual"] == result.meta["fit_residual"]
@@ -334,6 +337,15 @@ def test_experiment_constants_must_be_finite_and_positive(tmp_path):
         out = tmp_path / f"run{i}"
         assert run_cli(*argv, "--out", str(out)) == 2
         assert not out.exists()
+
+
+def test_sweep_with_a_repeated_epsilon_exits_2(tmp_path, capsys):
+    for i, epsilons in enumerate(("1e-2,1e-2,1e-3", "1e-2,0.01,3e-3,1e-3")):
+        out = tmp_path / f"run{i}"
+        argv = ["sweep", "--system", "generic3", "--epsilons", epsilons, "--out", str(out)]
+        assert run_cli(*argv) == 2
+        assert not out.exists()
+        assert "distinct epsilons" in capsys.readouterr().err
 
 
 def test_source_resolution_errors(tmp_path):

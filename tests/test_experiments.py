@@ -196,6 +196,9 @@ def test_sweep_guards():
         sweep_epsilon(e.system, e.perturbation, (1e-2, 1e-3, 0.0))
     with pytest.raises(ValueError, match="decade"):
         sweep_epsilon(e.system, e.perturbation, (1e-2, 8e-3, 5e-3))
+    # a repeated value would leave the fit a line through two points
+    with pytest.raises(ValueError, match="distinct"):
+        sweep_epsilon(e.system, e.perturbation, (1e-2, 1e-2, 1e-3))
     for target in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="target_drift"):
             sweep_epsilon(e.system, e.perturbation, (1e-2, 3e-3, 1e-3), target_drift=target)
