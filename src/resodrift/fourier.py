@@ -54,6 +54,9 @@ BLOCK_VALUES = 1 << 20
 # real scalars take the single-point branch; anything else the array branch
 _SCALAR = (float, int, np.floating, np.integer)
 
+# terms per statement of a generated row sum
+_SUM_TERMS = 64
+
 
 class ModeTable:
     """Packed series sum_k a_k(I) cos(2 pi k.theta) + b_k(I) sin(2 pi k.theta).
@@ -73,20 +76,22 @@ class ModeTable:
     h on the mode (0, 0), so its rows are H and its four first partials.
 
     Evaluation has two branches, chosen by the shape of the input.  A single
-    point of an undivided table is evaluated in plain Python floats.  On the
-    first such call the table compiles, per row, the list of its nonzero
-    (power index, trig index, coefficient) terms; a point then costs one
-    math.cos and one math.sin per mode, its action powers by repeated
-    multiplication, and one sum per row.  An orbit RHS call on generic3
-    costs 4.4 us this way, against 12.9 us for the numpy contraction of a
-    dense map that this replaced (2-vCPU VM).  Arrays (and divided tables)
-    are evaluated in blocks of block_points points, on one BLAS thread
+    point of an undivided table is read as four float64 values, whatever
+    their real type, and evaluated in plain Python floats by one
+    straight-line function that the table generates on first use
+    (:meth:`point_function`): one math.cos and one math.sin per mode, the
+    action powers by repeated multiplication, and one sum per row over the
+    terms of :meth:`_compile_terms`.  An orbit RHS call on generic3, which
+    calls that function directly, costs 1.8-3.5 us this way, against
+    5.8-9.8 us through the interpreted loop over the term lists that it
+    replaced (best of 5 x 20,000 calls, 2-vCPU VM).  Arrays (and divided
+    tables) are evaluated in blocks of block_points points, on one BLAS thread
     (:func:`~resodrift.blas.serial_blas`); the single-point branch never
     enters that guard, so an orbit RHS call pays nothing for it.
     """
 
     __slots__ = ("K", "divided", "block_points", "_Kf", "_k1", "_k2",
-                 "_e1", "_e2", "_W", "_n_poly", "_n1", "_n2", "_w", "_terms")
+                 "_e1", "_e2", "_W", "_n_poly", "_n1", "_n2", "_w", "_point", "point_source")
 
     def __init__(self, modes: dict, omega=None):
         keys = sorted(modes)
@@ -114,7 +119,7 @@ class ModeTable:
         # the single-point branch works in Python floats and ints
         self._n1, self._n2 = n1, n2
         self._w = (TWO_PI * self._Kf).tolist()
-        self._terms = None
+        self._point = self.point_source = None
 
     # -- the two branches ------------------------------------------------------------
 
@@ -145,26 +150,46 @@ class ModeTable:
                 add(3 + j, m + k, d[m + k])
         return rows
 
-    def _point(self, t1, t2, x1, x2, grad: bool):
-        """Rows at one point as a list of floats; the value alone if not grad."""
-        terms = self._terms
-        if terms is None:
-            terms = self._terms = self._compile_terms()
-        phase = [w1 * t1 + w2 * t2 for w1, w2 in self._w]
-        trig = [*map(math.cos, phase), *map(math.sin, phase)]
-        p1, p2 = [1.0], [1.0]
-        for _ in range(1, self._n1):
-            p1.append(p1[-1] * x1)
-        for _ in range(1, self._n2):
-            p2.append(p2[-1] * x2)
-        power = [u * v for u in p1 for v in p2]
-        out = []
-        for row in terms if grad else terms[:1]:
-            acc = 0.0
-            for p, q, c in row:
-                acc += c * power[p] * trig[q]
-            out.append(acc)
-        return out if grad else out[0]
+    def point_function(self):
+        """The single-point evaluator (t1, t2, x1, x2) -> list of the five rows.
+
+        Built on first use from :meth:`_compile_terms`: one straight-line
+        function computes the phases w1 * t1 + w2 * t2, one math.cos and one
+        math.sin per mode, the action powers by repeated multiplication, and
+        each row as the left-to-right sum (0.0 + c * P * T) + ... of its
+        terms in their order, constants written with repr.  A factor 1.0 of
+        the powers is left out, which changes no bit.  The source is kept as
+        point_source.
+        """
+        if self._point is None:
+            m, n1, n2 = self.K.shape[0], self._n1, self._n2
+            lines = ["def point(t1, t2, x1, x2):"]
+            for k, (w1, w2) in enumerate(self._w):
+                lines += [f"    q{k} = {w1!r} * t1 + {w2!r} * t2", f"    c{k} = cos(q{k})", f"    s{k} = sin(q{k})"]
+            for x, n in (("x1", n1), ("x2", n2)):
+                lines += [f"    {x}_{i} = {x}_{i - 1} * {x}" if i > 1 else f"    {x}_1 = {x}" for i in range(1, n)]
+            rows = self._compile_terms()
+            used = {p for row in rows for p, _, _ in row}
+            # power i * n2 + j is I1**i * I2**j
+            power = []
+            for i in range(n1):
+                for j in range(n2):
+                    if i and j and i * n2 + j in used:
+                        lines.append(f"    p{i}_{j} = x1_{i} * x2_{j}")
+                    power.append(f"p{i}_{j} * " if i and j else f"x1_{i} * " if i else f"x2_{j} * " if j else "")
+            trig = [f"c{k}" for k in range(m)] + [f"s{k}" for k in range(m)]
+            for r, row in enumerate(rows):
+                terms = [f"{c!r} * {power[p]}{trig[q]}" for p, q, c in row]
+                # chunks of _SUM_TERMS keep each expression shallow for the compiler
+                lines.append(f"    r{r} = 0.0")
+                for start in range(0, len(terms), _SUM_TERMS):
+                    lines.append(f"    r{r} = r{r} + " + " + ".join(terms[start : start + _SUM_TERMS]))
+            lines.append("    return [r0, r1, r2, r3, r4]")
+            self.point_source = "\n".join(lines) + "\n"
+            namespace = {"cos": math.cos, "sin": math.sin, "inf": math.inf, "nan": math.nan}
+            exec(compile(self.point_source, "<ModeTable.point_source>", "exec"), namespace)
+            self._point = namespace["point"]
+        return self._point
 
     # The array branch keeps modes first and points last, so every per-mode
     # quantity of a block is one contiguous (m, points) array.
@@ -209,8 +234,9 @@ class ModeTable:
         t1, t2, x1, x2 = args
         if not self.divided and isinstance(t1, _SCALAR) and isinstance(t2, _SCALAR) \
                 and isinstance(x1, _SCALAR) and isinstance(x2, _SCALAR):
-            # one state, as an orbit RHS call passes it
-            return self._point(t1, t2, x1, x2, grad)
+            # one state, as an orbit RHS call passes it, in float64 whatever its type
+            rows = self.point_function()(float(t1), float(t2), float(x1), float(x2))
+            return rows if grad else rows[0]
         arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
         shape = arrays[0].shape
         flat = [v.reshape(-1) for v in arrays]

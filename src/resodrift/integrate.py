@@ -119,17 +119,22 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EPS = float(np.finfo(float).eps)
 
 
+def _norm(x):
+    """np.linalg.norm of a 1-D real array, as numpy takes it: the square root of x.x."""
+    return math.sqrt(x.dot(x))
+
+
 def _rms(x):
-    return np.linalg.norm(x) / x.size**0.5
+    return _norm(x) / x.size**0.5
 
 
 def _error_norm(K, h, scale):
     """DOP853's RMS error norm of a step: the 5th-order estimate, damped by the 3rd."""
-    err5 = np.linalg.norm((_E5 @ K) / scale) ** 2
-    err3 = np.linalg.norm((_E3 @ K) / scale) ** 2
+    err5 = _norm((_E5 @ K) / scale) ** 2
+    err3 = _norm((_E3 @ K) / scale) ** 2
     if err5 == 0 and err3 == 0:
         return 0.0
-    return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
+    return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * len(scale))
 
 
 class _Dop853:
@@ -141,16 +146,24 @@ class _Dop853:
     False and leaves the state as it was when the step falls below 10 ulp of
     t.  dense() is scipy's interpolant on the last step (Hairer, Norsett and
     Wanner, Sec. II.6) at 3 more evaluations; nfev counts calls of fun.
+
+    Times, step sizes and the direction are Python floats, and each stage's
+    node, weights and rows of the stage table are looked up once per
+    stepper; the stage sums stay numpy products, whose bits a Python sum
+    would not keep.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, h_abs=None):
+        t0, t_bound = float(t0), float(t_bound)
         self.fun, self.t_bound, self.rtol, self.atol = fun, t_bound, max(rtol, 100 * _EPS), atol
-        self.direction = np.sign(t_bound - t0)
+        self.direction = float(np.sign(t_bound - t0))
         self.t, self.y = t0, y0
         self.f = fun(t0, y0)
         self.nfev = 1
-        self.h_abs = self._initial_step() if h_abs is None else h_abs
-        self.K = np.empty((_STAGES, y0.size))
+        self.h_abs = float(self._initial_step() if h_abs is None else h_abs)
+        self.K = K = np.empty((_STAGES, y0.size))
+        # stage s: its node c_s, its weights a_sj (j < s) and the rows it weighs
+        self._stages = [(float(_C[s]), _A[s, :s].copy(), K[:s]) for s in range(1, _STAGES - 1)]
 
     @property
     def running(self) -> bool:
@@ -175,7 +188,7 @@ class _Dop853:
 
     def step(self) -> bool:
         t, y, fun, K, direction = self.t, self.y, self.fun, self.K, self.direction
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
@@ -185,10 +198,10 @@ class _Dop853:
             if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = self.f
-            for s in range(1, _STAGES - 1):
-                K[s] = fun(t + _C[s] * h, y + (_A[s, :s] @ K[:s]) * h)
+            for s, (c, a, rows) in enumerate(self._stages, start=1):
+                K[s] = fun(t + c * h, y + (a @ rows) * h)
             y_new = y + h * (_B @ K[:-1])
             f_new = K[-1] = fun(t + h, y_new)
             self.nfev += _STAGES - 1

@@ -210,14 +210,19 @@ class SystemBundle:
         """Right-hand side f(t, y) on flat states y = [th1, th2, I1, I2].
 
         Accepts y of shape (4,) or (4, n); the returned array matches.  A (4,)
-        state is unpacked into floats, so it takes the table's single-point
-        branch.
+        state is unpacked into floats and goes straight to the table's
+        generated single-point evaluator, bound on the first such call, with
+        no dispatch through :meth:`vector_field`.
         """
+        table, point = self.series.table(), None
 
         def fun(_t, y):
+            nonlocal point
             if y.ndim == 1:
-                angles, actions = self.vector_field(*y.tolist())
-                return np.array(angles + actions)
+                if point is None:
+                    point = table.point_function()
+                _, d1, d2, g1, g2 = point(*y.tolist())
+                return np.array([g1, g2, -d1, -d2])
             return np.concatenate(self.vector_field(*y))
 
         return fun

@@ -400,6 +400,12 @@ def test_readme_cli_examples_parse():
         assert args.command == words[1]
 
 
+def test_readme_library_quickstart_runs(capsys):
+    block = README.read_text().split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_emit_plots_requires_artifacts(tmp_path):
     with pytest.raises(UsageError, match="orbit.csv or sweep.csv"):
         emit_plots(tmp_path)

@@ -294,6 +294,30 @@ def test_generator_matches_per_mode_loop(numerators, seed):
     assert_rows_close(chi_rows(*grid), want, size)
 
 
+@pytest.mark.parametrize("cast", [np.float32, np.float16, np.longdouble, int, np.int64])
+def test_a_scalar_of_any_real_type_is_evaluated_in_float64(cast):
+    """A single point gives the rows of the float64 values its (1,) arrays are read as.
+
+    The two branches sum in different orders, so a point and its (1,) arrays
+    agree to rounding; the single point must not compute in its own type.
+    """
+    table = rd.make_bundle("generic3", 1e-2).series.table()
+    rng = np.random.default_rng(11)
+    if cast in (int, np.int64):
+        states = rng.integers(-3, 4, (20, 4)).tolist()
+    else:
+        # a long double / 3 carries bits that float64 rounds off
+        states = rng.uniform([-1.0, -1.0, 0.5, -0.5], [2.0, 2.0, 1.5, 0.5], (20, 4)).astype(cast)
+        states = states / 3 if cast is np.longdouble else states
+    for state in states:
+        point = [cast(v) for v in state]
+        arrays = [np.array([v]) for v in point]
+        read = [float(np.asarray(v, dtype=float)[0]) for v in arrays]
+        assert table.evaluate(*point) == table.evaluate(*read)
+        assert table.values(*point) == table.values(*read)
+        np.testing.assert_allclose(table.evaluate(*point), table.evaluate(*arrays)[:, 0], rtol=1e-13, atol=1e-15)
+
+
 def test_array_branch_crosses_block_boundaries(rng):
     a = PolyField.from_terms([(0, 0, 0.3), (1, 0, -0.7), (1, 1, 0.5), (0, 2, 1.2)])
     b = PolyField.from_terms([(2, 0, 0.4), (0, 1, -0.9), (3, 0, 0.1)])

@@ -68,6 +68,15 @@ def test_energy_is_conserved_along_orbits():
     assert np.all(np.isnan(rec2.energy))
 
 
+def _action_dependent_f():
+    return FourierPerturbation.from_terms([
+        ((1, 0), PolyField.from_terms([(1, 0, 0.05)]), PolyField.from_terms([(0, 0, 0.16), (0, 2, 0.3)])),
+        ((1, -1), PolyField.from_terms([(0, 0, 0.2), (1, 2, 0.4)]), PolyField.from_terms([(0, 3, 0.5)])),
+        ((0, 1), PolyField.from_terms([(2, 0, 0.1), (0, 1, -0.2)]), 0.0),
+        ((2, 1), 0.0, PolyField.from_terms([(3, 0, 0.05), (1, 1, 0.3)])),
+    ])
+
+
 def test_action_dependent_orbit_agrees_across_evaluator_branches():
     """One orbit of generic3's h with action-dependent f, through both ModeTable branches.
 
@@ -77,12 +86,7 @@ def test_action_dependent_orbit_agrees_across_evaluator_branches():
     own tolerance (1e-10), and each must conserve H to 1e-8.
     """
     system = rd.get_entry("generic3").system
-    f = FourierPerturbation.from_terms([
-        ((1, 0), PolyField.from_terms([(1, 0, 0.05)]), PolyField.from_terms([(0, 0, 0.16), (0, 2, 0.3)])),
-        ((1, -1), PolyField.from_terms([(0, 0, 0.2), (1, 2, 0.4)]), PolyField.from_terms([(0, 3, 0.5)])),
-        ((0, 1), PolyField.from_terms([(2, 0, 0.1), (0, 1, -0.2)]), 0.0),
-        ((2, 1), 0.0, PolyField.from_terms([(3, 0, 0.05), (1, 1, 0.3)])),
-    ])
+    f = _action_dependent_f()
     assert not f.is_action_independent
     y0, span = [0.1, 0.2, 1.0, 0.02], (0.0, 50.0)
     scalar, array = SystemBundle(system, f, 1e-2), SystemBundle(system, f, 1e-2)
@@ -92,13 +96,63 @@ def test_action_dependent_orbit_agrees_across_evaluator_branches():
         integrate(rhs, y0, span, domain_radius=system.R, energy_fn=b.energy_of)
         for rhs, b in ((by_state, scalar), (lambda t, y: by_column(t, y[:, None])[:, 0], array))
     ]
-    # only the (4,) states compiled the single-point term list
-    assert scalar.series.table()._terms is not None and array.series.table()._terms is None
+    # only the (4,) states generated the single-point evaluator
+    assert scalar.series.table().point_source is not None and array.series.table().point_source is None
     for rec in runs:
         assert not rec.flagged
         assert rec.max_energy_error < 1e-8
     assert np.max(np.abs(runs[0].y_end - runs[1].y_end)) < 1e-10
     assert np.max(np.abs(runs[0].actions - runs[1].actions)) < 1e-10
+
+
+def _term_list_rows(table, terms, t1, t2, x1, x2):
+    """The five rows of one point summed term by term off the compiled term lists."""
+    phase = [w1 * t1 + w2 * t2 for w1, w2 in table._w]
+    trig = [*map(math.cos, phase), *map(math.sin, phase)]
+    p1, p2 = [1.0], [1.0]
+    for _ in range(1, table._n1):
+        p1.append(p1[-1] * x1)
+    for _ in range(1, table._n2):
+        p2.append(p2[-1] * x2)
+    power = [u * v for u in p1 for v in p2]
+    out = []
+    for row in terms:
+        acc = 0.0
+        for p, q, c in row:
+            acc += c * power[p] * trig[q]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["generic3", "moser", "product", "reduced-moser", "action-dependent", "eps = 0", "zero series"],
+)
+def test_generated_evaluator_is_its_term_lists_bit_for_bit(name):
+    if name == "action-dependent":
+        table = SystemBundle(rd.get_entry("generic3").system, _action_dependent_f(), 1e-2).series.table()
+    elif name == "eps = 0":
+        table = rd.make_bundle("generic3", 0.0).series.table()
+    elif name == "zero series":
+        table = FourierPerturbation.zero().table()
+    else:
+        table = rd.make_bundle(name, 1e-3).series.table()
+    point, terms = table.point_function(), table._compile_terms()
+    states = np.random.default_rng(25).uniform([-1.0, -1.0, -2.0, -2.0], [2.0, 2.0, 2.0, 2.0], (10_000, 4))
+    bad = [y for y in states.tolist() if point(*y) != _term_list_rows(table, terms, *y)]
+    assert not bad, f"{len(bad)} states differ, first {bad[0]}; generated source:\n{table.point_source}"
+
+
+def test_generated_evaluator_sums_a_row_of_thousands_of_terms():
+    # one expression of this many terms would exceed the compiler's recursion limit
+    coeffs = PolyField(np.arange(1.0, 67.0).reshape(11, 6) / 66.0)
+    f = FourierPerturbation.from_terms([((k1, k2), coeffs, coeffs) for k1 in range(6) for k2 in range(-5, 6)])
+    table = f.table()
+    point, terms = table.point_function(), table._compile_terms()
+    assert len(terms[0]) > 5_000
+    states = np.random.default_rng(26).uniform(-1.0, 1.0, (50, 4))
+    for y in states.tolist():
+        assert point(*y) == _term_list_rows(table, terms, *y), table.point_source
 
 
 def test_sample_count_is_checked():
@@ -672,6 +726,13 @@ def _step_both(fun, y0, t_end, h_abs=None, min_steps=2):
     np.testing.assert_array_equal(stepper.y, solver.y)
     assert stepper.h_abs == solver.h_abs
     return (solver.nfev - 4) // 12 - len(theirs), stepper.y
+
+
+def test_orbit_stepper_is_scipy_dop853_bit_for_bit():
+    # the (4,) states of an orbit take the generated evaluator and the stepper's float path
+    fun = rd.make_bundle("generic3", 1e-3).rhs()
+    for t_end in (40.0, -40.0):
+        assert _step_both(fun, np.array([0.3, 0.0, 1.0, 0.0]), t_end)[0] > 0
 
 
 def test_vendored_tableau_is_scipys():
