@@ -6,20 +6,20 @@ homological equation omega . d_theta chi = oscillating part mode by mode, and
 conjugates the system by the unit-time flow of epsilon * chi.  A normal form
 is a NormalFormResult: its bundle and its AveragingSteps, whose composition
 Phi = Phi_1 o ... o Phi_n the result applies (phi, phi_points) and whose
-remainder it samples.  Remainders are never estimated symbolically: they are
-sampled operationally by composing the numerical flow with the Hamiltonian
-and dividing out the expected power of epsilon.  The second step repeats the
-construction on the sampled first remainder after projecting it back onto a
-finite Fourier/polynomial representation by least squares; the fit carries
-the action dependence of every kept coefficient, so it serves any
-perturbation, with or without action-dependent coefficients.
+remainder it samples: the remainder is measured by composing the numerical
+flow with the Hamiltonian and dividing out the expected power of epsilon.
+The second step repeats the construction on the first remainder, read off
+its exact Lie series (first_remainder_series) and fitted onto a finite
+Fourier/polynomial representation by least squares; the fit carries the
+action dependence of every kept coefficient, so it serves any perturbation,
+with or without action-dependent coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
@@ -40,6 +40,9 @@ from .systems import (
     verify_channel_assumptions,
 )
 from .torus import PhaseState
+
+if TYPE_CHECKING:
+    from .rational import RationalSeries
 
 
 # -- projections -----------------------------------------------------------------
@@ -202,7 +205,8 @@ class GeneratorChi:
             if max(abs(k1), abs(k2)) > self.cutoff:
                 raise SmallDivisorError(f"mode {k} exceeds the cutoff {self.cutoff}")
             self._numerators[(k1, k2)] = (nc, ns)
-        self._table = ModeTable(self._numerators, omega=system.omega_polys())
+        self._omega = system.omega_polys()
+        self._table = ModeTable(self._numerators, omega=self._omega)
         self._verify_divisors()
 
     # -- structure ---------------------------------------------------------------
@@ -236,6 +240,14 @@ class GeneratorChi:
         return self._table.values(theta1, theta2, I1, I2)
 
     __call__ = evaluate
+
+    def series(self) -> RationalSeries:
+        """chi as a rational series over the divisors of its primitive modes."""
+        # rational is imported on first use, so runs that build no second
+        # step do not compile it at import
+        from .rational import RationalSeries
+
+        return RationalSeries.generator(self._numerators, self._omega)
 
     def gradients(self, theta1, theta2, I1, I2):
         """(d chi/d theta, d chi/d I), each stacked with leading axis 2."""
@@ -422,7 +434,8 @@ class NormalFormResult:
             tag = str(n) if n > 1 else ""
             record.update({"K" + tag: step.chi.cutoff, "gamma" + tag: step.gamma,
                            "min_divisor" + tag: step.chi.min_divisor, f"sup_f{n}": sup})
-        record.update({k: self.meta[k] for k in ("fit_residual", "n_kept_modes") if k in self.meta})
+        record.update({k: self.meta[k] for k in ("fit_residual", "n_kept_modes", "series_order", "series_terms",
+                                                 "series_dropped_bound") if k in self.meta})
         return record
 
     def _ordered(self, direction: float):
@@ -574,16 +587,123 @@ def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
     return [PolyField(t) for t in tables]
 
 
-# Settings of the second step's fit: f' is sampled on FIT_I_GRID action
-# nodes (Chebyshev in I1) of the half window, modes up to CUTOFF2 whose
-# amplitude reaches MODE_THRESHOLD of the largest are kept, their
-# coefficients are fitted with Chebyshev degrees FIT_DEGREES in (I1, I2),
-# and the fit may miss f' on the sampling grid by RESIDUAL_BUDGET x sup|f'|.
+# The first remainder's Lie series is summed up to the first order j >= 2
+# whose bound on the sample window is at most SERIES_TOL of order 1's; an
+# iterate term whose bound is at most PRUNE_TOL of order 1's is dropped and
+# its bound added up.  A series that has not converged by order
+# SERIES_MAX_ORDER, or holds more than SERIES_MAX_TERMS terms, raises
+# FlowEscapeError.
+SERIES_TOL = 1e-16
+PRUNE_TOL = 1e-18
+SERIES_MAX_ORDER = 40
+SERIES_MAX_TERMS = 100_000
+
+
+def first_remainder_series(nf: NormalFormResult) -> tuple[RationalSeries, dict]:
+    """The first remainder f' of a one-step normal form as its exact Lie series.
+
+    With ad G = {G, chi}, f_K the modes of f that chi removes (so
+    {h, chi} = -f_K) and Phi the unit-time flow of eps chi,
+    H o Phi = sum_j eps^j / j! ad^j H gives
+
+        f' = (f - f_bar - f_K) / eps + sum_{j>=1} eps^(j-1) ad^j (f / j! - f_K / (j+1)!).
+
+    Order j is P_j - Q_j, with the iterates P_1 = ad f, Q_1 = ad f_K / 2,
+    P_j = eps / j ad P_(j-1) and Q_j = eps / (j+1) ad Q_(j-1).  Bounds are
+    RationalSeries.bound on nf's sample window; the truncation and pruning
+    follow SERIES_TOL, PRUNE_TOL and the caps above.  The counters are
+    series_order (the last order summed), series_terms (the terms of f') and
+    series_dropped_bound (the bounds of the pruned terms, added up).
+    """
+    from .rational import RationalSeries
+
+    if nf.steps != 1:
+        raise ValueError("the first remainder series needs a one-step normal form")
+    eps, f, step = nf.epsilon, nf.bundle.perturbation, nf.step1
+    window = nf.sample_window
+    f_K = f.filter(lambda k: k[1] != 0 and max(abs(k[0]), abs(k[1])) <= step.chi.cutoff)
+    chi = step.chi.series()
+    P = RationalSeries.from_fourier(f, chi.divisors).bracket(chi)
+    Q = RationalSeries.from_fourier(f_K, chi.divisors).bracket(chi) * 0.5
+    first = (P - Q).bound(window)
+    orders = [RationalSeries.from_fourier((f - step.f_bar - f_K) * (1.0 / eps), chi.divisors)]
+    dropped = 0.0
+    for j in range(1, SERIES_MAX_ORDER + 1):
+        if j > 1:
+            P = P.bracket(chi) * (eps / j)
+            Q = Q.bracket(chi) * (eps / (j + 1))
+        P, lost_p = P.pruned(window, PRUNE_TOL * first)
+        Q, lost_q = Q.pruned(window, PRUNE_TOL * first)
+        dropped += lost_p + lost_q
+        orders.append(P - Q)
+        if sum(map(len, orders)) > SERIES_MAX_TERMS:
+            raise FlowEscapeError(f"the first remainder series passed {SERIES_MAX_TERMS} terms at order {j}")
+        if j >= 2 and orders[-1].bound(window) <= SERIES_TOL * first:
+            break
+    else:
+        raise FlowEscapeError(f"the first remainder series did not converge by order {SERIES_MAX_ORDER}")
+    series = RationalSeries.concatenate(orders)
+    return series, {"series_order": j, "series_terms": len(series), "series_dropped_bound": dropped}
+
+
+# Settings of the second step's fit: f' is read on FIT_I_GRID action nodes
+# (Chebyshev in I1) of the half window, modes up to CUTOFF2 whose amplitude
+# reaches MODE_THRESHOLD of the largest are kept, their coefficients are
+# fitted with Chebyshev degrees FIT_DEGREES in (I1, I2), and the fit may miss
+# f' on the residual grid by RESIDUAL_BUDGET x sup|f'|.
 FIT_I_GRID = (17, 9)
 FIT_DEGREES = (12, 4)
 CUTOFF2 = 64
 MODE_THRESHOLD = 1e-10
 RESIDUAL_BUDGET = 1e-6
+
+
+def _fit_first_remainder(s1: NormalFormResult, theta_grid: int):
+    """The fitted series of s1's first remainder f', with its counters and grid measurements.
+
+    The exact coefficients of f' (first_remainder_series) are read at the
+    FIT_I_GRID nodes of the half window; the kept modes are (0, 0), then in
+    (k1, k2) order the canonical modes with |k| <= k_max = min(CUTOFF2,
+    theta_grid // 2 - 1) whose amplitude (the largest |c_k| over the nodes)
+    is nonzero and reaches MODE_THRESHOLD of the largest amplitude.  sup|f'|
+    and the fit residual are measured on the theta_grid^2 x nodes tensor
+    grid, whose values are one product of the nodes' coefficient table with
+    the angle table.  Returns (the fitted FourierPerturbation, k_max, meta
+    entries); the series and the grids are released on return.
+    """
+    series, counters = first_remainder_series(s1)
+    half = s1.sample_window
+    n1, n2 = FIT_I_GRID
+    I1_nodes, I2_nodes = half.grid(n1, n2, chebyshev_i1=True)
+    K, a, b = series.cos_sin(np.repeat(I1_nodes, n2), np.tile(I2_nodes, n1))
+    # |c_k| is |a_k - i b_k| / 2, and the mean's |a_0|
+    mean = np.all(K == 0, axis=1)
+    amplitude = np.max(np.hypot(a, b), axis=1) * np.where(mean, 1.0, 0.5)
+    k_max = min(CUTOFF2, int(theta_grid) // 2 - 1)
+    floor = MODE_THRESHOLD * float(np.max(amplitude, initial=0.0))
+    loud = ~mean & (np.max(np.abs(K), axis=1) <= k_max) & (amplitude > 0.0) & (amplitude >= floor)
+    kept = np.concatenate([[[0, 0]], K[loud]])
+    rows = np.concatenate([np.flatnonzero(mean)[:1], np.flatnonzero(loud)])
+    targets = np.zeros((len(kept), 2, n1 * n2))
+    targets[len(kept) - len(rows) :] = np.stack([a[rows], b[rows]], axis=1)
+    polys = _chebyshev_fit_polyfields(half, I1_nodes, I2_nodes, targets.reshape(-1, n1, n2), FIT_DEGREES)
+    f_prime_fit = FourierPerturbation.from_terms(zip(map(tuple, kept), polys[::2], polys[1::2]))
+
+    # f' and its fit on the (I1, I2, theta1, theta2) tensor grid
+    th = np.linspace(0.0, 1.0, int(theta_grid), endpoint=False)
+    phase = TWO_PI * (K[:, :1, None] * th[:, None] + K[:, 1:, None] * th).reshape(len(K), th.size**2)
+    trig = np.empty((2 * len(K), th.size**2))
+    np.cos(phase, out=trig[: len(K)])
+    np.sin(phase, out=trig[len(K) :])
+    del phase
+    f_prime = np.concatenate([a, b]).T @ trig
+    del trig
+    sup_grid = float(max(np.max(f_prime, initial=0.0), -np.min(f_prime, initial=0.0)))
+    f_prime -= f_prime_fit.table().outer(th[:, None], th[None, :], I1_nodes[:, None],
+                                         I2_nodes[None, :]).reshape(f_prime.shape)
+    fit_residual = float(np.max(np.abs(f_prime, out=f_prime), initial=0.0))
+    return f_prime_fit, k_max, {"sup_f_prime_grid": sup_grid, "n_kept_modes": len(kept),
+                                "fit_residual": fit_residual, **counters}
 
 
 @serial_blas()
@@ -594,73 +714,39 @@ def two_step_normal_form(
     theta_grid: int = 128,
     displacement_points: int = 200,
 ) -> NormalFormResult:
-    """Second averaging step on the sampled first remainder.
+    """Second averaging step on the exact first remainder.
 
     step1 is the one-step normal form of this same bundle, built when not
-    given; any other result raises ValueError.  The first remainder is
-    sampled on a theta_grid^2 x FIT_I_GRID grid over the half window,
-    analyzed by FFT in the angles, and each retained coefficient's action
-    dependence is fitted by least-squares polynomials (Chebyshev basis,
-    higher degree along the wide I1 direction, low degree across the thin I2
-    direction).  The remainder is action dependent whether or not f is, so
-    one path serves every perturbation.  The fitted series drives a second
-    homological solve at scale epsilon^2; the displacement is measured on
-    displacement_points points of the quarter window and the final
-    remainder's sup on a 32 x 32 x 7 x 3 grid of it.
+    given; any other result raises ValueError.  The first remainder f' is
+    its truncated Lie series (first_remainder_series); its Fourier
+    coefficients are read at FIT_I_GRID action nodes over the half window,
+    and each kept coefficient's action dependence is fitted by least-squares
+    polynomials (Chebyshev basis, higher degree along the wide I1 direction,
+    low degree across the thin I2 direction).  f' is action dependent
+    whether or not f is, so one path serves every perturbation.  theta_grid
+    sets the second cutoff K2 = min(CUTOFF2, theta_grid // 2 - 1) and the
+    angle grid on which sup|f'| and the fit residual are measured.  The
+    fitted series drives a second homological solve at scale epsilon^2; the
+    displacement is measured on displacement_points points of the quarter
+    window and the final remainder's sup on a 32 x 32 x 7 x 3 grid of it.
     """
     if step1 is not None and (step1.steps != 1 or step1.bundle is not bundle):
         raise ValueError("step1 must be a one-step normal form of the same bundle")
     s1 = step1 or one_step_normal_form(bundle)
     eps = bundle.epsilon
     n = s1.steps
-    half = s1.sample_window
 
-    n_th = int(theta_grid)
-    n1, n2 = FIT_I_GRID
-    th = np.linspace(0.0, 1.0, n_th, endpoint=False)
-    I1_nodes, I2_nodes = half.grid(n1, n2, chebyshev_i1=True)
-    angles = (th[:, None, None, None], th[None, :, None, None])
-    f_prime = s1.remainder(*angles, I1_nodes[:, None], I2_nodes)
-    sup_grid = float(np.max(np.abs(f_prime)))
-
-    spectrum = np.fft.fft2(f_prime, axes=(0, 1)) / (n_th * n_th)
-    amplitude = np.max(np.abs(spectrum), axis=(2, 3))
-    k_max = min(CUTOFF2, n_th // 2 - 1)
-    floor = MODE_THRESHOLD * float(np.max(amplitude))
-
-    # (0, 0), then in (k1, k2) order the canonical modes up to k_max (first
-    # nonzero component positive) whose amplitude is nonzero and reaches the
-    # floor; an exactly zero f' keeps the mean alone
-    k1 = np.arange(k_max + 1)[:, None]
-    k2 = np.arange(-k_max, k_max + 1)
-    a = amplitude[k1 % n_th, k2 % n_th]
-    loud = ((k1 > 0) | (k2 > 0)) & (a > 0.0) & (a >= floor)
-    kept = np.concatenate([[[0, 0]], np.argwhere(loud) - [0, k_max]])
-
-    # the cos and sin targets of every kept mode; the mean counts once
-    c = spectrum[kept[:, 0] % n_th, kept[:, 1] % n_th]
-    weight = np.full((len(kept), 1, 1), 2.0)
-    weight[0] = 1.0
-    targets = np.stack([weight * c.real, -weight * c.imag], axis=1).reshape(-1, n1, n2)
-    polys = _chebyshev_fit_polyfields(half, I1_nodes, I2_nodes, targets, FIT_DEGREES)
-    f_prime_fit = FourierPerturbation.from_terms(zip(map(tuple, kept), polys[::2], polys[1::2]))
-
-    # residual of the full reconstruction on the sampling grid, a tensor grid
-    recon = f_prime_fit.table().outer(th[:, None], th[None, :], I1_nodes[:, None], I2_nodes[None, :])
-    recon = recon.transpose(2, 3, 0, 1)
-    fit_residual = float(np.max(np.abs(f_prime - recon)))
-    scale = max(sup_grid, 1e-300)
-    if fit_residual > RESIDUAL_BUDGET * scale:
+    f_prime_fit, k_max, fit = _fit_first_remainder(s1, theta_grid)
+    scale = max(fit["sup_f_prime_grid"], 1e-300)
+    if fit["fit_residual"] > RESIDUAL_BUDGET * scale:
         raise WindowFitError(
-            f"coefficient fit residual {fit_residual:.3e} exceeds "
+            f"coefficient fit residual {fit['fit_residual']:.3e} exceeds "
             f"{RESIDUAL_BUDGET:.1e} x sup|f'| = {RESIDUAL_BUDGET * scale:.3e}; "
             "the window is too wide for the fitted degrees"
         )
 
-    chi2 = solve_homological(bundle.system, f_prime_fit, k_max, half)
+    chi2 = solve_homological(bundle.system, f_prime_fit, k_max, s1.sample_window)
     step2 = AveragingStep(chi2, eps ** (n + 1), chi2.c1_norm(), average_over_theta2(f_prime_fit),
                           s1.kappa * eps / 2 ** (n + 1))
-    nf = replace(s1, averaging_steps=s1.averaging_steps + (step2,), meta={
-        **s1.meta, "sup_f_prime_grid": sup_grid, "n_kept_modes": len(kept), "fit_residual": fit_residual,
-    })
+    nf = replace(s1, averaging_steps=s1.averaging_steps + (step2,), meta={**s1.meta, **fit})
     return _measure(nf, displacement_points, (32, 32, 7, 3))

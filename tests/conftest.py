@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The normal-form builds are the expensive part of the suite (the two-step
-transform flows a few million grid points), so they are built once per
-session and shared between the unit tests and the acceptance suite.
+The normal-form builds are the expensive part of the suite (each measures
+its transform by flowing sample points and surveys its remainder), so they
+are built once per session and shared between the unit tests and the
+acceptance suite.
 """
 
 import numpy as np

@@ -11,6 +11,7 @@ from resodrift.averaging import (
     GeneratorChi,
     average_over_theta2,
     choose_cutoff,
+    first_remainder_series,
     genericity_check,
     resonant_average_along_k,
     solve_homological,
@@ -334,8 +335,9 @@ def test_kappa_bootstrap_is_pinned(one_step_results, two_step_results):
         assert s1.meta["kappa_rounds"] == rounds
         assert s1.averaging_steps[0].chi.cutoff == cutoff
     # chi2's grid sup; rel 1e-12 tells it from 0.7421512662808509, the sup
-    # that a local refinement about the grid maximizer finds
-    assert two_step_results[1e-3].averaging_steps[1].gamma == pytest.approx(0.7421512133437947, rel=1e-12)
+    # that a local refinement about the grid maximizer finds.  Built on the
+    # exact first remainder; the sampled one gave 0.7421512133437947
+    assert two_step_results[1e-3].averaging_steps[1].gamma == pytest.approx(0.7421512133443989, rel=1e-12)
 
 
 def test_one_step_frozen_quantities(one_step_results):
@@ -431,6 +433,13 @@ def _action_dependent_bundle(eps):
     return rd.SystemBundle(rd.get_entry("generic3").system, f, eps)
 
 
+def _reduced_moser_mode_bundle(eps):
+    """reduced-moser's h with a resonant mode and an I1-dependent (1, 1) mode."""
+    poly = PolyField.from_terms([(1, 0, 1.0)])
+    f = FourierPerturbation.from_terms([((1, 0), 0.0, 0.2), ((1, 1), poly, 0.0)])
+    return rd.SystemBundle(rd.get_entry("reduced-moser").system, f, eps)
+
+
 def round_trip_miss(nf, seed: int) -> float:
     """Largest coordinate miss of Phi^-1 o Phi over 64 seeded points of nf's sample window."""
     w = nf.sample_window
@@ -485,6 +494,33 @@ def test_remainder_matches_its_first_order_bracket(one_step_results, eps):
     # nonzero
     for nf in (one_step_results[eps], rd.one_step_normal_form(_action_dependent_bundle(eps))):
         assert first_order_residual(nf) <= 0.3 * eps
+
+
+def lie_series_miss(nf) -> float:
+    """max |sampled f' - series f'| over 400 seeded points of nf's sample window."""
+    series, _ = first_remainder_series(nf)
+    w = nf.sample_window
+    rng = np.random.default_rng(20240821)
+    points = tuple(rng.uniform(lo, hi, 400) for lo, hi in
+                   ((0.0, 1.0), (0.0, 1.0), (w.i1_min, w.i1_max), (w.i2_min, w.i2_max)))
+    return float(np.max(np.abs(nf.remainder(*points) - series(*points))))
+
+
+@pytest.mark.parametrize("case, eps", [("generic3", 1e-2), ("generic3", 1e-3), ("generic3", 1e-4),
+                                       ("action-dependent", 1e-3), ("action-dependent", 1e-4),
+                                       ("reduced-moser mode", 1e-3)])
+def test_sampled_remainder_matches_its_lie_series(one_step_results, case, eps):
+    # The sampled f' divides a difference of O(1) values by eps^2, so it
+    # carries about 5e-15 / eps of rounding noise; the series has none.
+    # Measured misses: 1.7e-15 / eps to 4.1e-15 / eps.  A sign-flipped chi
+    # fails every case, and a series cut after order 1 every case but the
+    # reduced-moser mode, whose orders 2 on stay below the noise.
+    if case == "generic3":
+        nf = one_step_results[eps]
+    else:
+        make = _action_dependent_bundle if case == "action-dependent" else _reduced_moser_mode_bundle
+        nf = rd.one_step_normal_form(make(eps))
+    assert lie_series_miss(nf) <= 1e-13 / eps
 
 
 # -- two-step normal form ----------------------------------------------------
@@ -546,12 +582,13 @@ def test_averaging_step_over_its_budget_raises(one_step_results):
 
 
 def test_two_step_on_an_exactly_zero_remainder_keeps_the_mean_alone():
-    # chi1 = 0 on reduced-moser, so f' is exactly 0 and its spectrum has no
-    # mode that reaches a nonzero floor
+    # chi1 = 0 on reduced-moser, so f' is exactly 0: its series has no term
+    # and no mode reaches a nonzero floor
     entry = rd.get_entry("reduced-moser")
     nf = rd.two_step_normal_form(rd.SystemBundle(entry.system, entry.perturbation, 1e-3), theta_grid=48)
     assert nf.meta["n_kept_modes"] == 1
     assert nf.meta["sup_f_prime_grid"] == 0.0
+    assert nf.meta["series_terms"] == 0
     assert nf.chi2.is_zero
 
 
@@ -619,13 +656,8 @@ def test_inverse_transform_undoes_the_composition(one_step_results, two_step_res
 
 def test_two_step_builds_on_an_action_dependent_mode():
     # the fit carries the I1 dependence of the (1, 1) mode's remainder: the
-    # mean and one mode are kept, and the fit misses f' by 4.4e-12
-    poly = PolyField.from_terms([(1, 0, 1.0)])
-    f = FourierPerturbation.from_terms(
-        [((1, 0), 0.0, 0.2), ((1, 1), poly, 0.0)]
-    )
-    entry = rd.get_entry("reduced-moser")
-    nf = rd.two_step_normal_form(rd.SystemBundle(entry.system, f, 1e-3), theta_grid=48)
+    # mean and one mode are kept, and the fit misses f' by 1.7e-15
+    nf = rd.two_step_normal_form(_reduced_moser_mode_bundle(1e-3), theta_grid=48)
     assert nf.meta["n_kept_modes"] == 2
     assert nf.meta["fit_residual"] <= averaging.RESIDUAL_BUDGET * nf.meta["sup_f_prime_grid"]
     assert nf.displacement_ok
@@ -636,8 +668,9 @@ def test_two_step_on_an_action_dependent_perturbation():
     # 1.04e-7 and 1.02e-7 against the allowed 3.2e-7, and sup f'' 0.2624
     # and 0.2616
     sups = []
-    for eps in (1e-3, 1e-4):
+    for eps, kept in ((1e-3, 24), (1e-4, 21)):
         nf = rd.two_step_normal_form(_action_dependent_bundle(eps), theta_grid=48)
+        assert nf.meta["n_kept_modes"] == kept
         assert nf.meta["fit_residual"] <= averaging.RESIDUAL_BUDGET * nf.meta["sup_f_prime_grid"]
         assert nf.displacement_ok
         assert round_trip_miss(nf, 20240820) <= 1e-12
@@ -645,9 +678,29 @@ def test_two_step_on_an_action_dependent_perturbation():
     assert max(sups) / min(sups) <= 4.0
 
 
+def test_two_step_cutoff_and_kept_modes_are_pinned(generic3_bundles, one_step_results, two_step_results):
+    # K2 = min(CUTOFF2, theta_grid // 2 - 1); the kept modes are those the
+    # sampled build kept before f' was read off its series
+    for eps, kept in ((1e-2, 27), (1e-3, 14), (1e-4, 12)):
+        nf = two_step_results[eps]
+        assert (nf.chi2.cutoff, nf.meta["n_kept_modes"]) == (63, kept)
+    nf = rd.two_step_normal_form(generic3_bundles[1e-3], step1=one_step_results[1e-3], theta_grid=48)
+    assert (nf.chi2.cutoff, nf.meta["n_kept_modes"]) == (23, 14)
+
+
 def test_two_step_tiny_budget_raises_fit_error(generic3_bundles, one_step_results, monkeypatch):
     monkeypatch.setattr(averaging, "RESIDUAL_BUDGET", 1e-16)
     with pytest.raises(WindowFitError):
+        rd.two_step_normal_form(generic3_bundles[1e-3], step1=one_step_results[1e-3], theta_grid=48)
+
+
+@pytest.mark.parametrize("cap, message", [("SERIES_MAX_ORDER", "did not converge"),
+                                          ("SERIES_MAX_TERMS", "terms at order")])
+def test_two_step_raises_when_the_series_outgrows_its_cap(generic3_bundles, one_step_results, monkeypatch,
+                                                          cap, message):
+    # at 1e-3 the series needs 7 orders and 156 terms
+    monkeypatch.setattr(averaging, cap, 3 if cap == "SERIES_MAX_ORDER" else 100)
+    with pytest.raises(FlowEscapeError, match=message):
         rd.two_step_normal_form(generic3_bundles[1e-3], step1=one_step_results[1e-3], theta_grid=48)
 
 

@@ -147,6 +147,7 @@ def test_normal_form_single_step_payload(tmp_path, one_step_results):
     assert payload["phi_displacement"] <= payload["displacement_bound"]
     assert payload["min_divisor"] >= 0.5 * rd.get_entry("generic3").system.resonance.varpi
     assert "K2" not in payload and "min_divisor2" not in payload
+    assert "series_order" not in payload and "series_terms" not in payload
 
 
 def test_normal_form_two_step_payload_reports_kept_modes(tmp_path, monkeypatch, two_step_results):
@@ -167,6 +168,9 @@ def test_normal_form_two_step_payload_reports_kept_modes(tmp_path, monkeypatch, 
     assert payload["min_divisor2"] == result.averaging_steps[1].chi.min_divisor
     assert payload["fit_residual"] == result.meta["fit_residual"]
     assert payload["n_kept_modes"] == result.meta["n_kept_modes"] == 14
+    # the first remainder's Lie series: its last order, terms and pruned bound
+    assert (payload["series_order"], payload["series_terms"]) == (7, 156)
+    assert 0.0 < payload["series_dropped_bound"] == result.meta["series_dropped_bound"] <= 1e-16
     assert payload["kappa_rounds"] == [list(r) for r in result.meta["kappa_rounds"]]
     assert payload["kappa_rounds"][-1][1] == payload["gamma"]
 
