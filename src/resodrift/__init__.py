@@ -28,7 +28,6 @@ from .errors import (
     IntegrationError,
     SmallDivisorError,
     UsageError,
-    WindowFitError,
 )
 from .experiments import (
     ExperimentRecord,
@@ -104,7 +103,6 @@ __all__ = [
     "SystemBundle",
     "UnimodularMap",
     "UsageError",
-    "WindowFitError",
     "average_over_theta2",
     "canonical_mode",
     "catalog_names",

@@ -9,10 +9,9 @@ Phi = Phi_1 o ... o Phi_n the result applies (phi, phi_points) and whose
 remainder it samples: the remainder is measured by composing the numerical
 flow with the Hamiltonian and dividing out the expected power of epsilon.
 The second step repeats the construction on the first remainder, read off
-its exact Lie series (first_remainder_series) and fitted onto a finite
-Fourier/polynomial representation by least squares; the fit carries the
-action dependence of every kept coefficient, so it serves any perturbation,
-with or without action-dependent coefficients.
+its exact Lie series (first_remainder_series): the second generator and
+resonant correction are its kept modes as they stand, rational in the
+actions, so nothing is fitted and one path serves any perturbation.
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as ncheb
-from numpy.polynomial import polynomial as npoly
 
 from .blas import serial_blas
-from .errors import DomainError, FlowEscapeError, SmallDivisorError, WindowFitError
+from .errors import DomainError, FlowEscapeError, SmallDivisorError
 from .fourier import TWO_PI, FourierPerturbation, ModeTable
 from .integrate import flow_points, lie_flow
 from .norms import c1_peaks
@@ -184,40 +181,40 @@ class GeneratorChi:
     chi(theta, I) = sum_k [nc_k(I) cos(2 pi k.theta) + ns_k(I) sin(2 pi k.theta)]
                     / (2 pi k.omega(I))
 
-    Every stored mode has k2 != 0, sup-norm |k| <= cutoff, and satisfies the
-    small-divisor bound |k.omega| >= varpi/2 on the working window (verified
-    on a grid at construction; the grid's smallest |k.omega| is kept as
-    min_divisor, None when there is no mode).  The numerators sit in one
-    divided ModeTable, whose divisors and their action derivatives come from
-    the shared omega and its Jacobian; values and first derivatives follow
-    the quotient rule on polynomial data, so no differencing enters the flows.
+    The numerators are a dict {k: (nc_k, ns_k)} of polynomials (or numbers),
+    or a RationalSeries of them (the second step's).  Every mode has k2 != 0,
+    sup-norm |k| <= cutoff, and satisfies the small-divisor bound
+    |k.omega| >= varpi/2 on the working window (verified on a grid at
+    construction; the grid's smallest |k.omega| is kept as min_divisor, None
+    when there is no mode).  The numerators sit in one divided ModeTable,
+    whose divisors and their action derivatives come from the shared omega
+    and its Jacobian, so no differencing enters the flows.
     """
 
-    def __init__(self, system: IntegrableSystem, numerators: dict, cutoff: int, window: ActionWindow):
+    def __init__(self, system: IntegrableSystem, numerators, cutoff: int, window: ActionWindow):
         self.cutoff = int(cutoff)
         self.window = window
         self.varpi = system.resonance.varpi
-        self._numerators = {}
-        for k, (nc, ns) in sorted(numerators.items()):
-            k1, k2 = int(k[0]), int(k[1])
-            if k2 == 0:
-                raise SmallDivisorError("generator modes must have k2 != 0")
-            if max(abs(k1), abs(k2)) > self.cutoff:
-                raise SmallDivisorError(f"mode {k} exceeds the cutoff {self.cutoff}")
-            self._numerators[(k1, k2)] = (nc, ns)
+        self._numerators = numerators
         self._omega = system.omega_polys()
-        self._table = ModeTable(self._numerators, omega=self._omega)
+        self._table = (ModeTable.of_modes(numerators, omega=self._omega) if isinstance(numerators, dict)
+                       else numerators.table(omega=self._omega))
+        for k in self.mode_keys:
+            if k[1] == 0:
+                raise SmallDivisorError("generator modes must have k2 != 0")
+            if max(abs(k[0]), abs(k[1])) > self.cutoff:
+                raise SmallDivisorError(f"mode {k} exceeds the cutoff {self.cutoff}")
         self._verify_divisors()
 
     # -- structure ---------------------------------------------------------------
 
     @property
     def mode_keys(self):
-        return sorted(self._numerators)
+        return [tuple(k) for k in self._table.K.tolist()]
 
     @property
     def is_zero(self) -> bool:
-        return not self._numerators
+        return self._table.K.shape[0] == 0
 
     def _verify_divisors(self):
         self.min_divisor = None
@@ -242,7 +239,7 @@ class GeneratorChi:
     __call__ = evaluate
 
     def series(self) -> RationalSeries:
-        """chi as a rational series over the divisors of its primitive modes."""
+        """chi as a rational series over the divisors of its primitive modes; polynomial numerators only."""
         # rational is imported on first use, so runs that build no second
         # step do not compile it at import
         from .rational import RationalSeries
@@ -283,18 +280,15 @@ def solve_homological(
 ) -> GeneratorChi:
     """Solve omega . d_theta chi = oscillating part of f, mode by mode.
 
-    Modes with k2 = 0 belong to the resonant average and contribute nothing;
-    every other retained mode k gets the closed-form coefficient pair
+    f is a FourierPerturbation or a RationalSeries.  Modes with k2 = 0
+    belong to the resonant average and contribute nothing; every other mode
+    k with |k| <= cutoff gets the closed-form coefficient pair
     (-b_k, a_k) / (2 pi k.omega(I)).  Small divisors are guarded on the
     window grid at construction of the generator.
     """
-    numerators = {}
-    for k, (a, b) in f.modes.items():
-        if k[1] == 0:
-            continue
-        if max(abs(k[0]), abs(k[1])) > cutoff:
-            continue
-        numerators[k] = (-1.0 * b, a)
+    osc = f.filter(lambda k: k[1] != 0 and max(abs(k[0]), abs(k[1])) <= cutoff)
+    numerators = ({k: (-1.0 * b, a) for k, (a, b) in osc.modes.items()} if isinstance(osc, FourierPerturbation)
+                  else osc.quarter_turn())
     return GeneratorChi(system, numerators, cutoff, window)
 
 
@@ -308,7 +302,8 @@ class AveragingStep:
     Step n averages at scale = epsilon**n.  chi carries its Fourier cutoff
     and its window, on which it is guarded and flowed; gamma is its measured
     C^1 norm, f_bar the resonant correction the step adds to the normal
-    form, and budget the displacement the scalar flow may make
+    form (a FourierPerturbation on step 1, a RationalSeries over chi1's
+    divisors after it), and budget the displacement the scalar flow may make
     (kappa epsilon / 2**n).  A step whose scale * gamma exceeds its budget
     raises FlowEscapeError.
     """
@@ -316,7 +311,7 @@ class AveragingStep:
     chi: GeneratorChi
     scale: float
     gamma: float
-    f_bar: FourierPerturbation
+    f_bar: FourierPerturbation | RationalSeries
     budget: float
 
     def __post_init__(self):
@@ -434,7 +429,7 @@ class NormalFormResult:
             tag = str(n) if n > 1 else ""
             record.update({"K" + tag: step.chi.cutoff, "gamma" + tag: step.gamma,
                            "min_divisor" + tag: step.chi.min_divisor, f"sup_f{n}": sup})
-        record.update({k: self.meta[k] for k in ("fit_residual", "n_kept_modes", "series_order", "series_terms",
+        record.update({k: self.meta[k] for k in ("n_kept_modes", "series_order", "series_terms",
                                                  "series_dropped_bound") if k in self.meta})
         return record
 
@@ -455,11 +450,19 @@ class NormalFormResult:
         return state
 
     def remainder(self, th1, th2, I1, I2):
-        """Sampled remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1); both are one series."""
+        """Sampled remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1); both are one series.
+
+        h + eps f_bar_1 is a FourierPerturbation; the later f_bar_j join it
+        as one RationalSeries over their divisors.
+        """
         moved = self.bundle.hamiltonian(*self.phi_points(th1, th2, I1, I2))
-        f_bar = sum((step.scale * step.f_bar for step in self.averaging_steps), FourierPerturbation.zero())
-        base = hamiltonian_series(self.bundle.system.h, f_bar)(th1, th2, I1, I2)
-        return (moved - base) / self.epsilon ** (self.steps + 1)
+        base = hamiltonian_series(self.bundle.system.h, self.step1.scale * self.step1.f_bar)
+        later = [step.f_bar * step.scale for step in self.averaging_steps[1:]]
+        if later:
+            from .rational import RationalSeries
+
+            base = RationalSeries.concatenate([RationalSeries.from_fourier(base, later[0].divisors), *later])
+        return (moved - base.table().values(th1, th2, I1, I2)) / self.epsilon ** (self.steps + 1)
 
 
 def _require_window_inside(system: IntegrableSystem, window: ActionWindow):
@@ -561,32 +564,6 @@ def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200
     return _measure(nf, displacement_points, (32, 32, 9, 5))
 
 
-def _chebyshev_fit_polyfields(window, I1_nodes, I2_nodes, targets, degrees):
-    """Least-squares tensor Chebyshev fit of sampled coefficient tables.
-
-    targets is a (n_targets, n1, n2) stack; the return is a list of PolyField
-    objects in the raw action variables, one per target.  Each axis is fitted
-    in its window's variable u = (I - c) / h; column j of the axis's matrix M
-    holds T_j(u) in raw powers of I, so a fitted table C is M1 @ C @ M2.T in
-    the power basis.
-    """
-    scaled, basis = [], []
-    for nodes, lo, hi, d in ((I1_nodes, window.i1_min, window.i1_max, degrees[0]),
-                             (I2_nodes, window.i2_min, window.i2_max, degrees[1])):
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
-        M = np.zeros((d + 1, d + 1))
-        for j in range(d + 1):
-            T_j = ncheb.Chebyshev.basis(j, domain=[c - h, c + h])
-            M[: j + 1, j] = T_j.convert(kind=npoly.Polynomial).coef
-        scaled.append((nodes - c) / h)
-        basis.append(M)
-    # rows of the tensor Vandermonde run over (I1 node, I2 node), columns over (T_i, T_j)
-    B = np.kron(ncheb.chebvander(scaled[0], degrees[0]), ncheb.chebvander(scaled[1], degrees[1]))
-    coef, *_ = np.linalg.lstsq(B, targets.reshape(len(targets), -1).T, rcond=None)
-    tables = basis[0] @ coef.T.reshape(-1, degrees[0] + 1, degrees[1] + 1) @ basis[1].T
-    return [PolyField(t) for t in tables]
-
-
 # The first remainder's Lie series is summed up to the first order j >= 2
 # whose bound on the sample window is at most SERIES_TOL of order 1's; an
 # iterate term whose bound is at most PRUNE_TOL of order 1's is dropped and
@@ -646,64 +623,34 @@ def first_remainder_series(nf: NormalFormResult) -> tuple[RationalSeries, dict]:
     return series, {"series_order": j, "series_terms": len(series), "series_dropped_bound": dropped}
 
 
-# Settings of the second step's fit: f' is read on FIT_I_GRID action nodes
-# (Chebyshev in I1) of the half window, modes up to CUTOFF2 whose amplitude
-# reaches MODE_THRESHOLD of the largest are kept, their coefficients are
-# fitted with Chebyshev degrees FIT_DEGREES in (I1, I2), and the fit may miss
-# f' on the residual grid by RESIDUAL_BUDGET x sup|f'|.
-FIT_I_GRID = (17, 9)
-FIT_DEGREES = (12, 4)
+# Settings of the second step: a mode's amplitude is the largest |c_k| of f'
+# over AMPLITUDE_GRID action nodes (Chebyshev-Lobatto in I1) of the half window, and
+# the modes up to CUTOFF2 whose amplitude reaches MODE_THRESHOLD of the
+# largest are kept.
+AMPLITUDE_GRID = (17, 9)
 CUTOFF2 = 64
 MODE_THRESHOLD = 1e-10
-RESIDUAL_BUDGET = 1e-6
 
 
-def _fit_first_remainder(s1: NormalFormResult, theta_grid: int):
-    """The fitted series of s1's first remainder f', with its counters and grid measurements.
+def _kept_first_remainder(s1: NormalFormResult, k_max: int):
+    """The kept modes of s1's first remainder f' (first_remainder_series), with the meta entries.
 
-    The exact coefficients of f' (first_remainder_series) are read at the
-    FIT_I_GRID nodes of the half window; the kept modes are (0, 0), then in
-    (k1, k2) order the canonical modes with |k| <= k_max = min(CUTOFF2,
-    theta_grid // 2 - 1) whose amplitude (the largest |c_k| over the nodes)
-    is nonzero and reaches MODE_THRESHOLD of the largest amplitude.  sup|f'|
-    and the fit residual are measured on the theta_grid^2 x nodes tensor
-    grid, whose values are one product of the nodes' coefficient table with
-    the angle table.  Returns (the fitted FourierPerturbation, k_max, meta
-    entries); the series and the grids are released on return.
+    They are (0, 0) and the canonical modes with |k| <= k_max whose amplitude
+    is nonzero and reaches MODE_THRESHOLD of the largest amplitude.
     """
     series, counters = first_remainder_series(s1)
-    half = s1.sample_window
-    n1, n2 = FIT_I_GRID
-    I1_nodes, I2_nodes = half.grid(n1, n2, chebyshev_i1=True)
-    K, a, b = series.cos_sin(np.repeat(I1_nodes, n2), np.tile(I2_nodes, n1))
+    n1, n2 = AMPLITUDE_GRID
+    I1_nodes, I2_nodes = s1.sample_window.grid(n1, n2, lobatto_i1=True)
+    table = series.table()
+    K = table.K
+    a, b = table.coefficients(np.repeat(I1_nodes, n2), np.tile(I2_nodes, n1))
     # |c_k| is |a_k - i b_k| / 2, and the mean's |a_0|
     mean = np.all(K == 0, axis=1)
     amplitude = np.max(np.hypot(a, b), axis=1) * np.where(mean, 1.0, 0.5)
-    k_max = min(CUTOFF2, int(theta_grid) // 2 - 1)
     floor = MODE_THRESHOLD * float(np.max(amplitude, initial=0.0))
     loud = ~mean & (np.max(np.abs(K), axis=1) <= k_max) & (amplitude > 0.0) & (amplitude >= floor)
-    kept = np.concatenate([[[0, 0]], K[loud]])
-    rows = np.concatenate([np.flatnonzero(mean)[:1], np.flatnonzero(loud)])
-    targets = np.zeros((len(kept), 2, n1 * n2))
-    targets[len(kept) - len(rows) :] = np.stack([a[rows], b[rows]], axis=1)
-    polys = _chebyshev_fit_polyfields(half, I1_nodes, I2_nodes, targets.reshape(-1, n1, n2), FIT_DEGREES)
-    f_prime_fit = FourierPerturbation.from_terms(zip(map(tuple, kept), polys[::2], polys[1::2]))
-
-    # f' and its fit on the (I1, I2, theta1, theta2) tensor grid
-    th = np.linspace(0.0, 1.0, int(theta_grid), endpoint=False)
-    phase = TWO_PI * (K[:, :1, None] * th[:, None] + K[:, 1:, None] * th).reshape(len(K), th.size**2)
-    trig = np.empty((2 * len(K), th.size**2))
-    np.cos(phase, out=trig[: len(K)])
-    np.sin(phase, out=trig[len(K) :])
-    del phase
-    f_prime = np.concatenate([a, b]).T @ trig
-    del trig
-    sup_grid = float(max(np.max(f_prime, initial=0.0), -np.min(f_prime, initial=0.0)))
-    f_prime -= f_prime_fit.table().outer(th[:, None], th[None, :], I1_nodes[:, None],
-                                         I2_nodes[None, :]).reshape(f_prime.shape)
-    fit_residual = float(np.max(np.abs(f_prime, out=f_prime), initial=0.0))
-    return f_prime_fit, k_max, {"sup_f_prime_grid": sup_grid, "n_kept_modes": len(kept),
-                                "fit_residual": fit_residual, **counters}
+    kept = {(0, 0)} | {tuple(k) for k in K[loud].tolist()}
+    return series.filter(kept.__contains__), {"n_kept_modes": len(kept), **counters}
 
 
 @serial_blas()
@@ -718,35 +665,27 @@ def two_step_normal_form(
 
     step1 is the one-step normal form of this same bundle, built when not
     given; any other result raises ValueError.  The first remainder f' is
-    its truncated Lie series (first_remainder_series); its Fourier
-    coefficients are read at FIT_I_GRID action nodes over the half window,
-    and each kept coefficient's action dependence is fitted by least-squares
-    polynomials (Chebyshev basis, higher degree along the wide I1 direction,
-    low degree across the thin I2 direction).  f' is action dependent
-    whether or not f is, so one path serves every perturbation.  theta_grid
-    sets the second cutoff K2 = min(CUTOFF2, theta_grid // 2 - 1) and the
-    angle grid on which sup|f'| and the fit residual are measured.  The
-    fitted series drives a second homological solve at scale epsilon^2; the
-    displacement is measured on displacement_points points of the quarter
-    window and the final remainder's sup on a 32 x 32 x 7 x 3 grid of it.
+    its truncated Lie series, rational in the actions whether or not f
+    depends on them.  theta_grid sets the second cutoff
+    K2 = min(CUTOFF2, theta_grid // 2 - 1), which must be at least 1 (else
+    ValueError).  The kept modes of f' are solved at scale epsilon^2 as they
+    stand: chi2's mode k is f'_k / (2 pi i k.omega) and f_bar_2 the k2 = 0
+    part.  The displacement is measured on displacement_points points of the
+    quarter window and the final remainder's sup on a 32 x 32 x 7 x 3 grid.
     """
     if step1 is not None and (step1.steps != 1 or step1.bundle is not bundle):
         raise ValueError("step1 must be a one-step normal form of the same bundle")
+    k_max = min(CUTOFF2, int(theta_grid) // 2 - 1)
+    if k_max < 1:
+        raise ValueError(f"theta_grid = {theta_grid} gives the second cutoff K2 = {k_max}; "
+                         "K2 = min(CUTOFF2, theta_grid // 2 - 1) must be at least 1")
     s1 = step1 or one_step_normal_form(bundle)
     eps = bundle.epsilon
     n = s1.steps
 
-    f_prime_fit, k_max, fit = _fit_first_remainder(s1, theta_grid)
-    scale = max(fit["sup_f_prime_grid"], 1e-300)
-    if fit["fit_residual"] > RESIDUAL_BUDGET * scale:
-        raise WindowFitError(
-            f"coefficient fit residual {fit['fit_residual']:.3e} exceeds "
-            f"{RESIDUAL_BUDGET:.1e} x sup|f'| = {RESIDUAL_BUDGET * scale:.3e}; "
-            "the window is too wide for the fitted degrees"
-        )
-
-    chi2 = solve_homological(bundle.system, f_prime_fit, k_max, s1.sample_window)
-    step2 = AveragingStep(chi2, eps ** (n + 1), chi2.c1_norm(), average_over_theta2(f_prime_fit),
+    f_prime, meta = _kept_first_remainder(s1, k_max)
+    chi2 = solve_homological(bundle.system, f_prime, k_max, s1.sample_window)
+    step2 = AveragingStep(chi2, eps ** (n + 1), chi2.c1_norm(), average_over_theta2(f_prime),
                           s1.kappa * eps / 2 ** (n + 1))
-    nf = replace(s1, averaging_steps=s1.averaging_steps + (step2,), meta={**s1.meta, **fit})
+    nf = replace(s1, averaging_steps=s1.averaging_steps + (step2,), meta={**s1.meta, **meta})
     return _measure(nf, displacement_points, (32, 32, 7, 3))

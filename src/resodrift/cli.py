@@ -29,7 +29,6 @@ from .errors import (
     IntegrationError,
     SmallDivisorError,
     UsageError,
-    WindowFitError,
 )
 from .experiments import (
     optimality_check,
@@ -492,7 +491,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, SmallDivisorError, FlowEscapeError, IntegrationError, WindowFitError) as exc:
+    except (ValueError, SmallDivisorError, FlowEscapeError, IntegrationError) as exc:
         # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

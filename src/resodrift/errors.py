@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: domain, small-divisor, integration, flow-escape and usage errors."""
 
 
 class DomainError(ValueError):
@@ -15,10 +15,6 @@ class IntegrationError(RuntimeError):
 
 class FlowEscapeError(RuntimeError):
     """A generator flow left its window or budget, or could not be integrated."""
-
-
-class WindowFitError(RuntimeError):
-    """Least-squares fit of sampled remainder coefficients exceeded its residual budget."""
 
 
 class UsageError(ValueError):

@@ -9,14 +9,17 @@ over a finite set of integer wave vectors k, with a_k and b_k exact
 series is real by construction: each stored k has its first nonzero component
 positive, and the reflected term is folded in through the parity of cos/sin.
 
-A :class:`FourierPerturbation` holds the data and the algebra.  Every such
-series, the averaging generators included, is evaluated through one packed
-:class:`ModeTable`: an integer mode matrix and cos/sin coefficient tensors,
-read through one power table of the actions.  The table also gives every
-first partial in closed form (angle derivatives rotate the cos/sin pair and
-scale by 2 pi k, action derivatives differentiate the coefficient
-polynomials), which is what vector fields, generator flows, norm estimates
-and the genericity scan read.
+A :class:`FourierPerturbation` holds the data and the algebra.  Every series
+is evaluated through one packed :class:`ModeTable`: an integer mode matrix
+and the cos/sin coefficients of every mode as rows over a basis of rational
+monomials I1^a I2^b prod_j d_j(I)^(-m_j).  A FourierPerturbation (and a
+generator solved on one) has no divisors d_j, and its basis is the plain
+power table of the actions; a rational series
+(:class:`~resodrift.rational.RationalSeries`) brings the divisors of its
+terms.  The table also gives every first partial in closed form (angle
+derivatives rotate the cos/sin pair and scale by 2 pi k, action derivatives
+are second coefficient matrices over the same basis), which is what vector
+fields, generator flows, norm estimates and the genericity scan read.
 """
 
 from __future__ import annotations
@@ -45,6 +48,40 @@ def canonical_mode(k) -> tuple[tuple[int, int], int]:
     return (k1, k2), 1
 
 
+def monomial_partials(e, divisors, i: int):
+    """d/dI_(i+1) of rational monomials as terms: (source rows, exponent rows, factors).
+
+    e is an (n, 2 + J) integer array of rows (a, b, m_1, ..., m_J), each the
+    monomial I1^a I2^b prod_j d_j(I)^(-m_j) over the J PolyField divisors.
+    Row s's derivative sums factor times monomial over the terms of source
+    s: the power rule a I^(a - e_i), then per divisor the quotient rule
+    -m_j (dd_j/dI_i) d_j^-(m_j + 1), a term per monomial of dd_j/dI_i.
+    """
+    live = np.flatnonzero(e[:, i] > 0)
+    rows = e[live].copy()
+    rows[:, i] -= 1
+    src, out, factor = [live], [rows], [e[live, i]]
+    for j, d in enumerate(divisors):
+        live = np.flatnonzero(e[:, 2 + j] > 0)
+        for a, b, v in d.partial(*((1, 0) if i == 0 else (0, 1))).to_terms():
+            rows = e[live].copy()
+            rows[:, :2] += (a, b)
+            rows[:, 2 + j] += 1
+            src.append(live)
+            out.append(rows)
+            factor.append(-v * e[live, 2 + j])
+    return np.concatenate(src), np.concatenate(out), np.concatenate(factor)
+
+
+def _poly_terms(polys, J: int):
+    """(row r, exponent rows, coefficient) of every nonzero entry of polys[r], a PolyField or number."""
+    t = np.array([(r, i, j, c) for r, p in enumerate(polys) for i, j, c in PolyField._coerce(p).to_terms()])
+    t = t.reshape(-1, 4)
+    e = np.zeros((len(t), 2 + J), dtype=np.int64)
+    e[:, :2] = t[:, 1:3]
+    return t[:, 0].astype(np.int64), e, t[:, 3]
+
+
 # The array branch works on blocks of points.  A block's temporaries are
 # tables of (polynomial rows or modes) x points; a block holds about this many
 # values in its widest pair of them (8 MB), so memory stays bounded whatever
@@ -61,12 +98,17 @@ _SUM_TERMS = 64
 class ModeTable:
     """Packed series sum_k a_k(I) cos(2 pi k.theta) + b_k(I) sin(2 pi k.theta).
 
-    K is the (m, 2) integer mode matrix; the cos and sin coefficients are
-    packed as (m, n1, n2) tensors whose entry [k, i, j] multiplies
-    I1**i * I2**j.  An action derivative is the same tensor shifted one index
-    down with the factor i (or j); an angle derivative rotates the cos/sin
-    pair and scales by 2 pi k.  Values and first partials are all read off
-    one power table of (I1, I2).
+    K is the (m, 2) integer mode matrix.  Term n of the table adds v[n]
+    times the rational monomial e[n] (a row (a, b, m_1, ...) for
+    I1^a I2^b prod_j d_j(I)^(-m_j) over the divisors) to polynomial row
+    poly[n]: the cos coefficient of mode r at r, its sin coefficient at
+    m + r.  The rows are one matrix over a basis of such monomials, and
+    their action derivatives (:func:`monomial_partials`) two more over the
+    same basis, which holds the monomials of the terms and of their
+    derivatives.  Without divisors, as for a FourierPerturbation, the basis
+    is the whole power table I1**i * I2**j (i < n1, j < n2) at index
+    i * n2 + j.  An angle derivative rotates the cos/sin pair and scales by
+    2 pi k.  Values and first partials are all read off the basis.
 
     Given omega, a pair of polynomials (the frequency map), the table is
     divided: omega only enters the divisors, every mode is divided by
@@ -76,43 +118,51 @@ class ModeTable:
     h on the mode (0, 0), so its rows are H and its four first partials.
 
     Evaluation has two branches, chosen by the shape of the input.  A single
-    point of an undivided table is read as four float64 values, whatever
-    their real type, and evaluated in plain Python floats by one
-    straight-line function that the table generates on first use
-    (:meth:`point_function`): one math.cos and one math.sin per mode, the
-    action powers by repeated multiplication, and one sum per row over the
-    terms of :meth:`_compile_terms`.  An orbit RHS call on generic3, which
-    calls that function directly, costs 1.8-3.5 us this way, against
-    5.8-9.8 us through the interpreted loop over the term lists that it
-    replaced (best of 5 x 20,000 calls, 2-vCPU VM).  Arrays (and divided
-    tables) are evaluated in blocks of block_points points, on one BLAS thread
-    (:func:`~resodrift.blas.serial_blas`); the single-point branch never
-    enters that guard, so an orbit RHS call pays nothing for it.
+    point of an undivided table without divisors is read as four float64
+    values, whatever their real type, and evaluated in plain Python floats
+    by one straight-line function that the table generates on first use
+    (:meth:`point_function`), which an orbit RHS call on generic3 runs in
+    1.8-3.5 us.  Everything else is evaluated in blocks of block_points
+    points, on one BLAS thread (:func:`~resodrift.blas.serial_blas`); the
+    single-point branch never enters that guard.
     """
 
-    __slots__ = ("K", "divided", "block_points", "_Kf", "_k1", "_k2",
-                 "_e1", "_e2", "_W", "_n_poly", "_n1", "_n2", "_w", "_point", "point_source")
+    __slots__ = ("K", "divided", "block_points", "_Kf", "_k1", "_k2", "_divisors", "_basis", "_tops",
+                 "_width", "_e1", "_e2", "_W", "_n_poly", "_n1", "_n2", "_w", "_point", "point_source")
 
-    def __init__(self, modes: dict, omega=None):
-        keys = sorted(modes)
-        polys = [modes[k][0] for k in keys] + [modes[k][1] for k in keys] + list(omega or ())
-        n1 = max((p.coeffs.shape[0] for p in polys), default=1)
-        n2 = max((p.coeffs.shape[1] for p in polys), default=1)
-        P = np.zeros((len(polys), n1, n2))
-        for row, p in zip(P, polys):
-            row[: p.coeffs.shape[0], : p.coeffs.shape[1]] = p.coeffs
-        m = len(keys)
-        self.K = np.array(keys, dtype=int).reshape(m, 2)
-        self.divided = omega is not None
-        dP1 = np.zeros_like(P)
-        dP1[:, :-1, :] = P[:, 1:, :] * np.arange(1, n1)[:, None]
-        dP2 = np.zeros_like(P)
-        dP2[:, :, :-1] = P[:, :, 1:] * np.arange(1, n2)
+    def __init__(self, K, poly, e, v, divisors=(), omega=None):
+        self.K = np.asarray(K, dtype=int).reshape(-1, 2)
+        m, J = self.K.shape[0], len(divisors)
+        self.divided, self._divisors = omega is not None, tuple(divisors)
+        self._n_poly = n_poly = 2 * m + len(omega or ())
+        # omega's terms are the polynomial rows 2m and 2m + 1; exact zeros are dropped
+        o_poly, o_e, o_v = _poly_terms(omega or (), J)
+        poly = np.concatenate([np.asarray(poly, dtype=np.int64).reshape(-1), 2 * m + o_poly])
+        e = np.concatenate([np.asarray(e, dtype=np.int64).reshape(-1, 2 + J), o_e])
+        v = np.concatenate([np.asarray(v, dtype=float).reshape(-1), o_v])
+        poly, e, v = poly[v != 0.0], e[v != 0.0], v[v != 0.0]
+        # the terms of the value block 0, then of the d/dI1 and d/dI2 blocks 1 and 2
+        terms = [(poly, e, v)]
+        for i in (0, 1):
+            src, d_e, factor = monomial_partials(e, self._divisors, i)
+            terms.append((poly[src], d_e, v[src] * factor))
+        block = np.repeat([0, 1, 2], [len(t[2]) for t in terms])
+        rows, exps, coef = (np.concatenate(x) for x in zip(*terms))
+        n1, n2 = (int(np.max(exps[:, i], initial=0)) + 1 for i in (0, 1))
+        if J:
+            self._basis, index = np.unique(exps, axis=0, return_inverse=True)
+            self._tops = np.max(self._basis, axis=0, initial=0).tolist()
+            # a block's tables of powers, the basis and one gathered factor
+            self._width = sum(self._tops) + len(self._tops) + 2 * len(self._basis)
+        else:
+            index = exps[:, 0] * n2 + exps[:, 1]
+            self._width = n1 * n2
+        W = np.zeros((3, n_poly, len(self._basis) if J else n1 * n2))
+        np.add.at(W, (block, rows, index.reshape(-1)), coef)
         # one row per (block, polynomial); blocks are value, d/dI1, d/dI2
-        self._W = np.stack([P, dP1, dP2]).reshape(3 * len(polys), n1 * n2)
-        self._n_poly = len(polys)
-        # the power table and the polynomial rows are the widest temporaries
-        self.block_points = max(1, BLOCK_VALUES // (n1 * n2 + 3 * len(polys)))
+        self._W = W.reshape(3 * n_poly, W.shape[2])
+        # the basis and the polynomial rows are the widest temporaries
+        self.block_points = max(1, BLOCK_VALUES // (self._width + 3 * n_poly))
         self._Kf = self.K.astype(float)
         self._k1, self._k2 = self._Kf[:, 0].copy(), self._Kf[:, 1].copy()
         self._e1, self._e2 = np.arange(n1), np.arange(n2)
@@ -120,6 +170,15 @@ class ModeTable:
         self._n1, self._n2 = n1, n2
         self._w = (TWO_PI * self._Kf).tolist()
         self._point = self.point_source = None
+
+    @classmethod
+    def of_modes(cls, modes: dict, omega=None) -> "ModeTable":
+        """The table of {k: (cos coefficient, sin coefficient)}, polynomials or numbers, keys sorted.
+
+        The keys are taken as they are, so a divided table's numerators keep their own signs.
+        """
+        keys = sorted(modes)
+        return cls(keys, *_poly_terms([modes[k][0] for k in keys] + [modes[k][1] for k in keys], 0), omega=omega)
 
     # -- the two branches ------------------------------------------------------------
 
@@ -200,8 +259,20 @@ class ModeTable:
 
     def _rows(self, x1, x2, blocks: int):
         """Polynomial rows at 1-D actions: the value block, then the derivative blocks."""
-        power = (x1 ** self._e1[:, None])[:, None, :] * (x2 ** self._e2[:, None])[None, :, :]
-        return self._W[: blocks * self._n_poly] @ power.reshape(-1, len(x1))
+        if not self._divisors:
+            basis = ((x1 ** self._e1[:, None])[:, None, :] * (x2 ** self._e2[:, None])[None, :, :]).reshape(-1, len(x1))
+            return self._W[: blocks * self._n_poly] @ basis
+        # column c of the exponent rows indexes the powers of the c-th base:
+        # I1, I2 and each 1 / d_j, by repeated multiplication
+        basis = None
+        for c, (x, top) in enumerate(zip([x1, x2] + [1.0 / d(x1, x2) for d in self._divisors], self._tops)):
+            powers = np.empty((top + 1, len(x1)))
+            powers[0] = 1.0
+            for p in range(1, top + 1):
+                np.multiply(powers[p - 1], x, out=powers[p])
+            factor = powers[self._basis[:, c]]
+            basis = factor if basis is None else np.multiply(basis, factor, out=basis)
+        return self._W[: blocks * self._n_poly] @ basis
 
     def _k_dot(self, om):
         """2 pi k.omega for every mode from rows (..., 2, points) of omega or its derivatives."""
@@ -232,7 +303,7 @@ class ModeTable:
 
     def _run(self, args, grad: bool):
         t1, t2, x1, x2 = args
-        if not self.divided and isinstance(t1, _SCALAR) and isinstance(t2, _SCALAR) \
+        if not (self.divided or self._divisors) and isinstance(t1, _SCALAR) and isinstance(t2, _SCALAR) \
                 and isinstance(x1, _SCALAR) and isinstance(x2, _SCALAR):
             # one state, as an orbit RHS call passes it, in float64 whatever its type
             rows = self.point_function()(float(t1), float(t2), float(x1), float(x2))
@@ -254,8 +325,8 @@ class ModeTable:
         """Rows (value, d/dtheta1, d/dtheta2, d/dI1, d/dI2).
 
         The rows are stacked along a leading axis over the broadcast shape of
-        the inputs; a single point of an undivided table gives a list of
-        floats.
+        the inputs; a single point of an undivided table without divisors
+        gives a list of floats.
         """
         return self._run((theta1, theta2, I1, I2), True)
 
@@ -263,6 +334,13 @@ class ModeTable:
         """The series alone; a float for a single point."""
         out = self._run((theta1, theta2, I1, I2), False)
         return float(out) if np.ndim(out) == 0 else out
+
+    @serial_blas()
+    def coefficients(self, I1, I2):
+        """(a, b): the cos and sin coefficients (a divided table's numerators) at 1-D actions, each (m, points)."""
+        m = self.K.shape[0]
+        rows = self._rows(np.asarray(I1, dtype=float), np.asarray(I2, dtype=float), 1)
+        return rows[:m], rows[m : 2 * m]
 
     @serial_blas()
     def divisors(self, I1, I2) -> np.ndarray:
@@ -333,7 +411,7 @@ class ModeTable:
         """
         trig, x1, x2, _ = self._grid(theta1, theta2, I1, I2)
         rows, n_angle = 5 if grad else 1, trig.shape[1]
-        per_action = rows * (n_angle + trig.shape[0]) + sum(self._W.shape)
+        per_action = rows * (n_angle + trig.shape[0]) + self._width + 3 * self._n_poly
         step = max(1, (BLOCK_VALUES - trig.size) // per_action)
         buffer = np.empty(rows * min(step, len(x1)) * n_angle)
         for start in range(0, len(x1), step):
@@ -442,7 +520,7 @@ class FourierPerturbation:
     def table(self) -> ModeTable:
         """The packed table of the series, built on first use and cached."""
         if self._table is None:
-            self._table = ModeTable(self._modes)
+            self._table = ModeTable.of_modes(self._modes)
         return self._table
 
     def __call__(self, theta1, theta2, I1, I2):

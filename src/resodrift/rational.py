@@ -10,6 +10,9 @@ are closed under what a Lie series needs: angle derivatives (a factor
 2 pi i k), action derivatives (the power rule on the monomial and the
 quotient rule through the polynomial dd_j/dI), products and the Poisson
 bracket {G, chi}.  A real series holds every term with its conjugate at -k.
+A series is evaluated through its ModeTable (:meth:`RationalSeries.table`),
+which folds each pair of conjugate terms into the cos and sin coefficient
+rows of the canonical mode, over a basis of the series' rational monomials.
 
 The exponents of a term sit in one integer row (k1, k2, a, b, m_1, ...), and
 like terms merge by a mixed-radix key of that row.  The key of a product term
@@ -23,7 +26,7 @@ import math
 
 import numpy as np
 
-from .fourier import TWO_PI, FourierPerturbation
+from .fourier import TWO_PI, FourierPerturbation, ModeTable, monomial_partials
 from .poly import PolyField
 
 
@@ -198,27 +201,12 @@ class RationalSeries:
         """(exponent rows, (n, 2) coefficients) of the two action derivatives, as one union."""
         parts, coefs = [], []
         for i in (0, 1):
-            # the monomial: d/dI_i I^p = p_i I^(p - e_i)
-            live = self.e[:, 2 + i] > 0
-            e = self.e[live].copy()
-            e[:, 2 + i] -= 1
-            parts.append(e)
-            coefs.append((i, self.c[live] * self.e[live, 2 + i]))
-            # each divisor: d/dI_i d^-m = -m (dd/dI_i) d^-(m+1), monomial by monomial
-            for j, d in enumerate(self.divisors):
-                live = self.e[:, 4 + j] > 0
-                for a, b, v in d.partial(*((1, 0) if i == 0 else (0, 1))).to_terms():
-                    e = self.e[live].copy()
-                    e[:, 2:4] += (a, b)
-                    e[:, 4 + j] += 1
-                    parts.append(e)
-                    coefs.append((i, -v * self.e[live, 4 + j] * self.c[live]))
-        c = np.zeros((sum(len(v) for _, v in coefs), 2), dtype=complex)
-        start = 0
-        for i, v in coefs:
-            c[start : start + len(v), i] = v
-            start += len(v)
-        return _merged(np.concatenate(parts + [self.e[:0]]), c)
+            src, rows, factor = monomial_partials(self.e[:, 2:], self.divisors, i)
+            parts.append(np.concatenate([self.e[src, :2], rows], axis=1))
+            c = np.zeros((len(src), 2), dtype=complex)
+            c[:, i] = self.c[src] * factor
+            coefs.append(c)
+        return _merged(np.concatenate(parts), np.concatenate(coefs))
 
     def bracket(self, chi: "RationalSeries") -> "RationalSeries":
         """{self, chi} = d_theta self . d_I chi - d_I self . d_theta chi, angles in turns."""
@@ -262,33 +250,33 @@ class RationalSeries:
         drop = b <= floor
         return self._of_merged(self.e[~drop], self.c[~drop], self.divisors), float(np.sum(b[drop]))
 
-    # -- evaluation ----------------------------------------------------------------------
+    # -- modes and evaluation ---------------------------------------------------------
 
-    def cos_sin(self, I1, I2):
-        """(K, a, b): the canonical modes and their cos and sin coefficients at action points.
+    def _modes(self):
+        """(per term the sign s that makes s k canonical, 0 on the mean; the canonical modes; each term's mode)."""
+        k = self.e[:, :2]
+        sign = np.where(k[:, 0] != 0, np.sign(k[:, 0]), np.sign(k[:, 1]))
+        modes, index = np.unique(k * sign[:, None], axis=0, return_inverse=True)
+        return sign, modes.reshape(-1, 2), index.reshape(-1)
 
-        K is the (M, 2) array of canonical modes (first nonzero component
-        positive) in (k1, k2) order, and a, b are (M, N) tables at the N
-        points of I1 and I2 (1-D, one length): the real series is
-        sum_k a_k cos(2 pi k.theta) + b_k sin(2 pi k.theta).
+    def filter(self, predicate) -> "RationalSeries":
+        """The terms whose canonical mode (a tuple (k1, k2)) satisfies predicate."""
+        _, modes, index = self._modes()
+        keep = np.array([bool(predicate(tuple(k))) for k in modes.tolist()], dtype=bool)[index]
+        return self._of_merged(self.e[keep], self.c[keep], self.divisors)
+
+    def quarter_turn(self) -> "RationalSeries":
+        """Every mode's (cos, sin) pair (a, b) turned to (-b, a): -i on k, +i on -k; the mean drops out."""
+        sign = self._modes()[0]
+        return RationalSeries(self.e, self.c * (-1j * sign), self.divisors)
+
+    def table(self, omega=None) -> ModeTable:
+        """The series' ModeTable over its divisors, modes in (k1, k2) order; omega divides it.
+
+        C e^(ix) + C' e^(-ix) = Re(C + C') cos x - Im(C - C') sin x, so a
+        term adds Re(c) to its canonical mode's cos row and -s Im(c) to its
+        sin row, s its sign (0 on the mean, whose sin is void).
         """
-        x1, x2 = np.asarray(I1, dtype=float), np.asarray(I2, dtype=float)
-        e = self.e
-        factor = self.c[:, None] * x1 ** e[:, 2:3] * x2 ** e[:, 3:4]
-        for j, d in enumerate(self.divisors):
-            factor /= d(x1, x2)[None, :] ** e[:, 4 + j : 5 + j]
-        # fold -k onto k: C e^(ix) + C' e^(-ix) has the real part
-        # Re(C + C') cos x - Im(C - C') sin x; sign is -1 on -k and 0 on the
-        # mean, whose sin coefficient is void
-        sign = np.where(e[:, 0] != 0, np.sign(e[:, 0]), np.sign(e[:, 1]))
-        K = e[:, :2] * sign[:, None]
-        if not len(K):
-            return K, np.zeros((0, len(x1))), np.zeros((0, len(x1)))
-        first, ab = _merge_keys(_keys(K), np.concatenate([factor.real, -sign[:, None] * factor.imag], axis=1))
-        return K[first], ab[:, : len(x1)], ab[:, len(x1) :]
-
-    def __call__(self, theta1, theta2, I1, I2):
-        """The real series at points, all four inputs 1-D of one length."""
-        K, a, b = self.cos_sin(I1, I2)
-        phase = TWO_PI * (K[:, :1] * np.asarray(theta1, dtype=float) + K[:, 1:] * np.asarray(theta2, dtype=float))
-        return np.sum(a * np.cos(phase) + b * np.sin(phase), axis=0)
+        sign, modes, index = self._modes()
+        return ModeTable(modes, np.concatenate([index, len(modes) + index]), np.tile(self.e[:, 2:], (2, 1)),
+                         np.concatenate([self.c.real, -sign * self.c.imag]), self.divisors, omega)

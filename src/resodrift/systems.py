@@ -110,10 +110,10 @@ class ActionWindow:
     i2_min: float
     i2_max: float
 
-    def grid(self, n1: int, n2: int, chebyshev_i1: bool = False):
-        """1-D node arrays (I1, I2) covering the window."""
-        if chebyshev_i1:
-            # Chebyshev-Lobatto nodes keep high-degree fits well conditioned.
+    def grid(self, n1: int, n2: int, lobatto_i1: bool = False):
+        """1-D node arrays (I1, I2) covering the window; Chebyshev-Lobatto nodes in I1 if lobatto_i1."""
+        if lobatto_i1:
+            # the nodes cluster toward the ends of the window
             j = np.arange(n1)
             x = np.cos(np.pi * j / (n1 - 1))[::-1]
             c = 0.5 * (self.i1_min + self.i1_max)

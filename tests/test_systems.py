@@ -78,7 +78,7 @@ def test_action_window_grid_and_contains():
     I1, I2 = w.grid(9, 5)
     assert I1.shape == (9,) and I2.shape == (5,)
     assert I1[0] == 0.5 and I1[-1] == 1.5
-    I1c, _ = w.grid(9, 5, chebyshev_i1=True)
+    I1c, _ = w.grid(9, 5, lobatto_i1=True)
     assert np.all(np.diff(I1c) > 0)
     assert abs(I1c[0] - 0.5) < 1e-12 and abs(I1c[-1] - 1.5) < 1e-12
     # Chebyshev nodes cluster toward the endpoints
