@@ -5,13 +5,13 @@ constant along the channel flow) and an oscillating part, solves the
 homological equation omega . d_theta chi = oscillating part mode by mode, and
 conjugates the system by the unit-time flow of epsilon * chi.  A normal form
 is a NormalFormResult: its bundle and its AveragingSteps, whose composition
-Phi = Phi_1 o ... o Phi_n the result applies (phi, phi_points) and whose
-remainder it samples: the remainder is measured by composing the numerical
-flow with the Hamiltonian and dividing out the expected power of epsilon.
-The second step repeats the construction on the first remainder, read off
-its exact Lie series (first_remainder_series): the second generator and
-resonant correction are its kept modes as they stand, rational in the
-actions, so nothing is fitted and one path serves any perturbation.
+Phi = Phi_1 o ... o Phi_n the result applies (phi, phi_points), and the
+first remainder f' as its exact Lie series (first_remainder_series), off
+which the remainders are read.  The second step repeats the construction on
+f': the second generator and resonant correction are its kept modes as they
+stand, rational in the actions, so nothing is fitted and one path serves any
+perturbation.  Its remainder flows the points through Phi_2 alone and
+composes them with the exact series of H o Phi_1.
 """
 
 from __future__ import annotations
@@ -240,8 +240,8 @@ class GeneratorChi:
 
     def series(self) -> RationalSeries:
         """chi as a rational series over the divisors of its primitive modes; polynomial numerators only."""
-        # rational is imported on first use, so runs that build no second
-        # step do not compile it at import
+        # rational is imported on first use, so runs that build no normal
+        # form do not compile it at import
         from .rational import RationalSeries
 
         return RationalSeries.generator(self._numerators, self._omega)
@@ -337,14 +337,17 @@ class NormalFormResult:
 
     The transform is Phi = Phi_1 o ... o Phi_n over averaging_steps: phi and
     phi_points apply the last step first, and with direction=-1 undo the
-    first step first, so they invert Phi.  remainder samples the last
-    remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1), and
+    first step first, so they invert Phi.  first_remainder is f', the
+    remainder left after step 1, as its exact Lie series
+    (first_remainder_series); the one-step build makes it and the later
+    steps keep it.  remainder evaluates the last remainder, and
     sup_remainders[j] is the sup of the remainder left after step j + 1.
     The sample window and the displacement bound follow from the steps.
-    The builder measures the displacement of Phi and the last remainder's
-    sup on the sample window (_measure); every sup, residual and
-    displacement is a grid measurement.  as_dict is the normal_form.json
-    record.
+    The builder measures the displacement of Phi on random points and the
+    last remainder's sup on a grid of the sample window (_measure); every
+    sup, residual and displacement is a grid measurement, and only the
+    displacement and the remainders after step 1 flow points.  as_dict is
+    the normal_form.json record.
     """
 
     bundle: SystemBundle
@@ -355,6 +358,7 @@ class NormalFormResult:
     meta: dict = field(default_factory=dict)
     displacement: float = math.nan
     sup_remainders: tuple[float, ...] = ()
+    first_remainder: RationalSeries | None = None
 
     @property
     def epsilon(self) -> float:
@@ -450,19 +454,30 @@ class NormalFormResult:
         return state
 
     def remainder(self, th1, th2, I1, I2):
-        """Sampled remainder (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1); both are one series.
+        """The last remainder at points, (H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1).
 
-        h + eps f_bar_1 is a FourierPerturbation; the later f_bar_j join it
-        as one RationalSeries over their divisors.
+        After one step it is f', evaluated off first_remainder.  After n > 1
+        steps H o Phi_1 is the exact series G = h + eps f_bar_1 + eps^2 f',
+        so only Phi_2 o ... o Phi_n is flowed: the remainder is
+        (G o Phi_2 o ... o Phi_n - h - sum_j eps^j f_bar_j) / eps^(n+1), both
+        series over f''s divisors.
         """
-        moved = self.bundle.hamiltonian(*self.phi_points(th1, th2, I1, I2))
-        base = hamiltonian_series(self.bundle.system.h, self.step1.scale * self.step1.f_bar)
-        later = [step.f_bar * step.scale for step in self.averaging_steps[1:]]
-        if later:
-            from .rational import RationalSeries
+        series = self.first_remainder
+        if self.steps == 1:
+            return series.table().values(th1, th2, I1, I2)
+        from .rational import RationalSeries
 
-            base = RationalSeries.concatenate([RationalSeries.from_fourier(base, later[0].divisors), *later])
-        return (moved - base.table().values(th1, th2, I1, I2)) / self.epsilon ** (self.steps + 1)
+        eps = self.epsilon
+        # h + eps f_bar_1 over f''s divisors: G adds eps^2 f', the normal form the later eps^j f_bar_j
+        first = RationalSeries.from_fourier(
+            hamiltonian_series(self.bundle.system.h, self.step1.scale * self.step1.f_bar), series.divisors)
+        later = [step.f_bar * step.scale for step in self.averaging_steps[1:]]
+        normal_form = RationalSeries.concatenate([first, *later])
+        moved = (th1, th2, I1, I2)
+        for step in self.averaging_steps[:0:-1]:
+            moved = step.phi_points(*moved)
+        G = first + series * eps**2
+        return (G.table().values(*moved) - normal_form.table().values(th1, th2, I1, I2)) / eps ** (self.steps + 1)
 
 
 def _require_window_inside(system: IntegrableSystem, window: ActionWindow):
@@ -490,9 +505,12 @@ def _measure(nf: NormalFormResult, n_points: int, survey_grid: tuple) -> NormalF
     """nf with Phi measured on its sample window.
 
     The displacement is the largest coordinate move of Phi over n_points
-    random points (seed 20240816 + n); the last remainder is surveyed on the
-    survey_grid tensor grid of (theta1, theta2, I1, I2) and its sup appended
-    to nf.sup_remainders, the sups of the earlier steps.
+    random points (seed 20240816 + n), the only points a one-step build
+    flows.  The last remainder is surveyed on the survey_grid tensor grid
+    of (theta1, theta2, I1, I2) and its sup appended to nf.sup_remainders,
+    the sups of the earlier steps: after one step f' is read off its series
+    on the angle and action axes through ModeTable.outer, after more the
+    grid goes through nf.remainder.
     """
     w = nf.sample_window
     rng = np.random.default_rng(20240816 + nf.steps)
@@ -503,22 +521,28 @@ def _measure(nf: NormalFormResult, n_points: int, survey_grid: tuple) -> NormalF
     n1, n2, m1, m2 = survey_grid
     th1, th2 = (np.linspace(0.0, 1.0, n, endpoint=False) for n in (n1, n2))
     I1, I2 = w.grid(m1, m2)
-    survey = nf.remainder(th1[:, None, None, None], th2[None, :, None, None], I1[:, None], I2)
+    if nf.steps == 1:
+        survey = nf.first_remainder.table().outer(th1[:, None], th2[None, :], I1[:, None], I2)
+    else:
+        survey = nf.remainder(th1[:, None, None, None], th2[None, :, None, None], I1[:, None], I2)
     sups = nf.sup_remainders + (float(np.max(np.abs(survey))),)
     return replace(nf, displacement=displacement, sup_remainders=sups)
 
 
 @serial_blas()
 def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200) -> NormalFormResult:
-    """One resonant averaging step with operationally sampled remainder.
+    """One resonant averaging step with its remainder read off its Lie series.
 
     kappa is bootstrapped from the measured C^1 norm of the generator:
     kappa = max(2 gamma, 1), iterated so the final window is consistent with
     the norm measured on it; meta["kappa_rounds"] holds each round's
-    (kappa tried, gamma measured), one c1_norm call each.  The result's
-    displacement is measured on displacement_points random points of the
-    half window against the budget kappa epsilon / 2, and its remainder's
-    sup on a 32 x 32 x 9 x 5 grid of it.
+    (kappa tried, gamma measured), one c1_norm call each.  The first
+    remainder f' is built once, as the result's first_remainder, and its
+    counters join meta (first_remainder_series; a series past its caps
+    raises FlowEscapeError).  The result's displacement is measured on
+    displacement_points random points of the half window against the
+    budget kappa epsilon / 2, and the sup of f' on a 32 x 32 x 9 x 5 grid
+    of it.
     """
     system = bundle.system
     f = bundle.perturbation
@@ -561,6 +585,8 @@ def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200
         genericity=genericity_check(f, system),
         meta={"kappa_rounds": tuple(rounds)},
     )
+    series, counters = first_remainder_series(nf)
+    nf = replace(nf, first_remainder=series, meta={**nf.meta, **counters})
     return _measure(nf, displacement_points, (32, 32, 9, 5))
 
 
@@ -633,12 +659,12 @@ MODE_THRESHOLD = 1e-10
 
 
 def _kept_first_remainder(s1: NormalFormResult, k_max: int):
-    """The kept modes of s1's first remainder f' (first_remainder_series), with the meta entries.
+    """The kept modes of s1's first remainder f' (s1.first_remainder), with their count.
 
     They are (0, 0) and the canonical modes with |k| <= k_max whose amplitude
     is nonzero and reaches MODE_THRESHOLD of the largest amplitude.
     """
-    series, counters = first_remainder_series(s1)
+    series = s1.first_remainder
     n1, n2 = AMPLITUDE_GRID
     I1_nodes, I2_nodes = s1.sample_window.grid(n1, n2, lobatto_i1=True)
     table = series.table()
@@ -650,7 +676,7 @@ def _kept_first_remainder(s1: NormalFormResult, k_max: int):
     floor = MODE_THRESHOLD * float(np.max(amplitude, initial=0.0))
     loud = ~mean & (np.max(np.abs(K), axis=1) <= k_max) & (amplitude > 0.0) & (amplitude >= floor)
     kept = {(0, 0)} | {tuple(k) for k in K[loud].tolist()}
-    return series.filter(kept.__contains__), {"n_kept_modes": len(kept), **counters}
+    return series.filter(kept.__contains__), len(kept)
 
 
 @serial_blas()
@@ -665,13 +691,14 @@ def two_step_normal_form(
 
     step1 is the one-step normal form of this same bundle, built when not
     given; any other result raises ValueError.  The first remainder f' is
-    its truncated Lie series, rational in the actions whether or not f
-    depends on them.  theta_grid sets the second cutoff
+    its first_remainder, the truncated Lie series, rational in the actions
+    whether or not f depends on them.  theta_grid sets the second cutoff
     K2 = min(CUTOFF2, theta_grid // 2 - 1), which must be at least 1 (else
     ValueError).  The kept modes of f' are solved at scale epsilon^2 as they
     stand: chi2's mode k is f'_k / (2 pi i k.omega) and f_bar_2 the k2 = 0
     part.  The displacement is measured on displacement_points points of the
-    quarter window and the final remainder's sup on a 32 x 32 x 7 x 3 grid.
+    quarter window and the final remainder's sup on a 32 x 32 x 7 x 3 grid,
+    whose points are flowed through Phi_2 alone (NormalFormResult.remainder).
     """
     if step1 is not None and (step1.steps != 1 or step1.bundle is not bundle):
         raise ValueError("step1 must be a one-step normal form of the same bundle")
@@ -683,9 +710,9 @@ def two_step_normal_form(
     eps = bundle.epsilon
     n = s1.steps
 
-    f_prime, meta = _kept_first_remainder(s1, k_max)
+    f_prime, n_kept = _kept_first_remainder(s1, k_max)
     chi2 = solve_homological(bundle.system, f_prime, k_max, s1.sample_window)
     step2 = AveragingStep(chi2, eps ** (n + 1), chi2.c1_norm(), average_over_theta2(f_prime),
                           s1.kappa * eps / 2 ** (n + 1))
-    nf = replace(s1, averaging_steps=s1.averaging_steps + (step2,), meta={**s1.meta, **meta})
+    nf = replace(s1, averaging_steps=s1.averaging_steps + (step2,), meta={**s1.meta, "n_kept_modes": n_kept})
     return _measure(nf, displacement_points, (32, 32, 7, 3))

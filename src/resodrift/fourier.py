@@ -73,6 +73,15 @@ def monomial_partials(e, divisors, i: int):
     return np.concatenate(src), np.concatenate(out), np.concatenate(factor)
 
 
+def _powers(x, top: int) -> np.ndarray:
+    """x**0, ..., x**top at 1-D points by repeated multiplication, shape (top + 1, points)."""
+    powers = np.empty((top + 1, len(x)))
+    powers[0] = 1.0
+    for p in range(1, top + 1):
+        np.multiply(powers[p - 1], x, out=powers[p])
+    return powers
+
+
 def _poly_terms(polys, J: int):
     """(row r, exponent rows, coefficient) of every nonzero entry of polys[r], a PolyField or number."""
     t = np.array([(r, i, j, c) for r, p in enumerate(polys) for i, j, c in PolyField._coerce(p).to_terms()])
@@ -105,7 +114,9 @@ class ModeTable:
     m + r.  The rows are one matrix over a basis of such monomials, and
     their action derivatives (:func:`monomial_partials`) two more over the
     same basis, which holds the monomials of the terms and of their
-    derivatives.  Without divisors, as for a FourierPerturbation, the basis
+    derivatives.  The divisors themselves are one coefficient matrix over
+    the power table of the actions, so no point reaches PolyField's
+    evaluator.  Without divisors, as for a FourierPerturbation, the basis
     is the whole power table I1**i * I2**j (i < n1, j < n2) at index
     i * n2 + j.  An angle derivative rotates the cos/sin pair and scales by
     2 pi k.  Values and first partials are all read off the basis.
@@ -127,8 +138,9 @@ class ModeTable:
     single-point branch never enters that guard.
     """
 
-    __slots__ = ("K", "divided", "block_points", "_Kf", "_k1", "_k2", "_divisors", "_basis", "_tops",
-                 "_width", "_e1", "_e2", "_W", "_n_poly", "_n1", "_n2", "_w", "_point", "point_source")
+    __slots__ = ("K", "divided", "block_points", "_Kf", "_k1", "_k2", "_divisors", "_divisor_W",
+                 "_divisor_tops", "_basis", "_tops", "_width", "_e1", "_e2", "_W", "_n_poly", "_n1", "_n2", "_w",
+                 "_point", "point_source")
 
     def __init__(self, K, poly, e, v, divisors=(), omega=None):
         self.K = np.asarray(K, dtype=int).reshape(-1, 2)
@@ -150,6 +162,11 @@ class ModeTable:
         rows, exps, coef = (np.concatenate(x) for x in zip(*terms))
         n1, n2 = (int(np.max(exps[:, i], initial=0)) + 1 for i in (0, 1))
         if J:
+            # divisor j is row j of a matrix over the powers I1**i * I2**k at index i * (k_top + 1) + k
+            r, d_e, d_v = _poly_terms(self._divisors, 0)
+            self._divisor_tops = t1, t2 = tuple(int(np.max(d_e[:, i], initial=0)) for i in (0, 1))
+            self._divisor_W = np.zeros((J, (t1 + 1) * (t2 + 1)))
+            np.add.at(self._divisor_W, (r, d_e[:, 0] * (t2 + 1) + d_e[:, 1]), d_v)
             self._basis, index = np.unique(exps, axis=0, return_inverse=True)
             self._tops = np.max(self._basis, axis=0, initial=0).tolist()
             # a block's tables of powers, the basis and one gathered factor
@@ -263,14 +280,12 @@ class ModeTable:
             basis = ((x1 ** self._e1[:, None])[:, None, :] * (x2 ** self._e2[:, None])[None, :, :]).reshape(-1, len(x1))
             return self._W[: blocks * self._n_poly] @ basis
         # column c of the exponent rows indexes the powers of the c-th base:
-        # I1, I2 and each 1 / d_j, by repeated multiplication
+        # I1, I2 and each 1 / d_j, the divisors read off their power table
+        t1, t2 = self._divisor_tops
+        inverse = list(1.0 / (self._divisor_W @ (_powers(x1, t1)[:, None] * _powers(x2, t2)).reshape(-1, len(x1))))
         basis = None
-        for c, (x, top) in enumerate(zip([x1, x2] + [1.0 / d(x1, x2) for d in self._divisors], self._tops)):
-            powers = np.empty((top + 1, len(x1)))
-            powers[0] = 1.0
-            for p in range(1, top + 1):
-                np.multiply(powers[p - 1], x, out=powers[p])
-            factor = powers[self._basis[:, c]]
+        for c, (x, top) in enumerate(zip([x1, x2] + inverse, self._tops)):
+            factor = _powers(x, top)[self._basis[:, c]]
             basis = factor if basis is None else np.multiply(basis, factor, out=basis)
         return self._W[: blocks * self._n_poly] @ basis
 

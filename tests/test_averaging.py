@@ -22,6 +22,7 @@ from resodrift.systems import star_window
 from resodrift.torus import wrap
 
 from c1_reference import reference_c1_peaks
+from series_reference import flowed_remainder, reference_rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -496,30 +497,93 @@ def test_remainder_matches_its_first_order_bracket(one_step_results, eps):
 
 
 def lie_series_miss(nf) -> float:
-    """max |sampled f' - series f'| over 400 seeded points of nf's sample window."""
-    series, _ = first_remainder_series(nf)
+    """max |flowed remainder - nf.remainder| over 400 seeded points of nf's sample window."""
     w = nf.sample_window
     rng = np.random.default_rng(20240821)
     points = tuple(rng.uniform(lo, hi, 400) for lo, hi in
                    ((0.0, 1.0), (0.0, 1.0), (w.i1_min, w.i1_max), (w.i2_min, w.i2_max)))
-    return float(np.max(np.abs(nf.remainder(*points) - series.table().values(*points))))
+    return float(np.max(np.abs(flowed_remainder(nf, *points) - nf.remainder(*points))))
 
 
 @pytest.mark.parametrize("case, eps", [("generic3", 1e-2), ("generic3", 1e-3), ("generic3", 1e-4),
                                        ("action-dependent", 1e-3), ("action-dependent", 1e-4),
                                        ("reduced-moser mode", 1e-3)])
 def test_sampled_remainder_matches_its_lie_series(one_step_results, case, eps):
-    # The sampled f' divides a difference of O(1) values by eps^2, so it
-    # carries about 5e-15 / eps of rounding noise; the series has none.
-    # Measured misses: 1.7e-15 / eps to 4.1e-15 / eps.  A sign-flipped chi
-    # fails every case, and a series cut after order 1 every case but the
-    # reduced-moser mode, whose orders 2 on stay below the noise.
+    # nf.remainder is f' off its Lie series; the flowed f' divides a
+    # difference of O(1) values by eps^2, so it carries about 5e-15 / eps
+    # of rounding noise, and the series has none.  Measured misses:
+    # 1.7e-15 / eps to 4.1e-15 / eps.  A sign-flipped chi fails every case,
+    # and a series cut after order 1 every case but the reduced-moser mode,
+    # whose orders 2 on stay below the noise.
     if case == "generic3":
         nf = one_step_results[eps]
     else:
         make = _action_dependent_bundle if case == "action-dependent" else _reduced_moser_mode_bundle
         nf = rd.one_step_normal_form(make(eps))
     assert lie_series_miss(nf) <= 1e-13 / eps
+
+
+def test_sup_remainder_is_the_max_of_f_prime_on_the_survey_grid(one_step_results):
+    # the one-step survey reads f' off its series on the 32 x 32 x 9 x 5
+    # grid of the half window; the term-by-term sum meets its max to
+    # 6.3e-16 relative
+    th = np.linspace(0.0, 1.0, 32, endpoint=False)
+    for nf in one_step_results.values():
+        grid = (v.reshape(-1) for v in np.meshgrid(th, th, *nf.sample_window.grid(9, 5), indexing="ij"))
+        f_prime = reference_rows(nf.first_remainder, *grid)[0]
+        assert nf.sup_remainder == pytest.approx(float(np.max(np.abs(f_prime))), rel=1e-14)
+
+
+def _flowed_points(monkeypatch):
+    """A list that collects (chi, number of points) of every generator flow of the averaging module."""
+    flows = []
+    original = averaging.flow_points
+
+    def spy(chi, scale, direction, *point, **kwargs):
+        flows.append((chi, np.broadcast(*point).size))
+        return original(chi, scale, direction, *point, **kwargs)
+
+    monkeypatch.setattr(averaging, "flow_points", spy)
+    return flows
+
+
+def test_one_step_build_flows_only_its_displacement_points(generic3_bundles, monkeypatch):
+    # f' is surveyed off its series, so the 46,080 survey points are not
+    # flowed (the sampled survey flowed 46,280 points in all)
+    flows = _flowed_points(monkeypatch)
+    nf = rd.one_step_normal_form(generic3_bundles[1e-3])
+    assert [n for _, n in flows] == [200]
+    assert flows[0][0] is nf.chi
+
+
+def test_two_step_survey_flows_no_point_through_phi1(generic3_bundles, one_step_results, monkeypatch):
+    # H o Phi1 is the exact series h + eps f_bar_1 + eps^2 f', so the
+    # 21,504 survey points pass Phi2 alone; Phi1 flows only the 200
+    # displacement points (the sampled survey sent 21,704 through it)
+    flows = _flowed_points(monkeypatch)
+    nf = rd.two_step_normal_form(generic3_bundles[1e-3], step1=one_step_results[1e-3])
+    assert sum(n for chi, n in flows if chi is nf.chi) == 200
+    assert sum(n for chi, n in flows if chi is nf.chi2) == 200 + 32 * 32 * 7 * 3
+
+
+def test_first_remainder_series_is_built_once_per_bundle(monkeypatch):
+    calls = []
+    original = averaging.first_remainder_series
+
+    def spy(nf):
+        calls.append(nf.bundle)
+        return original(nf)
+
+    monkeypatch.setattr(averaging, "first_remainder_series", spy)
+    # the one-step build makes f', and a two-step build on it reuses it
+    bundle = rd.make_bundle("generic3", 1e-2)
+    s1 = rd.one_step_normal_form(bundle)
+    assert calls == [bundle]
+    rd.two_step_normal_form(bundle, step1=s1, theta_grid=48)
+    assert calls == [bundle]
+    other = rd.make_bundle("generic3", 1e-2)
+    rd.two_step_normal_form(other, theta_grid=48)
+    assert calls == [bundle, other]
 
 
 # -- two-step normal form ----------------------------------------------------
@@ -675,6 +739,20 @@ def test_two_step_on_an_action_dependent_perturbation(action_dependent_two_step)
     assert max(sups) / min(sups) <= 4.0
 
 
+@pytest.mark.parametrize("case, eps", [("generic3", 1e-2), ("generic3", 1e-3), ("generic3", 1e-4),
+                                       ("action-dependent", 1e-3), ("action-dependent", 1e-4)])
+def test_two_step_remainder_matches_its_flowed_reference(two_step_results, action_dependent_two_step, case, eps):
+    # nf.remainder flows the quarter window's points through Phi2 alone and
+    # reads H o Phi1 off the series h + eps f_bar_1 + eps^2 f'; the
+    # reference flows them through Phi1 too, so the two differ by the
+    # flowed f''s noise divided by eps once more.  Measured misses:
+    # 1.8e-15 / eps^2 to 4.4e-15 / eps^2, so the bound leaves a margin of
+    # 23.  Flowing chi2 with its sign flipped in nf.remainder misses by
+    # 0.33 / eps to 0.57 / eps, about 2 |f'_osc| / eps.
+    nf = two_step_results[eps] if case == "generic3" else action_dependent_two_step[eps]
+    assert lie_series_miss(nf) <= 1e-13 / eps**2
+
+
 @pytest.mark.parametrize("case", ["generic3", "action-dependent"])
 def test_chi2_solves_the_second_homological_equation(two_step_results, action_dependent_two_step, case):
     # omega . d_theta chi2 = the kept oscillating modes of f', on chi2's
@@ -716,12 +794,12 @@ def test_two_step_at_the_smallest_theta_grid_has_cutoff_one(generic3_bundles, on
 
 @pytest.mark.parametrize("cap, message", [("SERIES_MAX_ORDER", "did not converge"),
                                           ("SERIES_MAX_TERMS", "terms at order")])
-def test_two_step_raises_when_the_series_outgrows_its_cap(generic3_bundles, one_step_results, monkeypatch,
-                                                          cap, message):
-    # at 1e-3 the series needs 7 orders and 156 terms
+def test_one_step_raises_when_the_series_outgrows_its_cap(generic3_bundles, monkeypatch, cap, message):
+    # at 1e-3 the series needs 7 orders and 156 terms; the one-step build
+    # makes it, and a two-step build reuses its step 1's
     monkeypatch.setattr(averaging, cap, 3 if cap == "SERIES_MAX_ORDER" else 100)
     with pytest.raises(FlowEscapeError, match=message):
-        rd.two_step_normal_form(generic3_bundles[1e-3], step1=one_step_results[1e-3], theta_grid=48)
+        rd.one_step_normal_form(generic3_bundles[1e-3])
 
 
 def test_two_step_rejects_a_foreign_step1(generic3_bundles, one_step_results, two_step_results):

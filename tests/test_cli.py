@@ -146,8 +146,10 @@ def test_normal_form_single_step_payload(tmp_path, one_step_results):
     assert payload["residual_homological"] <= 1e-9
     assert payload["phi_displacement"] <= payload["displacement_bound"]
     assert payload["min_divisor"] >= 0.5 * rd.get_entry("generic3").system.resonance.varpi
-    assert "K2" not in payload and "min_divisor2" not in payload
-    assert "series_order" not in payload and "series_terms" not in payload
+    assert "K2" not in payload and "min_divisor2" not in payload and "n_kept_modes" not in payload
+    # the one-step build makes the first remainder's Lie series and records its counters
+    assert (payload["series_order"], payload["series_terms"]) == (10, 338)
+    assert 0.0 < payload["series_dropped_bound"] <= 1e-16
 
 
 def test_normal_form_two_step_payload_reports_kept_modes(tmp_path, monkeypatch, two_step_results):

@@ -272,9 +272,10 @@ def test_hamiltonian_memory_is_its_result_and_two_blocks():
     assert peak <= value.nbytes + 2 * BLOCK_VALUES * 8
 
 
-def test_point_clouds_never_reach_the_polynomial_evaluator(monkeypatch, one_step_results):
-    # h is the (0, 0) mode of H's series and of the normal form's, so only
-    # ModeTable evaluates the point arrays
+def test_point_clouds_never_reach_the_polynomial_evaluator(monkeypatch, one_step_results, two_step_results):
+    # h is the (0, 0) mode of H's series and of the normal form's, and a
+    # rational table reads its divisors off a table too, so only ModeTable
+    # evaluates the point arrays: of the flowed generators and of f', f''
     nf = one_step_results[1e-2]
     bundle = nf.bundle
     calls = []
@@ -284,13 +285,18 @@ def test_point_clouds_never_reach_the_polynomial_evaluator(monkeypatch, one_step
         calls.append(1)
         return original(self, *args)
 
+    def inside(w):
+        points = np.random.default_rng(5).uniform(0.0, 1.0, (4, 50))
+        points[2] = w.i1_min + (w.i1_max - w.i1_min) * points[2]
+        points[3] = w.i2_min + (w.i2_max - w.i2_min) * points[3]
+        return points
+
     monkeypatch.setattr(PolyField, "__call__", spy)
-    w = nf.sample_window
-    points = np.random.default_rng(5).uniform(0.0, 1.0, (4, 50))
-    points[2] = w.i1_min + (w.i1_max - w.i1_min) * points[2]
-    points[3] = w.i2_min + (w.i2_max - w.i2_min) * points[3]
+    points = inside(nf.sample_window)
     bundle.hamiltonian(*points)
     bundle.energy_of(points.T)
     bundle.vector_field(*points)
     nf.remainder(*points)
+    two = two_step_results[1e-2]
+    two.remainder(*inside(two.sample_window))
     assert calls == []
