@@ -7,24 +7,25 @@ conjugates the system by the unit-time flow of epsilon * chi.  A normal form
 is a NormalFormResult: its bundle and its AveragingSteps, whose composition
 Phi = Phi_1 o ... o Phi_n the result applies (phi, phi_points), and the
 first remainder f' as its exact Lie series (first_remainder_series), off
-which the remainders are read.  The second step repeats the construction on
-f': the second generator and resonant correction are its kept modes as they
-stand, rational in the actions, so nothing is fitted and one path serves any
-perturbation.  Its remainder flows the points through Phi_2 alone and
-composes them with the exact series of H o Phi_1.
+which the remainders are read.  Every series is a FourierPerturbation;
+generators (GeneratorChi.series) and f' are rational over their divisors.
+The second step solves f''s kept modes as they stand, so nothing is fitted
+and one path serves any perturbation.  Its remainder flows the points
+through Phi_2 alone and composes them with the exact series of H o Phi_1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .blas import serial_blas
 from .errors import DomainError, FlowEscapeError, SmallDivisorError
-from .fourier import TWO_PI, FourierPerturbation, ModeTable
+from .fourier import TWO_PI, FourierPerturbation
 from .integrate import flow_points, lie_flow
 from .norms import c1_peaks
 from .poly import PolyField
@@ -37,9 +38,6 @@ from .systems import (
     verify_channel_assumptions,
 )
 from .torus import PhaseState
-
-if TYPE_CHECKING:
-    from .rational import RationalSeries
 
 
 # -- projections -----------------------------------------------------------------
@@ -181,8 +179,8 @@ class GeneratorChi:
     chi(theta, I) = sum_k [nc_k(I) cos(2 pi k.theta) + ns_k(I) sin(2 pi k.theta)]
                     / (2 pi k.omega(I))
 
-    The numerators are a dict {k: (nc_k, ns_k)} of polynomials (or numbers),
-    or a RationalSeries of them (the second step's).  Every mode has k2 != 0,
+    The numerators are a FourierPerturbation, rational in the actions over
+    its own divisors on the second step.  Every mode has k2 != 0,
     sup-norm |k| <= cutoff, and satisfies the small-divisor bound
     |k.omega| >= varpi/2 on the working window (verified on a grid at
     construction; the grid's smallest |k.omega| is kept as min_divisor, None
@@ -197,8 +195,7 @@ class GeneratorChi:
         self.varpi = system.resonance.varpi
         self._numerators = numerators
         self._omega = system.omega_polys()
-        self._table = (ModeTable.of_modes(numerators, omega=self._omega) if isinstance(numerators, dict)
-                       else numerators.table(omega=self._omega))
+        self._table = numerators.table(omega=self._omega)
         for k in self.mode_keys:
             if k[1] == 0:
                 raise SmallDivisorError("generator modes must have k2 != 0")
@@ -238,13 +235,9 @@ class GeneratorChi:
 
     __call__ = evaluate
 
-    def series(self) -> RationalSeries:
-        """chi as a rational series over the divisors of its primitive modes; polynomial numerators only."""
-        # rational is imported on first use, so runs that build no normal
-        # form do not compile it at import
-        from .rational import RationalSeries
-
-        return RationalSeries.generator(self._numerators, self._omega)
+    def series(self) -> FourierPerturbation:
+        """chi as a series over its numerators' divisors and those of its primitive modes."""
+        return self._numerators.divided(self._omega)
 
     def gradients(self, theta1, theta2, I1, I2):
         """(d chi/d theta, d chi/d I), each stacked with leading axis 2."""
@@ -280,16 +273,14 @@ def solve_homological(
 ) -> GeneratorChi:
     """Solve omega . d_theta chi = oscillating part of f, mode by mode.
 
-    f is a FourierPerturbation or a RationalSeries.  Modes with k2 = 0
-    belong to the resonant average and contribute nothing; every other mode
-    k with |k| <= cutoff gets the closed-form coefficient pair
-    (-b_k, a_k) / (2 pi k.omega(I)).  Small divisors are guarded on the
-    window grid at construction of the generator.
+    Modes with k2 = 0 belong to the resonant average and contribute
+    nothing; every other mode k with |k| <= cutoff gets the closed-form
+    coefficient pair (-b_k, a_k) / (2 pi k.omega(I)), rational in the
+    actions when f is.  Small divisors are guarded on the window grid at
+    construction of the generator.
     """
     osc = f.filter(lambda k: k[1] != 0 and max(abs(k[0]), abs(k[1])) <= cutoff)
-    numerators = ({k: (-1.0 * b, a) for k, (a, b) in osc.modes.items()} if isinstance(osc, FourierPerturbation)
-                  else osc.quarter_turn())
-    return GeneratorChi(system, numerators, cutoff, window)
+    return GeneratorChi(system, osc.quarter_turn(), cutoff, window)
 
 
 # -- normal form results ------------------------------------------------------------
@@ -302,16 +293,15 @@ class AveragingStep:
     Step n averages at scale = epsilon**n.  chi carries its Fourier cutoff
     and its window, on which it is guarded and flowed; gamma is its measured
     C^1 norm, f_bar the resonant correction the step adds to the normal
-    form (a FourierPerturbation on step 1, a RationalSeries over chi1's
-    divisors after it), and budget the displacement the scalar flow may make
-    (kappa epsilon / 2**n).  A step whose scale * gamma exceeds its budget
+    form (over chi1's divisors after step 1), and budget the displacement
+    the scalar flow may make (kappa epsilon / 2**n).  A step whose scale * gamma exceeds its budget
     raises FlowEscapeError.
     """
 
     chi: GeneratorChi
     scale: float
     gamma: float
-    f_bar: FourierPerturbation | RationalSeries
+    f_bar: FourierPerturbation
     budget: float
 
     def __post_init__(self):
@@ -358,7 +348,7 @@ class NormalFormResult:
     meta: dict = field(default_factory=dict)
     displacement: float = math.nan
     sup_remainders: tuple[float, ...] = ()
-    first_remainder: RationalSeries | None = None
+    first_remainder: FourierPerturbation | None = None
 
     @property
     def epsilon(self) -> float:
@@ -460,24 +450,22 @@ class NormalFormResult:
         steps H o Phi_1 is the exact series G = h + eps f_bar_1 + eps^2 f',
         so only Phi_2 o ... o Phi_n is flowed: the remainder is
         (G o Phi_2 o ... o Phi_n - h - sum_j eps^j f_bar_j) / eps^(n+1), both
-        series over f''s divisors.
+        series over f''s divisors, built on the first call.
         """
-        series = self.first_remainder
         if self.steps == 1:
-            return series.table().values(th1, th2, I1, I2)
-        from .rational import RationalSeries
-
-        eps = self.epsilon
-        # h + eps f_bar_1 over f''s divisors: G adds eps^2 f', the normal form the later eps^j f_bar_j
-        first = RationalSeries.from_fourier(
-            hamiltonian_series(self.bundle.system.h, self.step1.scale * self.step1.f_bar), series.divisors)
-        later = [step.f_bar * step.scale for step in self.averaging_steps[1:]]
-        normal_form = RationalSeries.concatenate([first, *later])
+            return self.first_remainder(th1, th2, I1, I2)
+        G, normal_form = self._composed_series
         moved = (th1, th2, I1, I2)
         for step in self.averaging_steps[:0:-1]:
             moved = step.phi_points(*moved)
-        G = first + series * eps**2
-        return (G.table().values(*moved) - normal_form.table().values(th1, th2, I1, I2)) / eps ** (self.steps + 1)
+        return (G(*moved) - normal_form(th1, th2, I1, I2)) / self.epsilon ** (self.steps + 1)
+
+    @cached_property
+    def _composed_series(self):
+        """(G = h + eps f_bar_1 + eps^2 f', the normal form h + sum_j eps^j f_bar_j) of a result of n > 1 steps."""
+        first = hamiltonian_series(self.bundle.system.h, self.step1.scale * self.step1.f_bar)
+        later = [step.f_bar * step.scale for step in self.averaging_steps[1:]]
+        return first + self.first_remainder * self.epsilon**2, FourierPerturbation.concatenate([first, *later])
 
 
 def _require_window_inside(system: IntegrableSystem, window: ActionWindow):
@@ -602,7 +590,7 @@ SERIES_MAX_ORDER = 40
 SERIES_MAX_TERMS = 100_000
 
 
-def first_remainder_series(nf: NormalFormResult) -> tuple[RationalSeries, dict]:
+def first_remainder_series(nf: NormalFormResult) -> tuple[FourierPerturbation, dict]:
     """The first remainder f' of a one-step normal form as its exact Lie series.
 
     With ad G = {G, chi}, f_K the modes of f that chi removes (so
@@ -613,23 +601,21 @@ def first_remainder_series(nf: NormalFormResult) -> tuple[RationalSeries, dict]:
 
     Order j is P_j - Q_j, with the iterates P_1 = ad f, Q_1 = ad f_K / 2,
     P_j = eps / j ad P_(j-1) and Q_j = eps / (j+1) ad Q_(j-1).  Bounds are
-    RationalSeries.bound on nf's sample window; the truncation and pruning
+    FourierPerturbation.bound on nf's sample window; the truncation and pruning
     follow SERIES_TOL, PRUNE_TOL and the caps above.  The counters are
     series_order (the last order summed), series_terms (the terms of f') and
     series_dropped_bound (the bounds of the pruned terms, added up).
     """
-    from .rational import RationalSeries
-
     if nf.steps != 1:
         raise ValueError("the first remainder series needs a one-step normal form")
     eps, f, step = nf.epsilon, nf.bundle.perturbation, nf.step1
     window = nf.sample_window
     f_K = f.filter(lambda k: k[1] != 0 and max(abs(k[0]), abs(k[1])) <= step.chi.cutoff)
     chi = step.chi.series()
-    P = RationalSeries.from_fourier(f, chi.divisors).bracket(chi)
-    Q = RationalSeries.from_fourier(f_K, chi.divisors).bracket(chi) * 0.5
+    P = f.bracket(chi)
+    Q = f_K.bracket(chi) * 0.5
     first = (P - Q).bound(window)
-    orders = [RationalSeries.from_fourier((f - step.f_bar - f_K) * (1.0 / eps), chi.divisors)]
+    orders = [(f - step.f_bar - f_K) * (1.0 / eps)]
     dropped = 0.0
     for j in range(1, SERIES_MAX_ORDER + 1):
         if j > 1:
@@ -645,7 +631,7 @@ def first_remainder_series(nf: NormalFormResult) -> tuple[RationalSeries, dict]:
             break
     else:
         raise FlowEscapeError(f"the first remainder series did not converge by order {SERIES_MAX_ORDER}")
-    series = RationalSeries.concatenate(orders)
+    series = FourierPerturbation.concatenate(orders)
     return series, {"series_order": j, "series_terms": len(series), "series_dropped_bound": dropped}
 
 

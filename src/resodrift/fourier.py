@@ -1,25 +1,21 @@
-"""Finite real Fourier series on T^2 with polynomial action coefficients.
+"""Real Fourier series on T^2 with coefficients polynomial, or rational, in the actions.
 
-A perturbation is stored as
+A :class:`FourierPerturbation` is a sum of terms
+c e^(2 pi i k.theta) I1^a I2^b prod_j d_j(I)^(-m_j), each held with its
+conjugate at -k.  The divisors d_j are polynomials shared by the whole
+series: none for a perturbation or a Hamiltonian, the values k.omega(I) of a
+generator's primitive modes for a generator and the Lie series built on it.
+Such series are closed under angle and action derivatives, products and the
+Poisson bracket {G, chi}, which is all a Lie series needs.  The real view,
+a_k(I) cos(2 pi k.theta) + b_k(I) sin(2 pi k.theta) over canonical wave
+vectors k (first nonzero component positive), is read off the terms.
 
-    f(theta, I) = sum_k  a_k(I) cos(2 pi k.theta) + b_k(I) sin(2 pi k.theta)
-
-over a finite set of integer wave vectors k, with a_k and b_k exact
-:class:`~resodrift.poly.PolyField` coefficients.  Keys are canonicalized so the
-series is real by construction: each stored k has its first nonzero component
-positive, and the reflected term is folded in through the parity of cos/sin.
-
-A :class:`FourierPerturbation` holds the data and the algebra.  Every series
-is evaluated through one packed :class:`ModeTable`: an integer mode matrix
-and the cos/sin coefficients of every mode as rows over a basis of rational
-monomials I1^a I2^b prod_j d_j(I)^(-m_j).  A FourierPerturbation (and a
-generator solved on one) has no divisors d_j, and its basis is the plain
-power table of the actions; a rational series
-(:class:`~resodrift.rational.RationalSeries`) brings the divisors of its
-terms.  The table also gives every first partial in closed form (angle
-derivatives rotate the cos/sin pair and scale by 2 pi k, action derivatives
-are second coefficient matrices over the same basis), which is what vector
-fields, generator flows, norm estimates and the genericity scan read.
+Every series is evaluated through one packed :class:`ModeTable`: an integer
+mode matrix and the cos/sin coefficients of every mode as rows over a basis of
+rational monomials, the plain power table of the actions when there are no
+divisors.  The table also gives every first partial in closed form, which is
+what vector fields, generator flows, norm estimates and the genericity scan
+read.
 """
 
 from __future__ import annotations
@@ -116,7 +112,7 @@ class ModeTable:
     same basis, which holds the monomials of the terms and of their
     derivatives.  The divisors themselves are one coefficient matrix over
     the power table of the actions, so no point reaches PolyField's
-    evaluator.  Without divisors, as for a FourierPerturbation, the basis
+    evaluator.  Without divisors, as for a perturbation, the basis
     is the whole power table I1**i * I2**j (i < n1, j < n2) at index
     i * n2 + j.  An angle derivative rotates the cos/sin pair and scales by
     2 pi k.  Values and first partials are all read off the basis.
@@ -187,15 +183,6 @@ class ModeTable:
         self._n1, self._n2 = n1, n2
         self._w = (TWO_PI * self._Kf).tolist()
         self._point = self.point_source = None
-
-    @classmethod
-    def of_modes(cls, modes: dict, omega=None) -> "ModeTable":
-        """The table of {k: (cos coefficient, sin coefficient)}, polynomials or numbers, keys sorted.
-
-        The keys are taken as they are, so a divided table's numerators keep their own signs.
-        """
-        keys = sorted(modes)
-        return cls(keys, *_poly_terms([modes[k][0] for k in keys] + [modes[k][1] for k in keys], 0), omega=omega)
 
     # -- the two branches ------------------------------------------------------------
 
@@ -437,130 +424,338 @@ class ModeTable:
             yield out
 
 
-class FourierPerturbation:
-    """Finite trigonometric polynomial on T^2 with PolyField coefficients.
+# -- merging like terms ------------------------------------------------------------
+#
+# The exponents of a term sit in one integer row (k1, k2, a, b, m_1, ...), and
+# like terms merge by a mixed-radix key of that row.  The key of a product term
+# is the sum of its factors' keys, so a product never builds its rows of
+# exponents before the merge.
 
-    The series holds its modes and their algebra; values come from __call__
-    and every first partial from the rows of :meth:`table`.
+
+def _radix(lo, hi, top):
+    """Mixed-radix weights keying rows in [lo, hi] one to one, most significant column first.
+
+    None when a key of rows with |e| <= top per column could overflow int64.
+    """
+    weights, w = [], 1
+    for span in (hi - lo + 1).tolist()[::-1]:
+        weights.append(w)
+        w *= span
+    weights = weights[::-1]
+    reach = sum(int(t) * v for t, v in zip(top.tolist(), weights))
+    return np.array(weights, dtype=np.int64) if max(w, reach) < 2**62 else None
+
+
+def _keys(e):
+    """One int64 key per exponent row, equal exactly for equal rows and ordered as the rows."""
+    lo, hi = e.min(axis=0), e.max(axis=0)
+    weights = _radix(lo, hi, np.maximum(-lo, hi))
+    if weights is None:
+        return np.unique(e, axis=0, return_inverse=True)[1].reshape(-1)
+    return e @ weights
+
+
+def _merge_keys(keys, c):
+    """(index of one row per key, sum of the coefficient rows c (n, ...) of each key), in key order.
+
+    The sort is stable, so each key's rows are summed in their given order
+    and the sums do not depend on the sorting kernel.
+    """
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], sk[1:] != sk[:-1]]))
+    return order[starts], np.add.reduceat(c[order], starts, axis=0)
+
+
+def _merged(e, c):
+    """Like terms of the rows e (n, F) with coefficients c merged, exact zeros dropped."""
+    if len(c) == 0:
+        return e, c
+    first, sums = _merge_keys(_keys(e), c)
+    live = np.any(sums != 0.0, axis=tuple(range(1, sums.ndim)))
+    return e[first][live], sums[live]
+
+
+def _product_sum(pairs):
+    """Merged sum of the term products of every pair (eA, eB, C).
+
+    C is the (len(eA), len(eB)) coefficient matrix of the products: the term
+    of rows i and j has exponents eA[i] + eB[j] and coefficient C[i, j].
+    The key of a sum of rows is the sum of their keys, so the product's
+    exponent rows are built only for the merged terms.
+    """
+    pairs = [(a, b, C) for a, b, C in pairs if C.size]
+    if not pairs:
+        return None
+    lo = np.min([a.min(axis=0) + b.min(axis=0) for a, b, _ in pairs], axis=0)
+    hi = np.max([a.max(axis=0) + b.max(axis=0) for a, b, _ in pairs], axis=0)
+    top = np.max([np.abs(a).max(axis=0) + np.abs(b).max(axis=0) for a, b, _ in pairs], axis=0)
+    weights = _radix(lo, hi, top)
+    c = np.concatenate([C.reshape(-1) for _, _, C in pairs])
+    if weights is None:
+        e = np.concatenate([(a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]) for a, b, _ in pairs])
+        return _merged(e, c)
+    keys = np.concatenate([((a @ weights)[:, None] + (b @ weights)[None, :]).reshape(-1) for a, b, _ in pairs])
+    first, sums = _merge_keys(keys, c)
+    live = sums != 0.0
+    first, sums = first[live], sums[live]
+    # the exponents of each merged term, from the pair and the rows it came from
+    e = np.empty((len(first), pairs[0][0].shape[1]), dtype=np.int64)
+    offset = 0
+    for a, b, C in pairs:
+        mine = (first >= offset) & (first < offset + C.size)
+        i, j = np.divmod(first[mine] - offset, C.shape[1])
+        e[mine] = a[i] + b[j]
+        offset += C.size
+    return e, sums
+
+
+def _aligned(series):
+    """(the series over one divisor set, those without divisors taking zero columns; that set)."""
+    divisors = max((s.divisors for s in series), key=len)
+    out = []
+    for s in series:
+        if s.divisors != divisors:
+            if s.divisors:
+                raise ValueError("series over different divisors cannot be combined")
+            e = np.zeros((len(s.c), 4 + len(divisors)), dtype=np.int64)
+            e[:, :4] = s.e
+            s = FourierPerturbation._of_merged(e, s.c, divisors)
+        out.append(s)
+    return out, divisors
+
+
+class FourierPerturbation:
+    """sum of c e^(2 pi i k.theta) I1^a I2^b prod_j d_j(I)^(-m_j) over its terms.
+
+    e is the (n, 4 + len(divisors)) integer array of exponent rows
+    (k1, k2, a, b, m_1, ...), c the complex coefficients and divisors the
+    PolyField d_j; a perturbation has none.  A real series holds every term
+    with its conjugate at -k.  The rows are merged (like terms summed, exact
+    zeros dropped) and sorted, and every operation returns a new series, so
+    nothing changes e or c in place and :meth:`table` is built once and
+    cached.  A series without divisors combines with any series by taking
+    zero divisor columns.
     """
 
-    __slots__ = ("_modes", "_table")
+    __slots__ = ("e", "c", "divisors", "_table")
 
-    def __init__(self, modes: dict | None = None):
-        self._modes: dict[tuple[int, int], tuple[PolyField, PolyField]] = {}
-        self._table: ModeTable | None = None
-        if modes:
-            for k, (a, b) in modes.items():
-                self._accumulate(k, a, b)
-        self._prune()
+    def __init__(self, e, c, divisors=()):
+        self.divisors = tuple(divisors)
+        e = np.asarray(e, dtype=np.int64).reshape(-1, 4 + len(self.divisors))
+        self.e, self.c = _merged(e, np.asarray(c, dtype=complex))
+        self._table = None
 
-    # -- construction ---------------------------------------------------------
+    @classmethod
+    def _of_merged(cls, e, c, divisors) -> "FourierPerturbation":
+        """A series of terms that are merged already."""
+        out = cls.__new__(cls)
+        out.e, out.c, out.divisors, out._table = e, c, tuple(divisors), None
+        return out
+
+    # -- construction --------------------------------------------------------------
 
     @classmethod
     def from_terms(cls, terms) -> "FourierPerturbation":
-        """Build from an iterable of (k, cos_coeff, sin_coeff).
+        """Build from an iterable of (k, cos coefficient, sin coefficient).
 
-        Coefficients may be floats or PolyField instances; wave vectors may be
-        any integer pairs and are canonicalized (with the sin parity flip)
-        before storage.
+        Coefficients may be numbers or PolyFields and wave vectors any integer
+        pairs: a cos x + b sin x = (a - ib)/2 e^(ix) + (a + ib)/2 e^(-ix), so
+        on the mean the halves of a add up to a and those of b cancel.
         """
-        out = cls()
+        rows, coefs = [], []
         for k, a, b in terms:
-            out._accumulate(k, a, b)
-        out._prune()
-        return out
+            k1, k2 = int(k[0]), int(k[1])
+            a, b = PolyField._coerce(a).to_terms(), PolyField._coerce(b).to_terms()
+            for s in (1, -1):
+                rows += [(s * k1, s * k2, i, j) for i, j, _ in a + b]
+                coefs += [0.5 * v for _, _, v in a] + [complex(0.0, -0.5 * s * v) for _, _, v in b]
+        return cls(rows, coefs)
 
     @classmethod
     def zero(cls) -> "FourierPerturbation":
-        return cls()
+        return cls((), ())
 
-    def _accumulate(self, k, a, b):
-        a = PolyField._coerce(a)
-        b = PolyField._coerce(b)
-        key, sign = canonical_mode(k)
-        if sign < 0:
-            b = -b  # sin is odd, cos is even
-        if key == (0, 0):
-            b = PolyField.zero()  # sin(0) contributes nothing
-        old_a, old_b = self._modes.get(key, (PolyField.zero(), PolyField.zero()))
-        self._modes[key] = (old_a + a, old_b + b)
-        self._table = None
+    @classmethod
+    def concatenate(cls, series) -> "FourierPerturbation":
+        """The sum of several series, merged at once."""
+        series, divisors = _aligned(list(series))
+        width = 4 + len(divisors)
+        return cls(np.concatenate([s.e for s in series] + [np.zeros((0, width), np.int64)]),
+                   np.concatenate([s.c for s in series] + [np.zeros(0, complex)]), divisors)
 
-    def _prune(self):
-        dead = [k for k, (a, b) in self._modes.items() if a.is_zero and b.is_zero]
-        for k in dead:
-            del self._modes[k]
-        self._table = None
+    # -- modes -----------------------------------------------------------------------
 
-    # -- queries ----------------------------------------------------------------
+    def _modes(self):
+        """(per term the sign s that makes s k canonical, 0 on the mean; the canonical modes; each term's mode)."""
+        k = self.e[:, :2]
+        sign = np.where(k[:, 0] != 0, np.sign(k[:, 0]), np.sign(k[:, 1]))
+        modes, index = np.unique(k * sign[:, None], axis=0, return_inverse=True)
+        return sign, modes.reshape(-1, 2), index.reshape(-1)
 
     @property
     def modes(self) -> dict:
-        return dict(self._modes)
+        """{canonical k: (cos coefficient, sin coefficient)} as PolyFields; a series without divisors only."""
+        if self.divisors:
+            raise ValueError("a series over divisors has no polynomial coefficients")
+        sign, modes, index = self._modes()
+        cos, sin = [[] for _ in modes], [[] for _ in modes]
+        for r, (a, b), s, c in zip(index.tolist(), self.e[:, 2:4].tolist(), sign.tolist(), self.c.tolist()):
+            # a term adds Re(c) to its mode's cos coefficient and -s Im(c) to its sin one
+            cos[r].append((a, b, c.real))
+            sin[r].append((a, b, -s * c.imag))
+        return {tuple(k): (PolyField.from_terms(x), PolyField.from_terms(y))
+                for k, x, y in zip(modes.tolist(), cos, sin)}
 
     @property
     def mode_keys(self):
-        return sorted(self._modes.keys())
+        return [tuple(k) for k in self._modes()[1].tolist()]
 
     @property
     def max_mode(self) -> int:
         """Largest sup-norm |k| over stored wave vectors (0 for an empty series)."""
-        if not self._modes:
-            return 0
-        return max(max(abs(k[0]), abs(k[1])) for k in self._modes)
+        return int(np.max(np.abs(self.e[:, :2]), initial=0))
 
     @property
     def is_zero(self) -> bool:
-        return not self._modes
+        return len(self.c) == 0
 
     @property
     def is_action_independent(self) -> bool:
-        return all(a.is_constant and b.is_constant for a, b in self._modes.values())
+        return not np.any(self.e[:, 2:])
 
     def coefficient(self, k) -> tuple[PolyField, PolyField]:
-        """(cos, sin) coefficient pair for the canonical representative of k."""
+        """(cos, sin) coefficient pair of the wave vector k, from its canonical representative."""
         key, sign = canonical_mode(k)
-        a, b = self._modes.get(key, (PolyField.zero(), PolyField.zero()))
-        if sign < 0:
-            b = -b
-        return a, b
+        a, b = self.filter(key.__eq__).modes.get(key, (PolyField.zero(), PolyField.zero()))
+        return (a, b) if sign > 0 else (a, -b)
 
     def filter(self, predicate) -> "FourierPerturbation":
-        """New series keeping only modes whose canonical key satisfies predicate."""
-        kept = {k: ab for k, ab in self._modes.items() if predicate(k)}
-        return FourierPerturbation(kept)
+        """The terms whose canonical mode (a tuple (k1, k2)) satisfies predicate."""
+        _, modes, index = self._modes()
+        keep = np.array([bool(predicate(tuple(k))) for k in modes.tolist()], dtype=bool)[index]
+        return self._of_merged(self.e[keep], self.c[keep], self.divisors)
 
-    # -- evaluation ----------------------------------------------------------------
+    def __len__(self):
+        return len(self.c)
 
-    def table(self) -> ModeTable:
-        """The packed table of the series, built on first use and cached."""
-        if self._table is None:
-            self._table = ModeTable.of_modes(self._modes)
-        return self._table
+    # -- evaluation ------------------------------------------------------------------
+
+    def table(self, omega=None) -> ModeTable:
+        """The series' ModeTable over its divisors, modes in (k1, k2) order; omega divides it.
+
+        C e^(ix) + C' e^(-ix) = Re(C + C') cos x - Im(C - C') sin x, so a
+        term adds Re(c) to its canonical mode's cos row and -s Im(c) to its
+        sin row, s its sign (0 on the mean, whose sin is void).  The
+        undivided table is built on first use and cached.
+        """
+        if omega is None and self._table is not None:
+            return self._table
+        sign, modes, index = self._modes()
+        table = ModeTable(modes, np.concatenate([index, len(modes) + index]), np.tile(self.e[:, 2:], (2, 1)),
+                          np.concatenate([self.c.real, -sign * self.c.imag]), self.divisors, omega)
+        if omega is None:
+            self._table = table
+        return table
 
     def __call__(self, theta1, theta2, I1, I2):
         return self.table().values(theta1, theta2, I1, I2)
 
-    # -- algebra ----------------------------------------------------------------
+    # -- algebra ---------------------------------------------------------------------
 
     def __add__(self, other: "FourierPerturbation") -> "FourierPerturbation":
-        merged = dict(self._modes)
-        for k, (a, b) in other._modes.items():
-            oa, ob = merged.get(k, (PolyField.zero(), PolyField.zero()))
-            merged[k] = (oa + a, ob + b)
-        return FourierPerturbation(merged)
+        return FourierPerturbation.concatenate([self, other])
 
     def __sub__(self, other: "FourierPerturbation") -> "FourierPerturbation":
-        return self + (-1.0) * other
+        return self + other * -1.0
 
     def __mul__(self, scalar):
-        scalar = float(scalar)
-        return FourierPerturbation(
-            {k: (scalar * a, scalar * b) for k, (a, b) in self._modes.items()}
-        )
+        c = self.c * float(scalar)
+        live = c != 0.0
+        return self._of_merged(self.e[live], c[live], self.divisors)
 
     __rmul__ = __mul__
 
+    def quarter_turn(self) -> "FourierPerturbation":
+        """Every mode's (cos, sin) pair (a, b) turned to (-b, a): -i on k, +i on -k; the mean drops out."""
+        sign = self._modes()[0]
+        return FourierPerturbation(self.e, self.c * (-1j * sign), self.divisors)
+
+    def divided(self, omega) -> "FourierPerturbation":
+        """Every mode's (cos, sin) pair divided by 2 pi k.omega(I), k canonical: what table(omega) evaluates.
+
+        A mode k = g k' with k' primitive divides by g d(k'), d(k') = k'.omega,
+        which joins the series' divisors unless it is one of them already;
+        modes along one k' share it.  The series must have no mean.
+        """
+        _, modes, index = self._modes()
+        g = np.gcd(modes[:, 0], modes[:, 1])
+        primitive = [tuple(p) for p in (modes // g[:, None]).tolist()]
+        divisors, column = list(self.divisors), {}
+        for p in sorted(set(primitive)):
+            d = p[0] * omega[0] + p[1] * omega[1]
+            if d not in divisors:
+                divisors.append(d)
+            column[p] = 4 + divisors.index(d)
+        e = np.zeros((len(self.c), 4 + len(divisors)), dtype=np.int64)
+        e[:, : self.e.shape[1]] = self.e
+        e[np.arange(len(self.c)), np.array([column[p] for p in primitive], dtype=np.int64)[index]] += 1
+        return FourierPerturbation(e, self.c * (1.0 / (TWO_PI * g[index])), divisors)
+
+    # -- Lie brackets ----------------------------------------------------------------
+
+    def _d_actions(self):
+        """(exponent rows, (n, 2) coefficients) of the two action derivatives, as one union."""
+        parts, coefs = [], []
+        for i in (0, 1):
+            src, rows, factor = monomial_partials(self.e[:, 2:], self.divisors, i)
+            parts.append(np.concatenate([self.e[src, :2], rows], axis=1))
+            c = np.zeros((len(src), 2), dtype=complex)
+            c[:, i] = self.c[src] * factor
+            coefs.append(c)
+        return _merged(np.concatenate(parts), np.concatenate(coefs))
+
+    def bracket(self, chi: "FourierPerturbation") -> "FourierPerturbation":
+        """{self, chi} = d_theta self . d_I chi - d_I self . d_theta chi, angles in turns."""
+        (g, chi), divisors = _aligned([self, chi])
+        e_chi_I, c_chi_I = chi._d_actions()
+        e_I, c_I = g._d_actions()
+        k, k_chi = g.e[:, :2, None], chi.e[None, :, :2]
+        # elementwise, not through BLAS, so no kernel choice enters a sum
+        out = _product_sum([
+            (g.e, e_chi_I, (1j * TWO_PI * g.c)[:, None] * (k[:, 0] * c_chi_I[:, 0] + k[:, 1] * c_chi_I[:, 1])),
+            (e_I, chi.e, -1j * TWO_PI * (c_I[:, :1] * k_chi[..., 0] + c_I[:, 1:] * k_chi[..., 1]) * chi.c[None, :]),
+        ])
+        if out is None:
+            return self._of_merged(g.e[:0], g.c[:0], divisors)
+        return self._of_merged(*out, divisors)
+
+    # -- bounds and pruning ----------------------------------------------------------
+
+    def bounds(self, window) -> np.ndarray:
+        """Per term, |c| sup|I1|^a sup|I2|^b prod_j (min |d_j|)^-m_j on window.
+
+        The sups are the window's corners; min |d_j| is taken on its 65 x 17
+        grid, the grid on which generators guard their divisors.
+        """
+        top = np.array([max(abs(window.i1_min), abs(window.i1_max)), max(abs(window.i2_min), abs(window.i2_max))])
+        I1, I2 = window.grid(65, 17)
+        low = [float(np.min(np.abs(d(I1[:, None], I2[None, :])))) for d in self.divisors]
+        scale = np.prod(top ** self.e[:, 2:4], axis=1)
+        for j, m in enumerate(low):
+            scale = scale / m ** self.e[:, 4 + j]
+        return np.abs(self.c) * scale
+
+    def bound(self, window) -> float:
+        """Sum of the per-term bounds on window, a bound on the series there."""
+        return float(np.sum(self.bounds(window)))
+
+    def pruned(self, window, floor: float):
+        """(the series without the terms whose bound is <= floor, the sum of their bounds)."""
+        b = self.bounds(window)
+        drop = b <= floor
+        return self._of_merged(self.e[~drop], self.c[~drop], self.divisors), float(np.sum(b[drop]))
+
     def __repr__(self):
         keys = ", ".join(str(k) for k in self.mode_keys)
-        return f"FourierPerturbation(modes=[{keys}])"
+        return f"FourierPerturbation(modes=[{keys}], divisors={len(self.divisors)})"

@@ -176,7 +176,7 @@ class IntegrableSystem:
 
 def hamiltonian_series(h: PolyField, f: FourierPerturbation) -> FourierPerturbation:
     """h(I) + f(theta, I) as one series, with h on the mode (0, 0)."""
-    return FourierPerturbation({(0, 0): (h, PolyField.zero())}) + f
+    return FourierPerturbation.from_terms([((0, 0), h, 0.0)]) + f
 
 
 class SystemBundle:

@@ -1,4 +1,4 @@
-"""References shared by the tests: a rational series summed term by term, and a flowed remainder.
+"""References shared by the tests: a series summed term by term, and a flowed remainder.
 
 In reference_rows each term c e^(2 pi i k.theta) I1^a I2^b prod_j d_j(I)^(-m_j)
 and its four first partials are evaluated on their own in complex
@@ -9,7 +9,7 @@ point through its whole transform, with no Lie series.
 
 import numpy as np
 
-from resodrift.rational import RationalSeries
+from resodrift.fourier import FourierPerturbation
 from resodrift.systems import hamiltonian_series
 
 TWO_PI = 2.0 * np.pi
@@ -42,14 +42,13 @@ def reference_rows(series, th1, th2, I1, I2):
 def flowed_remainder(nf, th1, th2, I1, I2):
     """(H o Phi - h - sum_j eps^j f_bar_j) / eps^(n+1) of nf at points, each flowed through Phi.
 
-    h + eps f_bar_1 is a FourierPerturbation; the later f_bar_j join it as
-    one RationalSeries over their divisors.  The difference of O(1) values
+    h + eps f_bar_1 is a series without divisors; the later f_bar_j join it
+    as one series over theirs.  The difference of O(1) values
     is divided by eps^(n+1), so it carries about 5e-15 / eps^n of rounding
     noise.
     """
     moved = nf.bundle.hamiltonian(*nf.phi_points(th1, th2, I1, I2))
     base = hamiltonian_series(nf.bundle.system.h, nf.step1.scale * nf.step1.f_bar)
     later = [step.f_bar * step.scale for step in nf.averaging_steps[1:]]
-    if later:
-        base = RationalSeries.concatenate([RationalSeries.from_fourier(base, later[0].divisors), *later])
+    base = FourierPerturbation.concatenate([base, *later])
     return (moved - base.table().values(th1, th2, I1, I2)) / nf.epsilon ** (nf.steps + 1)

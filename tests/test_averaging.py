@@ -160,7 +160,7 @@ def test_generator_keeps_its_smallest_divisor():
     direct = min(np.min(np.abs(k1 * om[0] + k2 * om[1])) for k1, k2 in chi.mode_keys)
     assert chi.min_divisor == pytest.approx(direct, rel=1e-13)
     assert chi.min_divisor >= chi.varpi / 2
-    assert GeneratorChi(entry.system, {}, 8, window).min_divisor is None
+    assert GeneratorChi(entry.system, FourierPerturbation.zero(), 8, window).min_divisor is None
 
 
 def test_generator_gradients_match_finite_differences(rng):
@@ -215,7 +215,7 @@ def test_generator_rejects_resonant_modes():
     with pytest.raises(SmallDivisorError):
         GeneratorChi(
             entry.system,
-            {(1, 0): (0.0, 1.0)},
+            FourierPerturbation.from_terms([((1, 0), 0.0, 1.0)]),
             cutoff=4,
             window=window,
         )
@@ -586,6 +586,30 @@ def test_first_remainder_series_is_built_once_per_bundle(monkeypatch):
     assert calls == [bundle, other]
 
 
+def test_first_remainder_is_folded_once_per_bundle(monkeypatch):
+    # f''s table is cached on the series: the one-step survey folds it and
+    # the two-step build reads its amplitudes off the same table; a second
+    # remainder call folds no series again
+    tables = []
+    original = fourier.FourierPerturbation.table
+
+    def spy(self, omega=None):
+        table = original(self, omega)
+        tables.append((self, table))
+        return table
+
+    monkeypatch.setattr(fourier.FourierPerturbation, "table", spy)
+    bundle = rd.make_bundle("generic3", 1e-3)
+    s1 = rd.one_step_normal_form(bundle)
+    nf = rd.two_step_normal_form(bundle, step1=s1, theta_grid=48)
+    assert len({id(t) for s, t in tables if s is s1.first_remainder}) == 1
+    points = (np.array([0.1, 0.7]), np.array([0.3, 0.2]), np.array([1.0, 1.001]), np.array([0.0, 1e-4]))
+    nf.remainder(*points)
+    folded = {id(t) for _, t in tables}
+    nf.remainder(*points)
+    assert {id(t) for _, t in tables} == folded
+
+
 # -- two-step normal form ----------------------------------------------------
 
 
@@ -767,6 +791,22 @@ def test_chi2_solves_the_second_homological_equation(two_step_results, action_de
     sup = float(np.max(np.abs(f_osc.table().outer(th[:, None], th[None, :], I1[:, None], I2[None, :]))))
     assert sup > 0.0
     assert averaging._homological_residual(nf.bundle.system, chi2, f_osc, chi2.window) <= 1e-13 * sup
+
+
+@pytest.mark.parametrize("case", ["generic3", "action-dependent"])
+def test_chi2_series_matches_its_divided_table(two_step_results, action_dependent_two_step, case):
+    # chi2's series divides its numerators, rational over chi1's divisors, by
+    # the divisors of its own primitive modes; its table meets chi2 on 400
+    # seeded points of the quarter window
+    nf = two_step_results[1e-2] if case == "generic3" else action_dependent_two_step[1e-3]
+    w = nf.quarter_window
+    rng = np.random.default_rng(29)
+    points = tuple(rng.uniform(lo, hi, 400) for lo, hi in
+                   ((0.0, 1.0), (0.0, 1.0), (w.i1_min, w.i1_max), (w.i2_min, w.i2_max)))
+    want = nf.chi2.evaluate(*points)
+    series = nf.chi2.series()
+    assert len(series.divisors) > len(nf.chi.series().divisors)
+    assert np.max(np.abs(series.table().values(*points) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_two_step_cutoff_and_kept_modes_are_pinned(generic3_bundles, one_step_results, two_step_results):

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import resodrift as rd
-from resodrift.averaging import GeneratorChi
+from resodrift.averaging import GeneratorChi, first_remainder_series, solve_homological
 from resodrift import fourier
 from resodrift.fourier import FourierPerturbation, canonical_mode
 from resodrift.poly import PolyField
-from resodrift.systems import ActionWindow, SystemBundle
+from resodrift.systems import ActionWindow, SystemBundle, star_window
+
+from series_reference import reference_rows
+from test_averaging import _action_dependent_bundle
 
 TWO_PI = 2.0 * np.pi
 
@@ -117,6 +120,16 @@ def test_zero_perturbation_evaluates_to_zero():
     assert z.mode_keys == []
     vals = z(np.array([0.1, 0.2]), np.array([0.3, 0.4]), 0.0, 0.0)
     np.testing.assert_array_equal(vals, np.zeros(2))
+
+
+@pytest.mark.parametrize("case", ["scaled", "unperturbed-bundle"])
+def test_a_zero_scale_drops_every_mode(case):
+    # exact zeros are dropped, so eps = 0 adds no dead mode to H's table
+    f = rd.get_entry("generic3").perturbation
+    if case == "scaled":
+        assert (0.0 * f).is_zero and (f * 0.0).mode_keys == []
+    else:
+        assert rd.make_bundle("generic3", 0.0).series.mode_keys == [(0, 0)]
 
 
 # -- the packed table against the per-mode loop it replaced --------------------
@@ -276,7 +289,11 @@ def test_vector_field_matches_per_mode_loop(eps, rng):
 @settings(max_examples=40, deadline=None)
 @given(numerators=_chi_modes, seed=_seed)
 def test_generator_matches_per_mode_loop(numerators, seed):
-    chi = GeneratorChi(_GENERIC3, numerators, 5, _CHI_WINDOW)
+    # a mode k divides by 2 pi k.omega, and the table by 2 pi s k.omega with s k
+    # canonical, so the numerator series carries the sign s
+    series = FourierPerturbation.from_terms(
+        (k, canonical_mode(k)[1] * nc, canonical_mode(k)[1] * ns) for k, (nc, ns) in numerators.items())
+    chi = GeneratorChi(_GENERIC3, series, 5, _CHI_WINDOW)
     rng = np.random.default_rng(seed)
     w = _CHI_WINDOW
     pts = _points(rng, 6, (w.i1_min, w.i2_min), (w.i1_max, w.i2_max))
@@ -390,3 +407,146 @@ def test_outer_blocks_slice_the_actions_of_outer(grad, rng, monkeypatch):
     assert [rows.shape for rows in blocks] == [(whole.shape[0], 2, 12)] * 5
     got = np.concatenate(blocks, axis=1)
     np.testing.assert_allclose(got, whole, rtol=0, atol=1e-12 * np.max(np.abs(whole)))
+
+
+# -- series over divisors: generators, brackets, bounds --------------------------
+
+# an action-dependent series with a mode (2, 2) that shares the divisor of (1, 1)
+F = FourierPerturbation.from_terms([
+    ((1, 0), 0.3, PolyField.from_terms([(0, 0, 0.1), (1, 0, 0.2)])),
+    ((0, 1), PolyField.from_terms([(0, 0, 0.2), (1, 0, 0.1)]), 0.05),
+    ((1, 1), 0.0, PolyField.from_terms([(0, 1, 0.5), (1, 0, 0.05)])),
+    ((2, 2), PolyField.from_terms([(2, 0, 0.07)]), -0.02),
+])
+
+
+def values(series, points):
+    return series.table().values(*points)
+
+
+def _over(f, divisors):
+    """f as a series over divisors, every term with divisor power 0."""
+    return FourierPerturbation(np.pad(f.e, ((0, 0), (0, len(divisors)))), f.c, divisors)
+
+
+def _chi_and_points(seed=7, n=300):
+    system = rd.get_entry("generic3").system
+    window = star_window(system.resonance, 0.02)
+    chi = solve_homological(system, F, 8, window)
+    rng = np.random.default_rng(seed)
+    points = tuple(rng.uniform(lo, hi, n) for lo, hi in
+                   ((0.0, 1.0), (0.0, 1.0), (window.i1_min, window.i1_max), (window.i2_min, window.i2_max)))
+    return chi, window, points
+
+
+def test_generator_series_matches_the_divided_table():
+    chi, _, points = _chi_and_points()
+    series = chi.series()
+    # (1, 1) and (2, 2) divide by one divisor I1, (0, 1) by I1 - I2
+    assert len(series.divisors) == 2
+    scale = np.max(np.abs(chi.evaluate(*points)))
+    assert np.max(np.abs(values(series, points) - chi.evaluate(*points))) <= 1e-14 * scale
+
+
+def test_fourier_series_keeps_its_coefficients():
+    chi, _, points = _chi_and_points()
+    series = _over(F, chi.series().divisors)
+    assert np.max(np.abs(values(series, points) - F(*points))) <= 1e-15
+    table = series.table()
+    a, b = table.coefficients(points[2], points[3])
+    assert [tuple(k) for k in table.K] == F.mode_keys
+    for k, ak, bk in zip(table.K, a, b):
+        pa, pb = F.coefficient(k)
+        np.testing.assert_allclose(ak, pa(points[2], points[3]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(bk, pb(points[2], points[3]), rtol=0, atol=1e-15)
+
+
+def test_bracket_matches_the_pointwise_bracket():
+    # {G, chi} = G_theta . chi_I - G_I . chi_theta from the rows of the tables
+    chi, _, points = _chi_and_points()
+    chi_theta, chi_I = chi.gradients(*points)
+    G = F.table().evaluate(*points)
+    pointwise = G[1] * chi_I[0] + G[2] * chi_I[1] - G[3] * chi_theta[0] - G[4] * chi_theta[1]
+    series = F.bracket(chi.series())
+    assert np.max(np.abs(values(series, points) - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
+    # and once more, on a bracket whose terms carry divisor powers
+    twice = series.bracket(chi.series())
+    h = 1e-6
+    shifted = [tuple(p + h * (i == j) for i, p in enumerate(points)) for j in range(4)]
+    back = [tuple(p - h * (i == j) for i, p in enumerate(points)) for j in range(4)]
+    d = [(values(series, s) - values(series, b)) / (2 * h) for s, b in zip(shifted, back)]
+    fd = d[0] * chi_I[0] + d[1] * chi_I[1] - d[2] * chi_theta[0] - d[3] * chi_theta[1]
+    assert np.max(np.abs(values(twice, points) - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_bound_dominates_the_series_and_pruning_counts_what_it_drops():
+    chi, window, points = _chi_and_points()
+    series = F.bracket(chi.series())
+    assert series.bound(window) >= np.max(np.abs(values(series, points)))
+    bounds = series.bounds(window)
+    floor = float(np.median(bounds))
+    kept, dropped = series.pruned(window, floor)
+    assert len(kept) == np.count_nonzero(bounds > floor)
+    assert dropped == pytest.approx(float(np.sum(bounds[bounds <= floor])), rel=1e-15)
+    assert np.max(np.abs(values(series, points) - values(kept, points))) <= dropped
+
+
+def test_wide_keys_merge_as_the_packed_ones(monkeypatch):
+    # rows whose mixed-radix key could overflow int64 merge through
+    # np.unique on the rows; both paths give the same series
+    chi, _, points = _chi_and_points()
+    packed = F.bracket(chi.series()).bracket(chi.series())
+    monkeypatch.setattr(fourier, "_radix", lambda lo, hi, top: None)
+    wide = F.bracket(chi.series()).bracket(chi.series())
+    assert len(wide) == len(packed)
+    np.testing.assert_array_equal(np.sort(wide.e.view([("", wide.e.dtype)] * wide.e.shape[1]), axis=0),
+                                  np.sort(packed.e.view([("", packed.e.dtype)] * packed.e.shape[1]), axis=0))
+    np.testing.assert_allclose(values(wide, points), values(packed, points), rtol=0, atol=1e-12)
+
+
+def test_series_over_other_divisors_do_not_mix():
+    # a series without divisors takes zero divisor columns, two over
+    # different divisor sets do not combine
+    chi, _, points = _chi_and_points()
+    g = _over(F, chi.series().divisors)
+    mixed = g + F
+    assert mixed.divisors == g.divisors
+    np.testing.assert_allclose(values(mixed, points), 2.0 * F(*points), rtol=0, atol=1e-15)
+    for divisors in ((PolyField.constant(1.0),), (PolyField.constant(1.0), PolyField.constant(2.0))):
+        other = _over(F, divisors)
+        with pytest.raises(ValueError, match="different divisors"):
+            g + other
+        with pytest.raises(ValueError, match="different divisors"):
+            other.bracket(chi.series())
+
+
+def test_a_perturbation_adds_to_a_series_over_divisors(two_step_results):
+    # f + f_bar_2, the second resonant correction being over chi1's divisors
+    f = rd.get_entry("generic3").perturbation
+    f_bar2 = two_step_results[1e-3].averaging_steps[1].f_bar
+    assert f_bar2.divisors and not f.divisors
+    rng = np.random.default_rng(31)
+    w = two_step_results[1e-3].quarter_window
+    points = tuple(rng.uniform(lo, hi, 200) for lo, hi in
+                   ((0.0, 1.0), (0.0, 1.0), (w.i1_min, w.i1_max), (w.i2_min, w.i2_max)))
+    for got, want in (((f + f_bar2)(*points), f(*points) + f_bar2(*points)),
+                      ((f_bar2 - f)(*points), f_bar2(*points) - f(*points))):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("case", ["generic3", "action-dependent"])
+def test_table_of_the_first_remainder_matches_its_terms(one_step_results, case):
+    # the table's value and four partials against the terms summed one by
+    # one in complex arithmetic, relative to each row's sup on the points
+    nf = one_step_results[1e-3] if case == "generic3" else rd.one_step_normal_form(_action_dependent_bundle(1e-3))
+    series, _ = first_remainder_series(nf)
+    w = nf.sample_window
+    rng = np.random.default_rng(27)
+    points = tuple(rng.uniform(lo, hi, 64) for lo, hi in
+                   ((0.0, 1.0), (0.0, 1.0), (w.i1_min, w.i1_max), (w.i2_min, w.i2_max)))
+    want = reference_rows(series, *points)
+    got = series.table().evaluate(*points)
+    for r in range(5):
+        sup = np.max(np.abs(want[r]))
+        assert sup > 0.0
+        assert np.max(np.abs(got[r] - want[r])) <= 1e-13 * sup, r
