@@ -171,7 +171,12 @@ _finite = _flag_type("expected a finite number", float, math.isfinite)
 _finite_positive = _flag_type(
     "expected a finite positive number", float, lambda v: math.isfinite(v) and v > 0
 )
-_positive_int = _flag_type("expected a positive integer", int, lambda n: n >= 1)
+# ceilings on the size flags, so an oversized value exits 2 before anything is allocated
+_MAX_SAMPLES = 10**6
+_MAX_GRID_POINTS = 10**6
+_positive_int = _flag_type(
+    f"expected a positive integer up to {_MAX_SAMPLES}", int, lambda n: 1 <= n <= _MAX_SAMPLES
+)
 _epsilon = _flag_type("expected an epsilon in [0, 1)", float, lambda v: 0.0 <= v < 1.0)
 _positive_epsilon = _flag_type("expected an epsilon in (0, 1)", float, lambda v: 0.0 < v < 1.0)
 _t_end = _flag_type(
@@ -184,9 +189,9 @@ _tol = _flag_type(
     lambda pair: len(pair) == 2 and all(math.isfinite(v) and v > 0 for v in pair),
 )
 _grid = _flag_type(
-    "expected NxM integers with N >= 2 and M >= 1",
+    f"expected NxM integers with N >= 2, M >= 1 and N*M <= {_MAX_GRID_POINTS}",
     lambda text: tuple(int(v) for v in text.lower().split("x")),
-    lambda pair: len(pair) == 2 and pair[0] >= 2 and pair[1] >= 1,
+    lambda pair: len(pair) == 2 and pair[0] >= 2 and pair[1] >= 1 and pair[0] * pair[1] <= _MAX_GRID_POINTS,
 )
 _state = _flag_type(
     "expected four finite numbers th1,th2,I1,I2",

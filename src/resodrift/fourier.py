@@ -12,10 +12,9 @@ vectors k (first nonzero component positive), is read off the terms.
 
 Every series is evaluated through one packed :class:`ModeTable`: an integer
 mode matrix and the cos/sin coefficients of every mode as rows over a basis of
-rational monomials, the plain power table of the actions when there are no
-divisors.  The table also gives every first partial in closed form, which is
-what vector fields, generator flows, norm estimates and the genericity scan
-read.
+the rational monomials its terms use, each made by repeated multiplication.
+The table also gives every first partial in closed form, which is what vector
+fields, generator flows, norm estimates and the genericity scan read.
 """
 
 from __future__ import annotations
@@ -78,6 +77,18 @@ def _powers(x, top: int) -> np.ndarray:
     return powers
 
 
+def _monomials(e, bases) -> np.ndarray:
+    """prod_c bases[c] ** e[:, c] at 1-D points, shape (len(e), points), gathered from :func:`_powers`.
+
+    A zero exponent gathers the factor 1.0, which changes no bit of a product.
+    """
+    out = None
+    for c, (x, top) in enumerate(zip(bases, np.max(e, axis=0, initial=0).tolist())):
+        factor = _powers(x, top)[e[:, c]]
+        out = factor if out is None else np.multiply(out, factor, out=out)
+    return out
+
+
 def _poly_terms(polys, J: int):
     """(row r, exponent rows, coefficient) of every nonzero entry of polys[r], a PolyField or number."""
     t = np.array([(r, i, j, c) for r, p in enumerate(polys) for i, j, c in PolyField._coerce(p).to_terms()])
@@ -110,12 +121,14 @@ class ModeTable:
     m + r.  The rows are one matrix over a basis of such monomials, and
     their action derivatives (:func:`monomial_partials`) two more over the
     same basis, which holds the monomials of the terms and of their
-    derivatives.  The divisors themselves are one coefficient matrix over
-    the power table of the actions, so no point reaches PolyField's
-    evaluator.  Without divisors, as for a perturbation, the basis
-    is the whole power table I1**i * I2**j (i < n1, j < n2) at index
-    i * n2 + j.  An angle derivative rotates the cos/sin pair and scales by
-    2 pi k.  Values and first partials are all read off the basis.
+    derivatives, in the order of their exponent rows.  The divisors
+    themselves are one coefficient matrix over the monomials I1^a I2^b of
+    their own terms, so no point reaches PolyField's evaluator.  Every
+    monomial at points is gathered from the powers of I1, I2 and each
+    1 / d_j (:func:`_monomials`), made by repeated multiplication as the
+    single-point branch makes them.  An angle derivative rotates the
+    cos/sin pair and scales by 2 pi k.  Values and first partials are all
+    read off the basis.
 
     Given omega, a pair of polynomials (the frequency map), the table is
     divided: omega only enters the divisors, every mode is divided by
@@ -135,8 +148,7 @@ class ModeTable:
     """
 
     __slots__ = ("K", "divided", "block_points", "_Kf", "_k1", "_k2", "_divisors", "_divisor_W",
-                 "_divisor_tops", "_basis", "_tops", "_width", "_e1", "_e2", "_W", "_n_poly", "_n1", "_n2", "_w",
-                 "_point", "point_source")
+                 "_divisor_basis", "_basis", "_width", "_W", "_n_poly", "_w", "_point", "point_source")
 
     def __init__(self, K, poly, e, v, divisors=(), omega=None):
         self.K = np.asarray(K, dtype=int).reshape(-1, 2)
@@ -156,21 +168,15 @@ class ModeTable:
             terms.append((poly[src], d_e, v[src] * factor))
         block = np.repeat([0, 1, 2], [len(t[2]) for t in terms])
         rows, exps, coef = (np.concatenate(x) for x in zip(*terms))
-        n1, n2 = (int(np.max(exps[:, i], initial=0)) + 1 for i in (0, 1))
-        if J:
-            # divisor j is row j of a matrix over the powers I1**i * I2**k at index i * (k_top + 1) + k
-            r, d_e, d_v = _poly_terms(self._divisors, 0)
-            self._divisor_tops = t1, t2 = tuple(int(np.max(d_e[:, i], initial=0)) for i in (0, 1))
-            self._divisor_W = np.zeros((J, (t1 + 1) * (t2 + 1)))
-            np.add.at(self._divisor_W, (r, d_e[:, 0] * (t2 + 1) + d_e[:, 1]), d_v)
-            self._basis, index = np.unique(exps, axis=0, return_inverse=True)
-            self._tops = np.max(self._basis, axis=0, initial=0).tolist()
-            # a block's tables of powers, the basis and one gathered factor
-            self._width = sum(self._tops) + len(self._tops) + 2 * len(self._basis)
-        else:
-            index = exps[:, 0] * n2 + exps[:, 1]
-            self._width = n1 * n2
-        W = np.zeros((3, n_poly, len(self._basis) if J else n1 * n2))
+        self._basis, index = np.unique(exps, axis=0, return_inverse=True)
+        # a block's tables of powers, the basis and one gathered factor
+        self._width = int(np.sum(np.max(self._basis, axis=0, initial=0) + 1)) + 2 * len(self._basis)
+        # divisor j is row j of a matrix over the monomials of the divisors' own exponent rows
+        r, d_e, d_v = _poly_terms(self._divisors, 0)
+        self._divisor_basis, d_index = np.unique(d_e, axis=0, return_inverse=True)
+        self._divisor_W = np.zeros((J, len(self._divisor_basis)))
+        np.add.at(self._divisor_W, (r, d_index.reshape(-1)), d_v)
+        W = np.zeros((3, n_poly, len(self._basis)))
         np.add.at(W, (block, rows, index.reshape(-1)), coef)
         # one row per (block, polynomial); blocks are value, d/dI1, d/dI2
         self._W = W.reshape(3 * n_poly, W.shape[2])
@@ -178,23 +184,21 @@ class ModeTable:
         self.block_points = max(1, BLOCK_VALUES // (self._width + 3 * n_poly))
         self._Kf = self.K.astype(float)
         self._k1, self._k2 = self._Kf[:, 0].copy(), self._Kf[:, 1].copy()
-        self._e1, self._e2 = np.arange(n1), np.arange(n2)
-        # the single-point branch works in Python floats and ints
-        self._n1, self._n2 = n1, n2
+        # the single-point branch works in Python floats
         self._w = (TWO_PI * self._Kf).tolist()
         self._point = self.point_source = None
 
     # -- the two branches ------------------------------------------------------------
 
     def _compile_terms(self):
-        """Per row, the nonzero (power index, trig index, coefficient) terms.
+        """Per row, the nonzero (basis index, trig index, coefficient) terms.
 
-        Every row of an undivided table is bilinear in the powers
-        I1**i * I2**j (power index i * n2 + j) and the trig values: the cos of
-        mode k at trig index k and its sin at m + k.
+        Every row of an undivided table without divisors is bilinear in the
+        basis monomials I1**a * I2**b and the trig values: the cos of mode k
+        at trig index k and its sin at m + k.
         """
         m = self.K.shape[0]
-        value, d_i1, d_i2 = self._W.reshape(3, self._n_poly, self._n1 * self._n2).tolist()
+        value, d_i1, d_i2 = self._W.reshape(3, self._n_poly, len(self._basis)).tolist()
         rows = [[] for _ in range(5)]
 
         def add(row, trig, coeffs, scale=1.0):
@@ -225,21 +229,20 @@ class ModeTable:
         point_source.
         """
         if self._point is None:
-            m, n1, n2 = self.K.shape[0], self._n1, self._n2
+            m = self.K.shape[0]
             lines = ["def point(t1, t2, x1, x2):"]
             for k, (w1, w2) in enumerate(self._w):
                 lines += [f"    q{k} = {w1!r} * t1 + {w2!r} * t2", f"    c{k} = cos(q{k})", f"    s{k} = sin(q{k})"]
-            for x, n in (("x1", n1), ("x2", n2)):
+            for x, n in zip(("x1", "x2"), (np.max(self._basis, axis=0, initial=0) + 1).tolist()):
                 lines += [f"    {x}_{i} = {x}_{i - 1} * {x}" if i > 1 else f"    {x}_1 = {x}" for i in range(1, n)]
             rows = self._compile_terms()
             used = {p for row in rows for p, _, _ in row}
-            # power i * n2 + j is I1**i * I2**j
+            # basis row p is I1**i * I2**j
             power = []
-            for i in range(n1):
-                for j in range(n2):
-                    if i and j and i * n2 + j in used:
-                        lines.append(f"    p{i}_{j} = x1_{i} * x2_{j}")
-                    power.append(f"p{i}_{j} * " if i and j else f"x1_{i} * " if i else f"x2_{j} * " if j else "")
+            for p, (i, j) in enumerate(self._basis.tolist()):
+                if i and j and p in used:
+                    lines.append(f"    p{i}_{j} = x1_{i} * x2_{j}")
+                power.append(f"p{i}_{j} * " if i and j else f"x1_{i} * " if i else f"x2_{j} * " if j else "")
             trig = [f"c{k}" for k in range(m)] + [f"s{k}" for k in range(m)]
             for r, row in enumerate(rows):
                 terms = [f"{c!r} * {power[p]}{trig[q]}" for p, q, c in row]
@@ -263,18 +266,12 @@ class ModeTable:
 
     def _rows(self, x1, x2, blocks: int):
         """Polynomial rows at 1-D actions: the value block, then the derivative blocks."""
-        if not self._divisors:
-            basis = ((x1 ** self._e1[:, None])[:, None, :] * (x2 ** self._e2[:, None])[None, :, :]).reshape(-1, len(x1))
-            return self._W[: blocks * self._n_poly] @ basis
-        # column c of the exponent rows indexes the powers of the c-th base:
-        # I1, I2 and each 1 / d_j, the divisors read off their power table
-        t1, t2 = self._divisor_tops
-        inverse = list(1.0 / (self._divisor_W @ (_powers(x1, t1)[:, None] * _powers(x2, t2)).reshape(-1, len(x1))))
-        basis = None
-        for c, (x, top) in enumerate(zip([x1, x2] + inverse, self._tops)):
-            factor = _powers(x, top)[self._basis[:, c]]
-            basis = factor if basis is None else np.multiply(basis, factor, out=basis)
-        return self._W[: blocks * self._n_poly] @ basis
+        # column c of the exponent rows is the power of the c-th base: I1, I2
+        # and each 1 / d_j, the divisors read off the monomials of their rows
+        inverse = []
+        if self._divisors:
+            inverse = list(1.0 / (self._divisor_W @ _monomials(self._divisor_basis, (x1, x2))))
+        return self._W[: blocks * self._n_poly] @ _monomials(self._basis, [x1, x2] + inverse)
 
     def _k_dot(self, om):
         """2 pi k.omega for every mode from rows (..., 2, points) of omega or its derivatives."""
@@ -406,7 +403,7 @@ class ModeTable:
         of shape (rows, slice length, angle points), with rows = 5 with grad
         and 1 without.  The angle table is computed once.  The slices
         are sized so that the angle table and a slice's temporaries (its
-        rows, their weights, its power table and polynomial rows) hold about
+        rows, their weights, its monomial tables and polynomial rows) hold about
         BLOCK_VALUES values.  Every block is a view of one buffer that the
         next block overwrites, so a consumer may reduce it in place but must
         not keep it.
@@ -736,15 +733,13 @@ class FourierPerturbation:
         """Per term, |c| sup|I1|^a sup|I2|^b prod_j (min |d_j|)^-m_j on window.
 
         The sups are the window's corners; min |d_j| is taken on its 65 x 17
-        grid, the grid on which generators guard their divisors.
+        grid, the grid on which generators guard their divisors.  The powers
+        of the sups and of 1 / min |d_j| are the monomials of a table.
         """
-        top = np.array([max(abs(window.i1_min), abs(window.i1_max)), max(abs(window.i2_min), abs(window.i2_max))])
+        tops = [max(abs(window.i1_min), abs(window.i1_max)), max(abs(window.i2_min), abs(window.i2_max))]
         I1, I2 = window.grid(65, 17)
-        low = [float(np.min(np.abs(d(I1[:, None], I2[None, :])))) for d in self.divisors]
-        scale = np.prod(top ** self.e[:, 2:4], axis=1)
-        for j, m in enumerate(low):
-            scale = scale / m ** self.e[:, 4 + j]
-        return np.abs(self.c) * scale
+        inverse = [1.0 / np.min(np.abs(d(I1[:, None], I2[None, :]))) for d in self.divisors]
+        return np.abs(self.c) * _monomials(self.e[:, 2:], [np.array([x]) for x in tops + inverse])[:, 0]
 
     def bound(self, window) -> float:
         """Sum of the per-term bounds on window, a bound on the series there."""

@@ -221,6 +221,20 @@ def test_simulate_argument_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["simulate", "--system", "moser", "--epsilon", "1e-3", "--t-end", "1", "--samples", "1000000001"],
+     "positive integer up to 1000000"),
+    (["genericity", "--system", "moser", "--grid", "100000x100000"], "N*M <= 1000000"),
+], ids=["samples", "grid"])
+def test_size_flags_have_a_ceiling(tmp_path, capsys, argv, rule):
+    # rejected by the parser with exit 2, before the sample times or the grid are allocated
+    out = tmp_path / "big"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert rule in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t_end", ["0", "nan", "inf"])
 def test_simulate_rejects_a_zero_or_infinite_time_span(tmp_path, capsys, t_end):
     rc = run_cli(

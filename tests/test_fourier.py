@@ -335,6 +335,27 @@ def test_a_scalar_of_any_real_type_is_evaluated_in_float64(cast):
         np.testing.assert_allclose(table.evaluate(*point), table.evaluate(*arrays)[:, 0], rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("coefficient", [
+    PolyField.from_terms([(2, 0, 0.5)]),
+    PolyField.from_terms([(0, 2, -0.5)]),
+    PolyField.from_terms([(3, 0, 1.0)]),
+    PolyField.from_terms([(1, 1, 1.0)]),
+], ids=["0.5*I1^2", "-0.5*I2^2", "I1^3", "I1*I2"])
+def test_a_one_term_series_has_the_same_bits_on_arrays_and_single_states(coefficient):
+    """Both branches build a monomial by the same multiplications, so one term reads the same bits.
+
+    A one-term series leaves no sum to order, so any difference between the
+    array and single-state values is in the powers.  I1 I2 takes no power
+    above one and is the control.
+    """
+    f = FourierPerturbation.from_terms([((0, 0), coefficient, 0.0)])
+    states = np.random.default_rng(30).uniform([-1.0, -1.0, -2.0, -2.0], [2.0, 2.0, 2.0, 2.0], (4_000, 4))
+    on_arrays = f.table().values(*states.T)
+    one_by_one = np.array([f.table().values(*state) for state in states.tolist()])
+    differ = np.flatnonzero(on_arrays != one_by_one)
+    assert differ.size == 0, f"{differ.size} of 4000 points differ, first at {states[differ[0]]}"
+
+
 def test_array_branch_crosses_block_boundaries(rng):
     a = PolyField.from_terms([(0, 0, 0.3), (1, 0, -0.7), (1, 1, 0.5), (0, 2, 1.2)])
     b = PolyField.from_terms([(2, 0, 0.4), (0, 1, -0.9), (3, 0, 0.1)])
@@ -400,7 +421,7 @@ def test_outer_blocks_slice_the_actions_of_outer(grad, rng, monkeypatch):
     angles, actions = _grid(rng, ActionWindow(0.5, 1.5, -0.3, 0.3))
     whole = table.outer(*angles, *actions, grad=grad).reshape(5 if grad else 1, 10, 12)
     # room for the angle table and two action points per block
-    per_action = (5 if grad else 1) * (12 + 2 * table.K.shape[0]) + sum(table._W.shape)
+    per_action = (5 if grad else 1) * (12 + 2 * table.K.shape[0]) + table._width + 3 * table._n_poly
     monkeypatch.setattr(fourier, "BLOCK_VALUES", table.K.shape[0] * 2 * 12 + 2 * per_action)
     # every block is a view of one buffer, so keep copies
     blocks = [rows.copy() for rows in table.outer_blocks(*angles, *actions, grad=grad)]

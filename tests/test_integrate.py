@@ -109,12 +109,13 @@ def _term_list_rows(table, terms, t1, t2, x1, x2):
     """The five rows of one point summed term by term off the compiled term lists."""
     phase = [w1 * t1 + w2 * t2 for w1, w2 in table._w]
     trig = [*map(math.cos, phase), *map(math.sin, phase)]
+    top1, top2 = np.max(table._basis, axis=0, initial=0).tolist()
     p1, p2 = [1.0], [1.0]
-    for _ in range(1, table._n1):
+    for _ in range(top1):
         p1.append(p1[-1] * x1)
-    for _ in range(1, table._n2):
+    for _ in range(top2):
         p2.append(p2[-1] * x2)
-    power = [u * v for u in p1 for v in p2]
+    power = [p1[a] * p2[b] for a, b in table._basis.tolist()]
     out = []
     for row in terms:
         acc = 0.0
