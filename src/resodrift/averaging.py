@@ -583,7 +583,8 @@ def one_step_normal_form(bundle: SystemBundle, *, displacement_points: int = 200
 # iterate term whose bound is at most PRUNE_TOL of order 1's is dropped and
 # its bound added up.  A series that has not converged by order
 # SERIES_MAX_ORDER, or holds more than SERIES_MAX_TERMS terms, raises
-# FlowEscapeError.
+# FlowEscapeError, as does a bracket of more than SERIES_MAX_PRODUCTS term
+# products (fourier.py), which is refused before it takes their memory.
 SERIES_TOL = 1e-16
 PRUNE_TOL = 1e-18
 SERIES_MAX_ORDER = 40

@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .blas import serial_blas
+from .errors import FlowEscapeError
 from .poly import PolyField
 
 TWO_PI = 2.0 * np.pi
@@ -226,8 +227,11 @@ class ModeTable:
         each row as the left-to-right sum (0.0 + c * P * T) + ... of its
         terms in their order, constants written with repr.  A factor 1.0 of
         the powers is left out, which changes no bit.  The source is kept as
-        point_source.
+        point_source.  A divided table or one over divisors has rows that are
+        not bilinear in the powers and the trig values, and raises ValueError.
         """
+        if self.divided or self._divisors:
+            raise ValueError("the single-point evaluator covers undivided tables without divisors")
         if self._point is None:
             m = self.K.shape[0]
             lines = ["def point(t1, t2, x1, x2):"]
@@ -419,6 +423,12 @@ class ModeTable:
             with serial_blas():
                 np.matmul(self._weights(a1, a2, grad).transpose(0, 2, 1), trig, out=out)
             yield out
+
+
+# A bracket forms the products of every term of one series with every term of
+# the other's derivatives, about 100 to 250 bytes each before they merge, so
+# one holding more than this many raises FlowEscapeError before it forms them.
+SERIES_MAX_PRODUCTS = 1_000_000
 
 
 # -- merging like terms ------------------------------------------------------------
@@ -713,10 +723,18 @@ class FourierPerturbation:
         return _merged(np.concatenate(parts), np.concatenate(coefs))
 
     def bracket(self, chi: "FourierPerturbation") -> "FourierPerturbation":
-        """{self, chi} = d_theta self . d_I chi - d_I self . d_theta chi, angles in turns."""
+        """{self, chi} = d_theta self . d_I chi - d_I self . d_theta chi, angles in turns.
+
+        More than SERIES_MAX_PRODUCTS term products raise FlowEscapeError
+        before any of them is formed.
+        """
         (g, chi), divisors = _aligned([self, chi])
         e_chi_I, c_chi_I = chi._d_actions()
         e_I, c_I = g._d_actions()
+        products = len(g.c) * len(c_chi_I) + len(c_I) * len(chi.c)
+        if products > SERIES_MAX_PRODUCTS:
+            raise FlowEscapeError(f"a bracket of {len(g)} by {len(chi)} terms would form {products} "
+                                  f"products, more than {SERIES_MAX_PRODUCTS}")
         k, k_chi = g.e[:, :2, None], chi.e[None, :, :2]
         # elementwise, not through BLAS, so no kernel choice enters a sum
         out = _product_sum([

@@ -1,15 +1,18 @@
 """Adaptive orbit integration, generator flows and symplecticity checks.
 
 One in-repo DOP853 stepper (scipy's step controller and interpolant on the
-tableau vendored in dop853.py) has two drivers.  integrate steps an orbit
-of the full Hamiltonian, angles on the universal cover and wrapped only
-when sampled.  It builds the interpolant only on steps that hold sample
-times or a sign change of a termination condition (domain exit, channel
-exit, target drift, stopping times), which is root-found on it by a port of
-scipy's brentq.  flow_points steps blocks of points of a generator flow as
-stacked systems, each block's first step spanning the whole flow time, and
-checks the action window after every accepted step; lie_flow is its
-one-point case.
+tableau vendored in dop853.py) has two drivers.  The products that sum
+over stages stay numpy, which keeps scipy's bits; a single state whose
+right-hand side has a float entry, as a bundle's field has, does the rest
+of a step in Python floats, and every other state in numpy arrays.
+integrate steps an orbit of the full Hamiltonian, angles on the universal
+cover and wrapped only when sampled.  It builds the interpolant only on
+steps that hold sample times or a sign change of a termination condition
+(domain exit, channel exit, target drift, stopping times), which is
+root-found on it by a port of scipy's brentq.  flow_points steps blocks
+of points of a generator flow as stacked systems, each block's first step
+spanning the whole flow time, and checks the action window after every
+accepted step; lie_flow is its one-point case.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ class StopEvent:
 
     direction follows scipy's convention; flags marks whether triggering the
     event means the run failed (left its domain) rather than succeeded
-    (reached its target).
+    (reached its target).  fn reads y by index: an orbit stepped in floats
+    passes a list of four floats at the ends of its steps and an array at
+    interpolated times.
     """
 
     name: str
@@ -137,6 +142,11 @@ def _error_norm(K, h, scale):
     return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * len(scale))
 
 
+def _larger(a, b):
+    """np.maximum of two floats: the larger, and NaN if either is NaN."""
+    return a if a >= b or a != a else b
+
+
 class _Dop853:
     """scipy's DOP853, step for step, for dy/dt = fun(t, y) from t0 toward t_bound.
 
@@ -149,8 +159,19 @@ class _Dop853:
 
     Times, step sizes and the direction are Python floats, and each stage's
     node, weights and rows of the stage table are looked up once per
-    stepper; the stage sums stay numpy products, whose bits a Python sum
-    would not keep.
+    stepper.  The products that sum over stages stay numpy, whose bits a
+    Python sum would not keep: the stage sums a_s . K, B . K, E5 . K and
+    E3 . K, the norms' dot and dense()'s extra stages and D . K.
+
+    A single state, y0 of shape (4,), whose fun has a single_state() entry
+    (SystemBundle.rhs() has one) is stepped in Python floats around those
+    products: y, f and the interpolant's rows are floats, the stage points,
+    the update, the error scale and the interpolant's Horner sum are float
+    arithmetic, and the entry's tuple of four floats is written straight
+    into the stage table.  IEEE float *, +, / and abs round as numpy's
+    elementwise ufuncs do, so both paths give scipy's bits.  Any other fun
+    or shape steps numpy arrays; the step controller (initial step, minimum
+    step, accept and shrink rule) is one for both.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, h_abs=None):
@@ -161,16 +182,26 @@ class _Dop853:
         self.f = fun(t0, y0)
         self.nfev = 1
         self.h_abs = float(self._initial_step() if h_abs is None else h_abs)
-        self.K = K = np.empty((_STAGES, y0.size))
-        # stage s: its node c_s, its weights a_sj (j < s) and the rows it weighs
-        self._stages = [(float(_C[s]), _A[s, :s].copy(), K[:s]) for s in range(1, _STAGES - 1)]
+        single = getattr(fun, "single_state", None)
+        self._single = single() if single is not None and y0.shape == (4,) else None
+        # a float stepper keeps the interpolant's 3 extra rows below the 13 a
+        # step fills; flow blocks never call dense() and keep 13
+        extra = 0 if self._single is None else len(dop853.C_EXTRA)
+        table = np.empty((_STAGES + extra, y0.size))
+        self.K = K = table[:_STAGES]
+        # stage s: its index, node c_s, weights a_sj (j < s) and the rows it weighs
+        self._stages = [(s, float(_C[s]), _A[s, :s].copy(), K[:s]) for s in range(1, _STAGES - 1)]
+        if self._single is not None:
+            self.y, self.f, self._table = y0.tolist(), tuple(self.f.tolist()), table
+            # extra stage s: its index, the rows it weighs, transposed, and its weights
+            self._extra = [(s, table[:s].T, a[:s]) for s, a in enumerate(dop853.A_EXTRA, start=_STAGES)]
 
     @property
     def running(self) -> bool:
         return self.direction * (self.t - self.t_bound) < 0
 
     def _initial_step(self):
-        """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4)."""
+        """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4), on arrays."""
         t, y, f, direction = self.t, self.y, self.f, self.direction
         interval = abs(self.t_bound - t)
         scale = self.atol + np.abs(y) * self.rtol
@@ -187,9 +218,10 @@ class _Dop853:
         return min(100 * h0, h1, interval)
 
     def step(self) -> bool:
-        t, y, fun, K, direction = self.t, self.y, self.fun, self.K, self.direction
+        t, direction = self.t, self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(self.h_abs, min_step)
+        attempt = self._attempt_arrays if self._single is None else self._attempt_floats
         rejected = False
         while True:
             if not h_abs >= min_step:
@@ -199,26 +231,48 @@ class _Dop853:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = abs(h)
-            K[0] = self.f
-            for s, (c, a, rows) in enumerate(self._stages, start=1):
-                K[s] = fun(t + c * h, y + (a @ rows) * h)
-            y_new = y + h * (_B @ K[:-1])
-            f_new = K[-1] = fun(t + h, y_new)
+            y_new, f_new, error = attempt(h)
             self.nfev += _STAGES - 1
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error = _error_norm(K, h, scale)
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error**_EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error**_EXPONENT)
             rejected = True
-        self.t_old, self.y_old, self.h = t, y, h
+        self.t_old, self.y_old, self.h = t, self.y, h
         self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
         return True
 
+    def _attempt_arrays(self, h):
+        """(y_new, f_new, error norm) of a trial step of size h."""
+        t, y, fun, K = self.t, self.y, self.fun, self.K
+        K[0] = self.f
+        for s, c, a, rows in self._stages:
+            K[s] = fun(t + c * h, y + (a @ rows) * h)
+        y_new = y + h * (_B @ K[:-1])
+        f_new = K[-1] = fun(t + h, y_new)
+        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+        return y_new, f_new, _error_norm(K, h, scale)
+
+    def _attempt_floats(self, h):
+        """_attempt_arrays on a single state, in floats around the same products."""
+        single, K = self._single, self.K
+        y = y0, y1, y2, y3 = self.y
+        K[0] = self.f
+        for s, _, a, rows in self._stages:
+            d0, d1, d2, d3 = (a @ rows).tolist()
+            K[s] = single(y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
+        d0, d1, d2, d3 = (_B @ K[:-1]).tolist()
+        y_new = [y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3]
+        f_new = K[-1] = single(*y_new)
+        atol, rtol = self.atol, self.rtol
+        scale = np.array([atol + _larger(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)])
+        return y_new, f_new, _error_norm(K, h, scale)
+
     def dense(self):
         """y(t) on the last step as a callable of a time or a 1-D array of times."""
+        if self._single is not None:
+            return self._dense_floats()
         h, t_old, y_old = self.h, self.t_old, self.y_old
         # the 3 extra rows go on a copy: flow blocks never call dense() and keep 13
         K = np.concatenate([self.K, np.empty((len(dop853.C_EXTRA), y_old.size))])
@@ -240,6 +294,36 @@ class _Dop853:
                 y += row
                 y *= x if i % 2 == 0 else 1 - x
             return (y + y_old).T
+
+        return sol
+
+    def _dense_floats(self):
+        """dense() on a single state: its rows and Horner sum in floats, as the array sol rounds them."""
+        h, t_old, y_old, single, K = self.h, self.t_old, self.y_old, self._single, self._table
+        y0, y1, y2, y3 = y_old
+        for s, rows, a in self._extra:
+            d0, d1, d2, d3 = np.dot(rows, a).tolist()
+            K[s] = single(y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
+            self.nfev += 1
+        k0 = K[0].tolist()
+        delta = [a - b for a, b in zip(self.y, y_old)]
+        F = [delta, [h * k - d for k, d in zip(k0, delta)],
+             [2 * d - h * (f + k) for d, f, k in zip(delta, self.f, k0)],
+             *([h * v for v in row] for row in np.dot(_D, K).tolist())]
+        # per component: the rows from the last to the first (0.0 + as on a zeroed array), then y_old
+        columns = [(0.0 + c6, c5, c4, c3, c2, c1, c0, yo) for c0, c1, c2, c3, c4, c5, c6, yo in zip(*F, y_old)]
+
+        def at(t):
+            x = (t - t_old) / h
+            x1 = 1 - x
+            return [((((((c6 * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1 + c0) * x + yo
+                    for c6, c5, c4, c3, c2, c1, c0, yo in columns]
+
+        def sol(t):
+            if isinstance(t, (float, int)):
+                return np.array(at(float(t)))
+            t = np.asarray(t, dtype=float)
+            return np.array([at(s) for s in t.reshape(-1).tolist()]).reshape(t.shape + (4,)).T
 
         return sol
 
@@ -361,7 +445,7 @@ def integrate(
     stepper = _Dop853(rhs, t0, y0, t1, config.rtol, config.atol)
     t_eval = np.linspace(t0, t1, config.n_samples)
     # sample times ascending in the direction of time; the first i are taken
-    keys = stepper.direction * t_eval
+    keys = (stepper.direction * t_eval).tolist()
     ts, ys, i, n_steps, stop = [], [], 0, 0, None
     g = [event.fn(t0, y0) for event in events]
     while stepper.running and stop is None:
@@ -379,10 +463,13 @@ def integrate(
             t, stop = min(hits, key=lambda hit: stepper.direction * hit[0])
             y = sol(t)
         g = g_new
-        i_new = np.searchsorted(keys, stepper.direction * t, side="right")
-        times = t_eval[i:i_new]
-        if times.size:
+        # the samples up to t: the keys from i on that are <= its key
+        key, i_new = stepper.direction * t, i
+        while i_new < len(keys) and keys[i_new] <= key:
+            i_new += 1
+        if i_new > i:
             sol = sol or stepper.dense()
+            times = t_eval[i:i_new]
             ts.append(times)
             ys.append(sol(times))
             i = i_new

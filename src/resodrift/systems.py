@@ -206,31 +206,50 @@ class SystemBundle:
             return [g1, g2], [-d1, -d2]
         return rows[3:5], -rows[1:3]
 
-    def rhs(self):
-        """Right-hand side f(t, y) on flat states y = [th1, th2, I1, I2].
-
-        Accepts y of shape (4,) or (4, n); the returned array matches.  A (4,)
-        state is unpacked into floats and goes straight to the table's
-        generated single-point evaluator, bound on the first such call, with
-        no dispatch through :meth:`vector_field`.
-        """
-        table, point = self.series.table(), None
-
-        def fun(_t, y):
-            nonlocal point
-            if y.ndim == 1:
-                if point is None:
-                    point = table.point_function()
-                _, d1, d2, g1, g2 = point(*y.tolist())
-                return np.array([g1, g2, -d1, -d2])
-            return np.concatenate(self.vector_field(*y))
-
-        return fun
+    def rhs(self) -> "_Field":
+        """Right-hand side f(t, y) on flat states y = [th1, th2, I1, I2]; see :class:`_Field`."""
+        return _Field(self)
 
     def energy_of(self, y: np.ndarray):
         """Hamiltonian evaluated on flat states (samples along an orbit)."""
         y = np.asarray(y, dtype=float)
         return self.hamiltonian(y[..., 0], y[..., 1], y[..., 2], y[..., 3])
+
+
+class _Field:
+    """The Hamiltonian vector field of a bundle as an ODE right-hand side f(t, y).
+
+    Accepts y of shape (4,) or (4, n); the returned array matches.  A (4,)
+    state is unpacked into floats and goes through :meth:`single_state`,
+    with no dispatch through :meth:`SystemBundle.vector_field`.
+    """
+
+    __slots__ = ("_bundle", "_single")
+
+    def __init__(self, bundle: SystemBundle):
+        self._bundle, self._single = bundle, None
+
+    def __call__(self, _t, y):
+        if y.ndim == 1:
+            return np.array(self.single_state()(*y.tolist()))
+        return np.concatenate(self._bundle.vector_field(*y))
+
+    def single_state(self):
+        """The field on one state as floats: (theta1, theta2, I1, I2) -> tuple of the four rates.
+
+        It reads the table's generated single-point evaluator, bound on the
+        first call, so a field used only on arrays never generates it.  The
+        orbit stepper writes its tuples straight into its stage table.
+        """
+        if self._single is None:
+            point = self._bundle.series.table().point_function()
+
+            def single(theta1, theta2, I1, I2):
+                _, d1, d2, g1, g2 = point(theta1, theta2, I1, I2)
+                return g1, g2, -d1, -d2
+
+            self._single = single
+        return self._single
 
 
 @dataclass(frozen=True)

@@ -842,6 +842,33 @@ def test_one_step_raises_when_the_series_outgrows_its_cap(generic3_bundles, monk
         rd.one_step_normal_form(generic3_bundles[1e-3])
 
 
+def _crowded_bundle(eps):
+    """generic3 plus 20 seeded modes with |k| <= 3, each coefficient affine in the actions."""
+    rng = np.random.default_rng(15)
+    modes = [(k1, k2) for k1 in range(4) for k2 in range(-3, 4) if (k1, k2) > (0, 0)]
+    terms = []
+    for i in rng.choice(len(modes), 20, replace=False):
+        a, b = (PolyField.from_terms([(0, 0, c0), (1, 0, c1), (0, 1, c2)])
+                for c0, c1, c2 in rng.uniform(-0.1, 0.1, (2, 3)))
+        terms.append((modes[i], a, b))
+    entry = rd.get_entry("generic3")
+    return rd.SystemBundle(entry.system, entry.perturbation + FourierPerturbation.from_terms(terms), eps)
+
+
+def test_a_bracket_past_its_product_cap_raises_before_it_forms_them():
+    # the third bracket of this series would form 2.6 million products; the
+    # build peaked at 658 MB before the term cap stopped it at order 2
+    bundle = _crowded_bundle(1e-3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FlowEscapeError, match="products, more than"):
+            rd.one_step_normal_form(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+
+
 def test_two_step_rejects_a_foreign_step1(generic3_bundles, one_step_results, two_step_results):
     # a first step of another bundle, or a two-step result, is not this
     # bundle's first step

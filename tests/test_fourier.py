@@ -356,6 +356,21 @@ def test_a_one_term_series_has_the_same_bits_on_arrays_and_single_states(coeffic
     assert differ.size == 0, f"{differ.size} of 4000 points differ, first at {states[differ[0]]}"
 
 
+def test_the_single_point_evaluator_refuses_divided_tables_and_divisors():
+    """Rendering chi1's numerators would read 0.4755 at this state, where chi1 is 0.0757."""
+    entry = rd.get_entry("generic3")
+    chi = solve_homological(entry.system, entry.perturbation, 125, star_window(entry.system.resonance, 2e-3))
+    state = (0.1, 0.2, 1.0, 0.0)
+    divided, over_divisors = chi._table, chi.series().table()
+    assert divided.divided and not over_divisors.divided and over_divisors._divisors
+    for table in (divided, over_divisors):
+        with pytest.raises(ValueError, match="undivided tables without divisors"):
+            table.point_function()
+        assert table.point_source is None
+        # a single state of either still takes the array branch
+        assert table.values(*state) == pytest.approx(0.0757, abs=5e-5)
+
+
 def test_array_branch_crosses_block_boundaries(rng):
     a = PolyField.from_terms([(0, 0, 0.3), (1, 0, -0.7), (1, 1, 0.5), (0, 2, 1.2)])
     b = PolyField.from_terms([(2, 0, 0.4), (0, 1, -0.9), (3, 0, 0.1)])

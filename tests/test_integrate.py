@@ -24,6 +24,8 @@ from resodrift.poly import PolyField
 from resodrift.systems import ActionWindow, SystemBundle, star_window
 from resodrift.torus import PhaseState, wrap
 
+from test_averaging import _action_dependent_bundle
+
 
 def moser_closed_form(eps, t):
     """Orbit of the saddle system from the origin: u = theta1 - theta2 stays
@@ -368,6 +370,17 @@ def generic3_orbit():
     return rd.make_bundle("generic3", 1e-2).rhs(), np.array([0.1, 0.2, 1.0, 0.0])
 
 
+@pytest.fixture(scope="module")
+def orbit_fields(generic3_orbit):
+    """(name, rhs, whether its (4,) states step in floats): bundle fields and a plain callable."""
+    rhs = generic3_orbit[0]
+    return [
+        ("generic3", rhs, True),
+        ("action-dependent", _action_dependent_bundle(1e-2).rhs(), True),
+        ("plain callable", lambda t, y: rhs(t, y), False),
+    ]
+
+
 def _domain_exit(radius):
     return StopEvent("domain_exit", lambda _t, y: radius - max(abs(y[2]), abs(y[3])), -1.0, True)
 
@@ -384,27 +397,30 @@ def _domain_exit(radius):
         (-200.0, (("later", 0.05 + 1e-9), ("earlier", 0.05)), None, "earlier"),
     ],
 )
-def test_orbit_loop_is_solve_ivp_bit_for_bit(generic3_orbit, t1, targets, radius, stop):
-    rhs, y0 = generic3_orbit
+def test_orbit_loop_is_solve_ivp_bit_for_bit(generic3_orbit, orbit_fields, t1, targets, radius, stop):
+    y0 = generic3_orbit[1]
     events = tuple(
         StopEvent(name, lambda _t, y, _d=d: abs(y[2] - 1.0) - _d, direction=1.0) for name, d in targets
     )
-    rec = integrate(rhs, y0, (0.0, t1), IntegratorConfig(n_samples=41), domain_radius=radius, stop_events=events)
     ref_events = events if radius is None else (_domain_exit(radius),) + events
-    t, y, t_end, y_end, n_steps, ref_stop, nfev = _solve_ivp_reference(rhs, y0, (0.0, t1), 41, ref_events)
-    assert rec.stop_event == ref_stop == stop
-    assert rec.flagged == (stop == "domain_exit")
-    k = t.size
-    np.testing.assert_array_equal(rec.t[:k], t)
-    np.testing.assert_array_equal(rec.actions[:k], y[2:].T)
-    np.testing.assert_array_equal(rec.theta[:k], wrap(y[:2].T))
-    assert rec.t_end == t_end and rec.t[-1] == t_end
-    np.testing.assert_array_equal(rec.y_end, y_end)
-    assert rec.n_steps == n_steps
-    # the interpolant is built only on steps that hold a sample or an event
-    assert rec.n_rhs_evals <= nfev
-    if stop is not None:
-        assert k < 41 and rec.t.size == k + 1
+    for name, rhs, floats in orbit_fields:
+        assert isinstance(integrate_module._Dop853(rhs, 0.0, y0, t1, 1e-10, 1e-10).y, list) == floats, name
+        rec = integrate(rhs, y0, (0.0, t1), IntegratorConfig(n_samples=41), domain_radius=radius,
+                        stop_events=events)
+        t, y, t_end, y_end, n_steps, ref_stop, nfev = _solve_ivp_reference(rhs, y0, (0.0, t1), 41, ref_events)
+        assert rec.stop_event == ref_stop == stop, name
+        assert rec.flagged == (stop == "domain_exit")
+        k = t.size
+        np.testing.assert_array_equal(rec.t[:k], t)
+        np.testing.assert_array_equal(rec.actions[:k], y[2:].T)
+        np.testing.assert_array_equal(rec.theta[:k], wrap(y[:2].T))
+        assert rec.t_end == t_end and rec.t[-1] == t_end
+        np.testing.assert_array_equal(rec.y_end, y_end)
+        assert rec.n_steps == n_steps, name
+        # the interpolant is built only on steps that hold a sample or an event
+        assert rec.n_rhs_evals <= nfev
+        if stop is not None:
+            assert k < 41 and rec.t.size == k + 1
 
 
 def test_tiny_rtol_is_floored_as_in_scipy(generic3_orbit):
@@ -703,13 +719,15 @@ def test_only_orbits_choose_an_initial_step(generic3_chi, monkeypatch):
     assert calls == [0.5]
 
 
-def _step_both(fun, y0, t_end, h_abs=None, min_steps=2):
+def _step_both(fun, y0, t_end, h_abs=None, min_steps=2, floats=False):
     """Compare _Dop853 with scipy's DOP853 stepped on the same system, step by
-    step and bit for bit, then the interpolants on the last step; return the
-    number of rejected steps and the end state."""
+    step and bit for bit, then the interpolants on the last step at times and
+    at arrays of times; return the number of rejected steps and the end state.
+    floats says that _Dop853 steps the state as a list of Python floats."""
     ours, theirs = [], []
     with serial_blas():
         stepper = integrate_module._Dop853(fun, 0.0, y0, t_end, 1e-12, 1e-12, h_abs)
+        assert isinstance(stepper.y, list) == floats
         while stepper.running:
             assert stepper.step()
             ours.append(stepper.y)
@@ -719,7 +737,10 @@ def _step_both(fun, y0, t_end, h_abs=None, min_steps=2):
             theirs.append(solver.y)
         assert stepper.nfev == solver.nfev
         times = np.linspace(solver.t_old, solver.t, 5)
-        np.testing.assert_array_equal(stepper.dense()(times), solver.dense_output()(times))
+        sol, ref = stepper.dense(), solver.dense_output()
+        np.testing.assert_array_equal(sol(times), ref(times))
+        for t in times.tolist():
+            np.testing.assert_array_equal(sol(t), ref(t))
         assert stepper.nfev == solver.nfev
     assert solver.status == "finished" and len(ours) == len(theirs) >= min_steps
     for a, b in zip(ours, theirs):
@@ -729,11 +750,24 @@ def _step_both(fun, y0, t_end, h_abs=None, min_steps=2):
     return (solver.nfev - 4) // 12 - len(theirs), stepper.y
 
 
+def test_float_error_scale_takes_nan_as_np_maximum_does():
+    # Python's max(a, b) keeps a when b is NaN; the float path must not
+    pairs = [(1.0, 2.0), (2.0, 1.0), (3.0, 3.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, math.nan)]
+    for a, b in pairs:
+        np.testing.assert_array_equal(integrate_module._larger(a, b), np.maximum(a, b))
+
+
 def test_orbit_stepper_is_scipy_dop853_bit_for_bit():
-    # the (4,) states of an orbit take the generated evaluator and the stepper's float path
-    fun = rd.make_bundle("generic3", 1e-3).rhs()
+    # a bundle's field steps a (4,) state in floats, on the generated
+    # evaluator, with action-independent and action-dependent perturbations;
+    # a plain callable of the same field steps it as an array
+    y0 = np.array([0.3, 0.0, 1.0, 0.0])
+    fields = [rd.make_bundle("generic3", 1e-3).rhs(), _action_dependent_bundle(1e-3).rhs()]
+    for fun in fields:
+        for t_end in (40.0, -40.0):
+            assert _step_both(fun, y0, t_end, floats=True)[0] > 0
     for t_end in (40.0, -40.0):
-        assert _step_both(fun, np.array([0.3, 0.0, 1.0, 0.0]), t_end)[0] > 0
+        assert _step_both(lambda t, y: fields[1](t, y), y0, t_end)[0] > 0
 
 
 def test_vendored_tableau_is_scipys():
