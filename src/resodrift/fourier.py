@@ -142,8 +142,8 @@ class ModeTable:
     point of an undivided table without divisors is read as four float64
     values, whatever their real type, and evaluated in plain Python floats
     by one straight-line function that the table generates on first use
-    (:meth:`point_function`), which an orbit RHS call on generic3 runs in
-    1.8-3.5 us.  Everything else is evaluated in blocks of block_points
+    (:meth:`_point_function`), which an orbit RHS call on generic3 runs in
+    0.8-1.4 us.  Everything else is evaluated in blocks of block_points
     points, on one BLAS thread (:func:`~resodrift.blas.serial_blas`); the
     single-point branch never enters that guard.
     """
@@ -218,7 +218,7 @@ class ModeTable:
                 add(3 + j, m + k, d[m + k])
         return rows
 
-    def point_function(self):
+    def _point_function(self):
         """The single-point evaluator (t1, t2, x1, x2) -> list of the five rows.
 
         Built on first use from :meth:`_compile_terms`: one straight-line
@@ -226,17 +226,20 @@ class ModeTable:
         math.sin per mode, the action powers by repeated multiplication, and
         each row as the left-to-right sum (0.0 + c * P * T) + ... of its
         terms in their order, constants written with repr.  A factor 1.0 of
-        the powers is left out, which changes no bit.  The source is kept as
-        point_source.  A divided table or one over divisors has rows that are
-        not bilinear in the powers and the trig values, and raises ValueError.
+        the powers is left out, and so is the mean mode's cos, 1.0 at every
+        finite angle, which changes no bit there; its sin is written 0.0.
+        The source is kept as point_source.  A divided table or one over
+        divisors has rows that are not bilinear in the powers and the trig
+        values, and raises ValueError.
         """
         if self.divided or self._divisors:
             raise ValueError("the single-point evaluator covers undivided tables without divisors")
         if self._point is None:
-            m = self.K.shape[0]
             lines = ["def point(t1, t2, x1, x2):"]
+            live = self.K.any(axis=1).tolist()
             for k, (w1, w2) in enumerate(self._w):
-                lines += [f"    q{k} = {w1!r} * t1 + {w2!r} * t2", f"    c{k} = cos(q{k})", f"    s{k} = sin(q{k})"]
+                if live[k]:
+                    lines += [f"    q{k} = {w1!r} * t1 + {w2!r} * t2", f"    c{k} = cos(q{k})", f"    s{k} = sin(q{k})"]
             for x, n in zip(("x1", "x2"), (np.max(self._basis, axis=0, initial=0) + 1).tolist()):
                 lines += [f"    {x}_{i} = {x}_{i - 1} * {x}" if i > 1 else f"    {x}_1 = {x}" for i in range(1, n)]
             rows = self._compile_terms()
@@ -246,10 +249,12 @@ class ModeTable:
             for p, (i, j) in enumerate(self._basis.tolist()):
                 if i and j and p in used:
                     lines.append(f"    p{i}_{j} = x1_{i} * x2_{j}")
-                power.append(f"p{i}_{j} * " if i and j else f"x1_{i} * " if i else f"x2_{j} * " if j else "")
-            trig = [f"c{k}" for k in range(m)] + [f"s{k}" for k in range(m)]
+                power.append([f"p{i}_{j}"] if i and j else [f"x1_{i}"] if i else [f"x2_{j}"] if j else [])
+            # the mean mode's cos is 1.0 and its sin 0.0 at every finite angle
+            trig = [[f"c{k}"] if on else [] for k, on in enumerate(live)] + \
+                [[f"s{k}"] if on else ["0.0"] for k, on in enumerate(live)]
             for r, row in enumerate(rows):
-                terms = [f"{c!r} * {power[p]}{trig[q]}" for p, q, c in row]
+                terms = [" * ".join([repr(c), *power[p], *trig[q]]) for p, q, c in row]
                 # chunks of _SUM_TERMS keep each expression shallow for the compiler
                 lines.append(f"    r{r} = 0.0")
                 for start in range(0, len(terms), _SUM_TERMS):
@@ -309,7 +314,7 @@ class ModeTable:
         if not (self.divided or self._divisors) and isinstance(t1, _SCALAR) and isinstance(t2, _SCALAR) \
                 and isinstance(x1, _SCALAR) and isinstance(x2, _SCALAR):
             # one state, as an orbit RHS call passes it, in float64 whatever its type
-            rows = self.point_function()(float(t1), float(t2), float(x1), float(x2))
+            rows = self._point_function()(float(t1), float(t2), float(x1), float(x2))
             return rows if grad else rows[0]
         arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
         shape = arrays[0].shape

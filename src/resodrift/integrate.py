@@ -2,9 +2,9 @@
 
 One in-repo DOP853 stepper (scipy's step controller and interpolant on the
 tableau vendored in dop853.py) has two drivers.  The products that sum
-over stages stay numpy, which keeps scipy's bits; a single state whose
-right-hand side has a float entry, as a bundle's field has, does the rest
-of a step in Python floats, and every other state in numpy arrays.
+over stages stay numpy, which keeps scipy's bits; a single state, y of
+shape (4,), does the rest of a step in Python floats, and a block of
+points in numpy arrays.
 integrate steps an orbit of the full Hamiltonian, angles on the universal
 cover and wrapped only when sampled.  It builds the interpolant only on
 steps that hold sample times or a sign change of a termination condition
@@ -49,9 +49,8 @@ class StopEvent:
 
     direction follows scipy's convention; flags marks whether triggering the
     event means the run failed (left its domain) rather than succeeded
-    (reached its target).  fn reads y by index: an orbit stepped in floats
-    passes a list of four floats at the ends of its steps and an array at
-    interpolated times.
+    (reached its target).  fn reads y by index: an orbit passes a list of
+    four floats at the ends of its steps and an array at interpolated times.
     """
 
     name: str
@@ -142,6 +141,13 @@ def _error_norm(K, h, scale):
     return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * len(scale))
 
 
+def _finite_step(h):
+    """h, a first step size; IntegrationError where it is zero or not finite."""
+    if not 0 < h < math.inf:
+        raise IntegrationError(f"no initial step can be chosen from this start: it comes out {h!r}")
+    return h
+
+
 def _larger(a, b):
     """np.maximum of two floats: the larger, and NaN if either is NaN."""
     return a if a >= b or a != a else b
@@ -151,11 +157,11 @@ class _Dop853:
     """scipy's DOP853, step for step, for dy/dt = fun(t, y) from t0 toward t_bound.
 
     As in scipy, rtol is at least 100 eps and the step size is unbounded.
-    Without h_abs the first step is scipy's initial-step choice; a given h_abs
-    that is too large is rejected and shrunk like any step.  step() returns
-    False and leaves the state as it was when the step falls below 10 ulp of
-    t.  dense() is scipy's interpolant on the last step (Hairer, Norsett and
-    Wanner, Sec. II.6) at 3 more evaluations; nfev counts calls of fun.
+    Without h_abs the first step is scipy's initial-step choice, and one that
+    comes out zero or not finite raises IntegrationError; a given h_abs that
+    is too large is rejected and shrunk like any step.  step() returns False
+    and leaves the state as it was when the step falls below 10 ulp of t.
+    nfev counts calls of fun.
 
     Times, step sizes and the direction are Python floats, and each stage's
     node, weights and rows of the stage table are looked up once per
@@ -163,15 +169,17 @@ class _Dop853:
     Python sum would not keep: the stage sums a_s . K, B . K, E5 . K and
     E3 . K, the norms' dot and dense()'s extra stages and D . K.
 
-    A single state, y0 of shape (4,), whose fun has a single_state() entry
-    (SystemBundle.rhs() has one) is stepped in Python floats around those
-    products: y, f and the interpolant's rows are floats, the stage points,
-    the update, the error scale and the interpolant's Horner sum are float
-    arithmetic, and the entry's tuple of four floats is written straight
-    into the stage table.  IEEE float *, +, / and abs round as numpy's
-    elementwise ufuncs do, so both paths give scipy's bits.  Any other fun
-    or shape steps numpy arrays; the step controller (initial step, minimum
-    step, accept and shrink rule) is one for both.
+    A single state, y0 of shape (4,), is stepped in Python floats around
+    those products, and any other shape (a flow block) in numpy arrays.  A
+    single state's y, f and interpolant rows are floats; its stage points,
+    update, error scale and the interpolant's Horner sum are float
+    arithmetic.  Its float entry (t, theta1, theta2, I1, I2) -> four rates
+    is fun.single_state() where fun has one (SystemBundle.rhs() has), and
+    otherwise fun on a 4-element array, listed; the four rates are written
+    straight into the stage table.  IEEE float *, +, / and abs round as
+    numpy's elementwise ufuncs do, so both shapes give scipy's bits.  Only a
+    single state has an interpolant: dense() is scipy's on the last step
+    (Hairer, Norsett and Wanner, Sec. II.6) at 3 more evaluations.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, h_abs=None):
@@ -182,19 +190,19 @@ class _Dop853:
         self.f = fun(t0, y0)
         self.nfev = 1
         self.h_abs = float(self._initial_step() if h_abs is None else h_abs)
-        single = getattr(fun, "single_state", None)
-        self._single = single() if single is not None and y0.shape == (4,) else None
-        # a float stepper keeps the interpolant's 3 extra rows below the 13 a
-        # step fills; flow blocks never call dense() and keep 13
-        extra = 0 if self._single is None else len(dop853.C_EXTRA)
-        table = np.empty((_STAGES + extra, y0.size))
+        self._floats = y0.shape == (4,)
+        # a single state keeps the interpolant's 3 extra rows below the 13 a step fills
+        table = np.empty((_STAGES + (len(dop853.C_EXTRA) if self._floats else 0), y0.size))
         self.K = K = table[:_STAGES]
         # stage s: its index, node c_s, weights a_sj (j < s) and the rows it weighs
         self._stages = [(s, float(_C[s]), _A[s, :s].copy(), K[:s]) for s in range(1, _STAGES - 1)]
-        if self._single is not None:
-            self.y, self.f, self._table = y0.tolist(), tuple(self.f.tolist()), table
-            # extra stage s: its index, the rows it weighs, transposed, and its weights
-            self._extra = [(s, table[:s].T, a[:s]) for s, a in enumerate(dop853.A_EXTRA, start=_STAGES)]
+        if self._floats:
+            self._single = fun.single_state() if hasattr(fun, "single_state") else \
+                lambda t, *y: fun(t, np.array(y)).tolist()
+            self.y, self.f, self._table = y0.tolist(), self.f.tolist(), table
+            # extra stage s: its index, node, the rows it weighs, transposed, and its weights
+            self._extra = [(s, float(c), table[:s].T, a[:s])
+                           for s, (a, c) in enumerate(zip(dop853.A_EXTRA, dop853.C_EXTRA), start=_STAGES)]
 
     @property
     def running(self) -> bool:
@@ -207,7 +215,7 @@ class _Dop853:
         scale = self.atol + np.abs(y) * self.rtol
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, interval)
+        h0 = _finite_step(min(h0, interval))
         f1 = self.fun(t + h0 * direction, y + h0 * direction * f)
         self.nfev += 1
         d2 = _rms((f1 - f) / scale) / h0
@@ -215,13 +223,13 @@ class _Dop853:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-        return min(100 * h0, h1, interval)
+        return _finite_step(min(100 * h0, h1, interval))
 
     def step(self) -> bool:
         t, direction = self.t, self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(self.h_abs, min_step)
-        attempt = self._attempt_arrays if self._single is None else self._attempt_floats
+        attempt = self._attempt_floats if self._floats else self._attempt_arrays
         rejected = False
         while True:
             if not h_abs >= min_step:
@@ -256,54 +264,30 @@ class _Dop853:
 
     def _attempt_floats(self, h):
         """_attempt_arrays on a single state, in floats around the same products."""
-        single, K = self._single, self.K
+        t, single, K = self.t, self._single, self.K
         y = y0, y1, y2, y3 = self.y
         K[0] = self.f
-        for s, _, a, rows in self._stages:
+        for s, c, a, rows in self._stages:
             d0, d1, d2, d3 = (a @ rows).tolist()
-            K[s] = single(y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
+            K[s] = single(t + c * h, y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
         d0, d1, d2, d3 = (_B @ K[:-1]).tolist()
         y_new = [y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3]
-        f_new = K[-1] = single(*y_new)
+        f_new = K[-1] = single(t + h, *y_new)
         atol, rtol = self.atol, self.rtol
         scale = np.array([atol + _larger(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)])
         return y_new, f_new, _error_norm(K, h, scale)
 
     def dense(self):
-        """y(t) on the last step as a callable of a time or a 1-D array of times."""
-        if self._single is not None:
-            return self._dense_floats()
-        h, t_old, y_old = self.h, self.t_old, self.y_old
-        # the 3 extra rows go on a copy: flow blocks never call dense() and keep 13
-        K = np.concatenate([self.K, np.empty((len(dop853.C_EXTRA), y_old.size))])
-        for s, (a, c) in enumerate(zip(dop853.A_EXTRA, dop853.C_EXTRA), start=_STAGES):
-            K[s] = self.fun(t_old + c * h, y_old + np.dot(K[:s].T, a[:s]) * h)
-            self.nfev += 1
-        delta = self.y - y_old
-        F = np.empty((3 + len(_D), delta.size))
-        F[0] = delta
-        F[1] = h * K[0] - delta
-        F[2] = 2 * delta - h * (self.f + K[0])
-        F[3:] = h * np.dot(_D, K)
+        """y(t) on the last step of a single state, as a callable of a time or a 1-D array of times.
 
-        def sol(t):
-            t = np.asarray(t)
-            x = (t[..., None] - t_old) / h
-            y = np.zeros(t.shape + y_old.shape)
-            for i, row in enumerate(F[::-1]):
-                y += row
-                y *= x if i % 2 == 0 else 1 - x
-            return (y + y_old).T
-
-        return sol
-
-    def _dense_floats(self):
-        """dense() on a single state: its rows and Horner sum in floats, as the array sol rounds them."""
+        Its rows and Horner sum are float arithmetic that rounds as scipy's
+        array interpolant does; a time gives a (4,) array, times a (4, n) one.
+        """
         h, t_old, y_old, single, K = self.h, self.t_old, self.y_old, self._single, self._table
         y0, y1, y2, y3 = y_old
-        for s, rows, a in self._extra:
+        for s, c, rows, a in self._extra:
             d0, d1, d2, d3 = np.dot(rows, a).tolist()
-            K[s] = single(y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
+            K[s] = single(t_old + c * h, y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
             self.nfev += 1
         k0 = K[0].tolist()
         delta = [a - b for a, b in zip(self.y, y_old)]
@@ -407,13 +391,16 @@ def integrate(
     """Integrate dy/dt = rhs(t, y) over t_span with sampled diagnostics.
 
     The record ends at the first stop event (the earliest root in the
-    direction of time) or at t1.  A span that is not finite and nonzero
-    raises ValueError, a start outside domain_radius DomainError, and a step
-    size collapsing (for example in a blow-up) IntegrationError.
+    direction of time) or at t1.  A span that is not finite and nonzero,
+    or a y0 whose shape is not (4,), raises ValueError; a start with a
+    non-finite entry or outside domain_radius raises DomainError before rhs
+    is called; a first step that comes out zero or not finite, or a step
+    size collapsing (for example in a blow-up), raises IntegrationError.
 
     Parameters
     ----------
-    rhs : callable(t, y) -> dy/dt as an array, on flat states [theta1, theta2, I1, I2].
+    rhs : callable(t, y) -> dy/dt as an array, on flat states [theta1, theta2, I1, I2];
+        its float entry single_state(), where it has one, steps the orbit.
     y0 : initial flat state; angles are taken as given (canonical lift).
     t_span : finite (t0, t1) with t1 != t0; t1 < t0 integrates backward.
     config : IntegratorConfig, defaults to 1e-10 tolerances and 513 samples.
@@ -428,6 +415,10 @@ def integrate(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not np.isfinite(t1 - t0) or t1 == t0:
         raise ValueError(f"integration span must be finite and nonzero, got ({t0!r}, {t1!r})")
+    if y0.shape != (4,):
+        raise ValueError(f"y0 must be one flat state [theta1, theta2, I1, I2], got shape {y0.shape}")
+    if not np.all(np.isfinite(y0)):
+        raise DomainError(f"initial state {y0.tolist()!r} is not finite")
 
     events = list(stop_events)
     if domain_radius is not None:
@@ -602,10 +593,10 @@ def flow_points(
                 raise FlowEscapeError(
                     f"generator flow could not be integrated: the step collapsed at t = {stepper.t:.17g}"
                 )
-            end = stepper.y.reshape(4, m)
+            end = np.reshape(stepper.y, (4, m))
             if pad is not None and not np.all(window.contains(end[2], end[3], margin=pad)):
                 raise FlowEscapeError("generator flow left its action window")
-        out[:, start : start + m] = stepper.y.reshape(4, m)
+        out[:, start : start + m] = np.reshape(stepper.y, (4, m))
         # free this block's stage table before the next block allocates its own
         del stepper
     return tuple(v.reshape(shape) for v in out)

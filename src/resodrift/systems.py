@@ -219,9 +219,9 @@ class SystemBundle:
 class _Field:
     """The Hamiltonian vector field of a bundle as an ODE right-hand side f(t, y).
 
-    Accepts y of shape (4,) or (4, n); the returned array matches.  A (4,)
-    state is unpacked into floats and goes through :meth:`single_state`,
-    with no dispatch through :meth:`SystemBundle.vector_field`.
+    Accepts y of shape (4,) or (4, n); the returned array matches.  The
+    orbit stepper steps a single state through :meth:`single_state`
+    instead, with no dispatch through :meth:`SystemBundle.vector_field`.
     """
 
     __slots__ = ("_bundle", "_single")
@@ -230,21 +230,19 @@ class _Field:
         self._bundle, self._single = bundle, None
 
     def __call__(self, _t, y):
-        if y.ndim == 1:
-            return np.array(self.single_state()(*y.tolist()))
         return np.concatenate(self._bundle.vector_field(*y))
 
     def single_state(self):
-        """The field on one state as floats: (theta1, theta2, I1, I2) -> tuple of the four rates.
+        """The field on one state as floats: (t, theta1, theta2, I1, I2) -> tuple of the four rates.
 
         It reads the table's generated single-point evaluator, bound on the
         first call, so a field used only on arrays never generates it.  The
         orbit stepper writes its tuples straight into its stage table.
         """
         if self._single is None:
-            point = self._bundle.series.table().point_function()
+            point = self._bundle.series.table()._point_function()
 
-            def single(theta1, theta2, I1, I2):
+            def single(_t, theta1, theta2, I1, I2):
                 _, d1, d2, g1, g2 = point(theta1, theta2, I1, I2)
                 return g1, g2, -d1, -d2
 

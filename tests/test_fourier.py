@@ -365,7 +365,7 @@ def test_the_single_point_evaluator_refuses_divided_tables_and_divisors():
     assert divided.divided and not over_divisors.divided and over_divisors._divisors
     for table in (divided, over_divisors):
         with pytest.raises(ValueError, match="undivided tables without divisors"):
-            table.point_function()
+            table._point_function()
         assert table.point_source is None
         # a single state of either still takes the array branch
         assert table.values(*state) == pytest.approx(0.0757, abs=5e-5)

@@ -140,10 +140,20 @@ def test_generated_evaluator_is_its_term_lists_bit_for_bit(name):
         table = FourierPerturbation.zero().table()
     else:
         table = rd.make_bundle(name, 1e-3).series.table()
-    point, terms = table.point_function(), table._compile_terms()
+    point, terms = table._point_function(), table._compile_terms()
     states = np.random.default_rng(25).uniform([-1.0, -1.0, -2.0, -2.0], [2.0, 2.0, 2.0, 2.0], (10_000, 4))
     bad = [y for y in states.tolist() if point(*y) != _term_list_rows(table, terms, *y)]
     assert not bad, f"{len(bad)} states differ, first {bad[0]}; generated source:\n{table.point_source}"
+
+
+def test_generated_evaluator_takes_no_trig_of_the_mean_mode():
+    # generic3's h sits on the mean (0, 0); its three other modes take one cos and one sin each
+    table = rd.make_bundle("generic3", 1e-3).series.table()
+    table._point_function()
+    assert table.point_source.count("cos(") == table.point_source.count("sin(") == 3
+    # at eps = 0 no angle enters the rows, so a NaN angle leaves them finite
+    rows = rd.make_bundle("generic3", 0.0).series.table().evaluate(math.nan, 0.2, 1.0, 0.1)
+    assert all(map(math.isfinite, rows)), rows
 
 
 def test_generated_evaluator_sums_a_row_of_thousands_of_terms():
@@ -151,7 +161,7 @@ def test_generated_evaluator_sums_a_row_of_thousands_of_terms():
     coeffs = PolyField(np.arange(1.0, 67.0).reshape(11, 6) / 66.0)
     f = FourierPerturbation.from_terms([((k1, k2), coeffs, coeffs) for k1 in range(6) for k2 in range(-5, 6)])
     table = f.table()
-    point, terms = table.point_function(), table._compile_terms()
+    point, terms = table._point_function(), table._compile_terms()
     assert len(terms[0]) > 5_000
     states = np.random.default_rng(26).uniform(-1.0, 1.0, (50, 4))
     for y in states.tolist():
@@ -339,6 +349,33 @@ def test_start_outside_the_domain_is_rejected():
     assert not integrate(b.rhs(), [0.0, 0.0, R + 1.0, 0.0], (0.0, 1.0)).flagged
 
 
+@pytest.mark.parametrize(
+    "y0, error, message",
+    [
+        # the field overflows, so the first step comes out zero
+        ([0.1, 0.2, 1e300, 0.0], IntegrationError, "no initial step"),
+        ([0.1, 0.2, 1e154, 0.0], IntegrationError, "no initial step"),
+        ([math.inf, 0.2, 1.0, 0.0], DomainError, "not finite"),
+        ([0.1, math.nan, 1.0, 0.0], DomainError, "not finite"),
+        ([0.1, 0.2, math.nan, 0.0], DomainError, "not finite"),
+        # only a single state has an interpolant
+        ([[0.1], [0.2], [1.0], [0.0]], ValueError, "one flat state"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_starts_that_break_the_first_step_raise_typed_errors(y0, error, message):
+    field, calls = rd.make_bundle("generic3", 1e-3).rhs(), []
+
+    def rhs(t, y):
+        calls.append(t)
+        return field(t, y)
+
+    with pytest.raises(error, match=message):
+        integrate(rhs, y0, (0.0, 10.0))
+    # a start that is not one finite state is refused before the field is evaluated
+    assert (calls == []) == (error is not IntegrationError)
+
+
 # -- the orbit loop against scipy's solve_ivp ---------------------------------
 
 
@@ -372,12 +409,17 @@ def generic3_orbit():
 
 @pytest.fixture(scope="module")
 def orbit_fields(generic3_orbit):
-    """(name, rhs, whether its (4,) states step in floats): bundle fields and a plain callable."""
-    rhs = generic3_orbit[0]
+    """(name, rhs, y0): bundle fields and plain callables, one of them time-dependent.
+
+    The drum's I1 = 1 + 2 sin(t / 2) at the rate I2 = 0.5 reaches the same
+    targets and domain exit as generic3, so every case reads its stage times.
+    """
+    rhs, y0 = generic3_orbit
     return [
-        ("generic3", rhs, True),
-        ("action-dependent", _action_dependent_bundle(1e-2).rhs(), True),
-        ("plain callable", lambda t, y: rhs(t, y), False),
+        ("generic3", rhs, y0),
+        ("action-dependent", _action_dependent_bundle(1e-2).rhs(), y0),
+        ("plain callable", lambda t, y: rhs(t, y), y0),
+        ("time-dependent callable", _DrumGenerator().flow_rhs(1.0), np.array([0.1, 0.2, 1.0, 0.5])),
     ]
 
 
@@ -397,19 +439,17 @@ def _domain_exit(radius):
         (-200.0, (("later", 0.05 + 1e-9), ("earlier", 0.05)), None, "earlier"),
     ],
 )
-def test_orbit_loop_is_solve_ivp_bit_for_bit(generic3_orbit, orbit_fields, t1, targets, radius, stop):
-    y0 = generic3_orbit[1]
+def test_orbit_loop_is_solve_ivp_bit_for_bit(orbit_fields, t1, targets, radius, stop):
     events = tuple(
         StopEvent(name, lambda _t, y, _d=d: abs(y[2] - 1.0) - _d, direction=1.0) for name, d in targets
     )
     ref_events = events if radius is None else (_domain_exit(radius),) + events
-    for name, rhs, floats in orbit_fields:
-        assert isinstance(integrate_module._Dop853(rhs, 0.0, y0, t1, 1e-10, 1e-10).y, list) == floats, name
+    for name, rhs, y0 in orbit_fields:
         rec = integrate(rhs, y0, (0.0, t1), IntegratorConfig(n_samples=41), domain_radius=radius,
                         stop_events=events)
         t, y, t_end, y_end, n_steps, ref_stop, nfev = _solve_ivp_reference(rhs, y0, (0.0, t1), 41, ref_events)
         assert rec.stop_event == ref_stop == stop, name
-        assert rec.flagged == (stop == "domain_exit")
+        assert rec.flagged == (stop == "domain_exit"), name
         k = t.size
         np.testing.assert_array_equal(rec.t[:k], t)
         np.testing.assert_array_equal(rec.actions[:k], y[2:].T)
@@ -719,15 +759,17 @@ def test_only_orbits_choose_an_initial_step(generic3_chi, monkeypatch):
     assert calls == [0.5]
 
 
-def _step_both(fun, y0, t_end, h_abs=None, min_steps=2, floats=False):
+def _step_both(fun, y0, t_end, h_abs=None, min_steps=2):
     """Compare _Dop853 with scipy's DOP853 stepped on the same system, step by
-    step and bit for bit, then the interpolants on the last step at times and
-    at arrays of times; return the number of rejected steps and the end state.
-    floats says that _Dop853 steps the state as a list of Python floats."""
+    step and bit for bit, then, for a single state, the interpolants on the
+    last step at times and at arrays of times; return the number of rejected
+    steps and the end state.  A single state, y0 of shape (4,), steps as a
+    list of Python floats, and only it has an interpolant."""
     ours, theirs = [], []
+    single = y0.shape == (4,)
     with serial_blas():
         stepper = integrate_module._Dop853(fun, 0.0, y0, t_end, 1e-12, 1e-12, h_abs)
-        assert isinstance(stepper.y, list) == floats
+        assert isinstance(stepper.y, list) == single
         while stepper.running:
             assert stepper.step()
             ours.append(stepper.y)
@@ -736,12 +778,13 @@ def _step_both(fun, y0, t_end, h_abs=None, min_steps=2, floats=False):
             solver.step()
             theirs.append(solver.y)
         assert stepper.nfev == solver.nfev
-        times = np.linspace(solver.t_old, solver.t, 5)
-        sol, ref = stepper.dense(), solver.dense_output()
-        np.testing.assert_array_equal(sol(times), ref(times))
-        for t in times.tolist():
-            np.testing.assert_array_equal(sol(t), ref(t))
-        assert stepper.nfev == solver.nfev
+        if single:
+            times = np.linspace(solver.t_old, solver.t, 5)
+            sol, ref = stepper.dense(), solver.dense_output()
+            np.testing.assert_array_equal(sol(times), ref(times))
+            for t in times.tolist():
+                np.testing.assert_array_equal(sol(t), ref(t))
+            assert stepper.nfev == solver.nfev
     assert solver.status == "finished" and len(ours) == len(theirs) >= min_steps
     for a, b in zip(ours, theirs):
         np.testing.assert_array_equal(a, b)
@@ -758,16 +801,20 @@ def test_float_error_scale_takes_nan_as_np_maximum_does():
 
 
 def test_orbit_stepper_is_scipy_dop853_bit_for_bit():
-    # a bundle's field steps a (4,) state in floats, on the generated
-    # evaluator, with action-independent and action-dependent perturbations;
-    # a plain callable of the same field steps it as an array
+    # every (4,) state steps in floats: a bundle's field on the generated
+    # evaluator, with action-independent and action-dependent perturbations,
+    # and plain callables on 4-element arrays, one of them time-dependent
     y0 = np.array([0.3, 0.0, 1.0, 0.0])
     fields = [rd.make_bundle("generic3", 1e-3).rhs(), _action_dependent_bundle(1e-3).rhs()]
-    for fun in fields:
+    for fun in fields + [lambda t, y: fields[1](t, y)]:
         for t_end in (40.0, -40.0):
-            assert _step_both(fun, y0, t_end, floats=True)[0] > 0
-    for t_end in (40.0, -40.0):
-        assert _step_both(lambda t, y: fields[1](t, y), y0, t_end)[0] > 0
+            assert _step_both(fun, y0, t_end)[0] > 0
+    # I1' = cos(5 t): I1(t) = 1 + sin(5 t) / 5, read at the stages' own times
+    drum = _DrumGenerator().flow_rhs(1.0)
+    for t_end in (10.0, -10.0):
+        rejected, y = _step_both(drum, np.array([0.3, 0.0, 1.0, 5.0]), t_end)
+        assert rejected > 0
+        assert abs(y[2] - (1.0 + math.sin(5.0 * t_end) / 5.0)) < 1e-10
 
 
 def test_vendored_tableau_is_scipys():
