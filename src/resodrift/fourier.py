@@ -142,14 +142,14 @@ class ModeTable:
     point of an undivided table without divisors is read as four float64
     values, whatever their real type, and evaluated in plain Python floats
     by one straight-line function that the table generates on first use
-    (:meth:`_point_function`), which an orbit RHS call on generic3 runs in
-    0.8-1.4 us.  Everything else is evaluated in blocks of block_points
-    points, on one BLAS thread (:func:`~resodrift.blas.serial_blas`); the
-    single-point branch never enters that guard.
+    (:meth:`_point_function`); an orbit's field entry, rendered the same
+    way (:meth:`_field_function`), runs in 0.56-0.93 us on generic3.  All
+    else is evaluated in blocks of block_points points, on one BLAS thread
+    (:func:`~resodrift.blas.serial_blas`), a guard the single point skips.
     """
 
-    __slots__ = ("K", "divided", "block_points", "_Kf", "_k1", "_k2", "_divisors", "_divisor_W",
-                 "_divisor_basis", "_basis", "_width", "_W", "_n_poly", "_w", "_point", "point_source")
+    __slots__ = ("K", "divided", "block_points", "_Kf", "_k1", "_k2", "_divisors", "_divisor_W", "_basis",
+                 "_divisor_basis", "_width", "_W", "_n_poly", "_w", "_point", "point_source", "_field", "field_source")
 
     def __init__(self, K, poly, e, v, divisors=(), omega=None):
         self.K = np.asarray(K, dtype=int).reshape(-1, 2)
@@ -187,7 +187,7 @@ class ModeTable:
         self._k1, self._k2 = self._Kf[:, 0].copy(), self._Kf[:, 1].copy()
         # the single-point branch works in Python floats
         self._w = (TWO_PI * self._Kf).tolist()
-        self._point = self.point_source = None
+        self._point = self.point_source = self._field = self.field_source = None
 
     # -- the two branches ------------------------------------------------------------
 
@@ -219,52 +219,66 @@ class ModeTable:
         return rows
 
     def _point_function(self):
-        """The single-point evaluator (t1, t2, x1, x2) -> list of the five rows.
+        """The single-point evaluator (t1, t2, x1, x2) -> list of the five rows; see :meth:`_render`."""
+        if self._point is None:
+            self._point, self.point_source = self._render("point", "t1, t2, x1, x2", [("", r) for r in range(5)])
+        return self._point
 
-        Built on first use from :meth:`_compile_terms`: one straight-line
-        function computes the phases w1 * t1 + w2 * t2, one math.cos and one
-        math.sin per mode, the action powers by repeated multiplication, and
-        each row as the left-to-right sum (0.0 + c * P * T) + ... of its
-        terms in their order, constants written with repr.  A factor 1.0 of
-        the powers is left out, and so is the mean mode's cos, 1.0 at every
-        finite angle, which changes no bit there; its sin is written 0.0.
-        The source is kept as point_source.  A divided table or one over
-        divisors has rows that are not bilinear in the powers and the trig
-        values, and raises ValueError.
+    def _field_function(self):
+        """The field at one state, (t, t1, t2, x1, x2) -> [r3, r4, -r1, -r2], t unread; see :meth:`_render`."""
+        if self._field is None:
+            self._field, self.field_source = self._render("field", "_t, t1, t2, x1, x2",
+                                                          [("", 3), ("", 4), ("-", 1), ("-", 2)])
+        return self._field
+
+    def _render(self, name, args, outputs):
+        """The generated function name(args) of one point, returning the signed rows outputs, and its source.
+
+        Rendered from :meth:`_compile_terms`: one straight-line function
+        computes the phases w1 * t1 + w2 * t2, the math.cos and math.sin of
+        them that the returned rows read, the action powers they read by
+        repeated multiplication, and each returned row as the left-to-right
+        sum (0.0 + c * P * T) + ... of its terms in their order, constants
+        written with repr; a row returned with the sign "-" is negated, which
+        is exact.  A factor 1.0 of the powers is left out, and so is the mean
+        mode's cos, 1.0 at every finite angle, which changes no bit there;
+        its sin is written 0.0.  A divided table or one over divisors has
+        rows that are not bilinear in the powers and the trig values, and
+        raises ValueError.
         """
         if self.divided or self._divisors:
             raise ValueError("the single-point evaluator covers undivided tables without divisors")
-        if self._point is None:
-            lines = ["def point(t1, t2, x1, x2):"]
-            live = self.K.any(axis=1).tolist()
-            for k, (w1, w2) in enumerate(self._w):
-                if live[k]:
-                    lines += [f"    q{k} = {w1!r} * t1 + {w2!r} * t2", f"    c{k} = cos(q{k})", f"    s{k} = sin(q{k})"]
-            for x, n in zip(("x1", "x2"), (np.max(self._basis, axis=0, initial=0) + 1).tolist()):
-                lines += [f"    {x}_{i} = {x}_{i - 1} * {x}" if i > 1 else f"    {x}_1 = {x}" for i in range(1, n)]
-            rows = self._compile_terms()
-            used = {p for row in rows for p, _, _ in row}
-            # basis row p is I1**i * I2**j
-            power = []
-            for p, (i, j) in enumerate(self._basis.tolist()):
-                if i and j and p in used:
-                    lines.append(f"    p{i}_{j} = x1_{i} * x2_{j}")
-                power.append([f"p{i}_{j}"] if i and j else [f"x1_{i}"] if i else [f"x2_{j}"] if j else [])
-            # the mean mode's cos is 1.0 and its sin 0.0 at every finite angle
-            trig = [[f"c{k}"] if on else [] for k, on in enumerate(live)] + \
-                [[f"s{k}"] if on else ["0.0"] for k, on in enumerate(live)]
-            for r, row in enumerate(rows):
-                terms = [" * ".join([repr(c), *power[p], *trig[q]]) for p, q, c in row]
-                # chunks of _SUM_TERMS keep each expression shallow for the compiler
-                lines.append(f"    r{r} = 0.0")
-                for start in range(0, len(terms), _SUM_TERMS):
-                    lines.append(f"    r{r} = r{r} + " + " + ".join(terms[start : start + _SUM_TERMS]))
-            lines.append("    return [r0, r1, r2, r3, r4]")
-            self.point_source = "\n".join(lines) + "\n"
-            namespace = {"cos": math.cos, "sin": math.sin, "inf": math.inf, "nan": math.nan}
-            exec(compile(self.point_source, "<ModeTable.point_source>", "exec"), namespace)
-            self._point = namespace["point"]
-        return self._point
+        lines, m = [f"def {name}({args}):"], len(self._w)
+        live = self.K.any(axis=1).tolist()
+        rows, wanted = self._compile_terms(), sorted({r for _, r in outputs})
+        # the basis rows and the trig indices that the returned rows read
+        used, read = ({term[i] for r in wanted for term in rows[r]} for i in (0, 1))
+        for k, (w1, w2) in enumerate(self._w):
+            if live[k]:
+                lines += [f"    q{k} = {w1!r} * t1 + {w2!r} * t2"] + \
+                    [f"    {f[0]}{k} = {f}(q{k})" for f, q in (("cos", k), ("sin", m + k)) if q in read]
+        for x, n in zip(("x1", "x2"), (np.max(self._basis[sorted(used)], axis=0, initial=0) + 1).tolist()):
+            lines += [f"    {x}_{i} = {x}_{i - 1} * {x}" if i > 1 else f"    {x}_1 = {x}" for i in range(1, n)]
+        # basis row p is I1**i * I2**j
+        power = []
+        for p, (i, j) in enumerate(self._basis.tolist()):
+            if i and j and p in used:
+                lines.append(f"    p{i}_{j} = x1_{i} * x2_{j}")
+            power.append([f"p{i}_{j}"] if i and j else [f"x1_{i}"] if i else [f"x2_{j}"] if j else [])
+        # the mean mode's cos is 1.0 and its sin 0.0 at every finite angle
+        trig = [[f"c{k}"] if on else [] for k, on in enumerate(live)] + \
+            [[f"s{k}"] if on else ["0.0"] for k, on in enumerate(live)]
+        for r in wanted:
+            terms = [" * ".join([repr(c), *power[p], *trig[q]]) for p, q, c in rows[r]]
+            # chunks of _SUM_TERMS keep each expression shallow for the compiler
+            lines.append(f"    r{r} = 0.0")
+            for start in range(0, len(terms), _SUM_TERMS):
+                lines.append(f"    r{r} = r{r} + " + " + ".join(terms[start : start + _SUM_TERMS]))
+        lines.append("    return [" + ", ".join(f"{sign}r{r}" for sign, r in outputs) + "]")
+        source = "\n".join(lines) + "\n"
+        namespace = {"cos": math.cos, "sin": math.sin, "inf": math.inf, "nan": math.nan}
+        exec(compile(source, f"<ModeTable.{name}_source>", "exec"), namespace)
+        return namespace[name], source
 
     # The array branch keeps modes first and points last, so every per-mode
     # quantity of a block is one contiguous (m, points) array.

@@ -2,9 +2,9 @@
 
 One in-repo DOP853 stepper (scipy's step controller and interpolant on the
 tableau vendored in dop853.py) has two drivers.  The products that sum
-over stages stay numpy, which keeps scipy's bits; a single state, y of
-shape (4,), does the rest of a step in Python floats, and a block of
-points in numpy arrays.
+over stages are ndarray.dot calls, which keep scipy's bits; a single
+state, y of shape (4,), does the rest of a step in Python floats, and a
+block of points in numpy arrays.
 integrate steps an orbit of the full Hamiltonian, angles on the universal
 cover and wrapped only when sampled.  It builds the interpolant only on
 steps that hold sample times or a sign change of a termination condition
@@ -121,6 +121,8 @@ _STAGES = dop853.N_STAGES + 1
 _EXPONENT = -1 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EPS = float(np.finfo(float).eps)
+# from 2**52 on a float64 angle keeps no fractional part, so its phases are rounding noise
+_ANGLE_LIMIT = 2.0**52
 
 
 def _norm(x):
@@ -134,8 +136,8 @@ def _rms(x):
 
 def _error_norm(K, h, scale):
     """DOP853's RMS error norm of a step: the 5th-order estimate, damped by the 3rd."""
-    err5 = _norm((_E5 @ K) / scale) ** 2
-    err3 = _norm((_E3 @ K) / scale) ** 2
+    err5 = _norm(_E5.dot(K) / scale) ** 2
+    err3 = _norm(_E3.dot(K) / scale) ** 2
     if err5 == 0 and err3 == 0:
         return 0.0
     return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * len(scale))
@@ -167,19 +169,22 @@ class _Dop853:
     node, weights and rows of the stage table are looked up once per
     stepper.  The products that sum over stages stay numpy, whose bits a
     Python sum would not keep: the stage sums a_s . K, B . K, E5 . K and
-    E3 . K, the norms' dot and dense()'s extra stages and D . K.
+    E3 . K, the norms' dot and dense()'s extra stages and D . K.  Each is an
+    ndarray.dot call, which reaches BLAS as scipy's np.dot does without the
+    dispatch of the @ operator.
 
     A single state, y0 of shape (4,), is stepped in Python floats around
     those products, and any other shape (a flow block) in numpy arrays.  A
     single state's y, f and interpolant rows are floats; its stage points,
     update, error scale and the interpolant's Horner sum are float
     arithmetic.  Its float entry (t, theta1, theta2, I1, I2) -> four rates
-    is fun.single_state() where fun has one (SystemBundle.rhs() has), and
-    otherwise fun on a 4-element array, listed; the four rates are written
-    straight into the stage table.  IEEE float *, +, / and abs round as
-    numpy's elementwise ufuncs do, so both shapes give scipy's bits.  Only a
-    single state has an interpolant: dense() is scipy's on the last step
-    (Hairer, Norsett and Wanner, Sec. II.6) at 3 more evaluations.
+    is fun.single_state() where fun has one (SystemBundle.rhs() gives one
+    generated function), and otherwise fun on a 4-element array, listed;
+    the four rates are written straight into the stage table.  IEEE float
+    *, +, / and abs round as numpy's elementwise ufuncs do, so both shapes
+    give scipy's bits.  Only a single state has an interpolant: dense() is
+    scipy's on the last step (Hairer, Norsett and Wanner, Sec. II.6) at 3
+    more evaluations.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, h_abs=None):
@@ -256,8 +261,8 @@ class _Dop853:
         t, y, fun, K = self.t, self.y, self.fun, self.K
         K[0] = self.f
         for s, c, a, rows in self._stages:
-            K[s] = fun(t + c * h, y + (a @ rows) * h)
-        y_new = y + h * (_B @ K[:-1])
+            K[s] = fun(t + c * h, y + a.dot(rows) * h)
+        y_new = y + h * _B.dot(K[:-1])
         f_new = K[-1] = fun(t + h, y_new)
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
         return y_new, f_new, _error_norm(K, h, scale)
@@ -268,9 +273,9 @@ class _Dop853:
         y = y0, y1, y2, y3 = self.y
         K[0] = self.f
         for s, c, a, rows in self._stages:
-            d0, d1, d2, d3 = (a @ rows).tolist()
+            d0, d1, d2, d3 = a.dot(rows).tolist()
             K[s] = single(t + c * h, y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
-        d0, d1, d2, d3 = (_B @ K[:-1]).tolist()
+        d0, d1, d2, d3 = _B.dot(K[:-1]).tolist()
         y_new = [y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3]
         f_new = K[-1] = single(t + h, *y_new)
         atol, rtol = self.atol, self.rtol
@@ -286,14 +291,14 @@ class _Dop853:
         h, t_old, y_old, single, K = self.h, self.t_old, self.y_old, self._single, self._table
         y0, y1, y2, y3 = y_old
         for s, c, rows, a in self._extra:
-            d0, d1, d2, d3 = np.dot(rows, a).tolist()
+            d0, d1, d2, d3 = rows.dot(a).tolist()
             K[s] = single(t_old + c * h, y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
             self.nfev += 1
         k0 = K[0].tolist()
         delta = [a - b for a, b in zip(self.y, y_old)]
         F = [delta, [h * k - d for k, d in zip(k0, delta)],
              [2 * d - h * (f + k) for d, f, k in zip(delta, self.f, k0)],
-             *([h * v for v in row] for row in np.dot(_D, K).tolist())]
+             *([h * v for v in row] for row in _D.dot(K).tolist())]
         # per component: the rows from the last to the first (0.0 + as on a zeroed array), then y_old
         columns = [(0.0 + c6, c5, c4, c3, c2, c1, c0, yo) for c0, c1, c2, c3, c4, c5, c6, yo in zip(*F, y_old)]
 
@@ -394,7 +399,8 @@ def integrate(
     direction of time) or at t1.  A span that is not finite and nonzero,
     or a y0 whose shape is not (4,), raises ValueError; a start with a
     non-finite entry or outside domain_radius raises DomainError before rhs
-    is called; a first step that comes out zero or not finite, or a step
+    is called, and so does an accepted step where |theta1| or |theta2|
+    reaches 2**52; a first step that comes out zero or not finite, or a step
     size collapsing (for example in a blow-up), raises IntegrationError.
 
     Parameters
@@ -446,6 +452,8 @@ def integrate(
             )
         n_steps += 1
         t, y, sol = stepper.t, stepper.y, None
+        if abs(y[0]) >= _ANGLE_LIMIT or abs(y[1]) >= _ANGLE_LIMIT:
+            raise DomainError(f"an angle of {y!r} at t = {t!r} reached 2**52, past float64's fractional part")
         g_new = [event.fn(t, y) for event in events]
         fired = [ev for ev, a, b in zip(events, g, g_new) if _crosses(a, b, ev.direction)]
         if fired:

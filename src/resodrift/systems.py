@@ -224,30 +224,23 @@ class _Field:
     instead, with no dispatch through :meth:`SystemBundle.vector_field`.
     """
 
-    __slots__ = ("_bundle", "_single")
+    __slots__ = ("_bundle",)
 
     def __init__(self, bundle: SystemBundle):
-        self._bundle, self._single = bundle, None
+        self._bundle = bundle
 
     def __call__(self, _t, y):
         return np.concatenate(self._bundle.vector_field(*y))
 
     def single_state(self):
-        """The field on one state as floats: (t, theta1, theta2, I1, I2) -> tuple of the four rates.
+        """The field on one state as floats: (t, theta1, theta2, I1, I2) -> list of the four rates.
 
-        It reads the table's generated single-point evaluator, bound on the
-        first call, so a field used only on arrays never generates it.  The
-        orbit stepper writes its tuples straight into its stage table.
+        It is the table's generated field entry (ModeTable._field_function),
+        made on the first call, so a field used only on arrays never
+        generates it.  The orbit stepper writes its lists straight into its
+        stage table.
         """
-        if self._single is None:
-            point = self._bundle.series.table()._point_function()
-
-            def single(_t, theta1, theta2, I1, I2):
-                _, d1, d2, g1, g2 = point(theta1, theta2, I1, I2)
-                return g1, g2, -d1, -d2
-
-            self._single = single
-        return self._single
+        return self._bundle.series.table()._field_function()
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import math
+import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -166,6 +168,31 @@ def test_generated_evaluator_sums_a_row_of_thousands_of_terms():
     states = np.random.default_rng(26).uniform(-1.0, 1.0, (50, 4))
     for y in states.tolist():
         assert point(*y) == _term_list_rows(table, terms, *y), table.point_source
+
+
+def _bits(values):
+    """The IEEE bit patterns of floats, so NaNs of either sign compare too."""
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-2])
+@pytest.mark.parametrize("name", rd.catalog_names() + ["action-dependent"])
+def test_field_entry_is_the_signed_point_rows_bit_for_bit(name, eps):
+    system = rd.get_entry("generic3" if name == "action-dependent" else name).system
+    f = _action_dependent_f() if name == "action-dependent" else rd.get_entry(name).perturbation
+    bundle = SystemBundle(system, f, eps)
+    field, table = bundle.rhs().single_state(), bundle.series.table()
+    assert field is table._field_function()
+    point = table._point_function()
+    states = np.random.default_rng(33).uniform([-1.0, -1.0, -2.0, -2.0], [2.0, 2.0, 2.0, 2.0], (2_000, 4)).tolist()
+    # a NaN angle, zero actions, actions of 1e154 and actions whose squares overflow in the value row
+    states += [[math.nan, 0.2, 1.0, 0.1], [0.3, math.nan, 1.0, 0.1], [0.3, 0.4, 0.0, 0.0],
+               [0.3, 0.4, 1e154, 1e154], [0.3, 0.4, -1e154, 1e154], [0.3, 0.4, 1e200, -1e200]]
+    for y in states:
+        _, d1, d2, g1, g2 = point(*y)
+        assert _bits(field(7.0, *y)) == _bits([g1, g2, -d1, -d2]), (y, table.field_source)
+    # the field never reads the value row, and its source computes none
+    assert "r0" not in table.field_source and "r0 = " in table.point_source
 
 
 def test_sample_count_is_checked():
@@ -374,6 +401,20 @@ def test_starts_that_break_the_first_step_raise_typed_errors(y0, error, message)
         integrate(rhs, y0, (0.0, 10.0))
     # a start that is not one finite state is refused before the field is evaluated
     assert (calls == []) == (error is not IntegrationError)
+
+
+@pytest.mark.parametrize("I1", [1e77, 1e100])
+def test_angles_past_float_precision_raise_domain_error(I1):
+    # theta2' = I1 carries theta2 past 2**52 within the first steps; from there
+    # every phase is rounding noise and the steps shrink with the angle's ulp
+    rhs = rd.make_bundle("generic3", 1e-3).rhs()
+    start = time.process_time()
+    with pytest.raises(DomainError, match="2\\*\\*52"):
+        integrate(rhs, [0.1, 0.2, I1, 0.0], (0.0, 10.0))
+    assert time.process_time() - start < 1.0
+    # just below the limit the orbit runs
+    rec = integrate(rhs, [0.1, 2.0**52 - 2.0, 1.0, 0.0], (0.0, 1.0), IntegratorConfig(n_samples=2))
+    assert rec.y_end[1] < 2.0**52
 
 
 # -- the orbit loop against scipy's solve_ivp ---------------------------------
